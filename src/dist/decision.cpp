@@ -11,7 +11,6 @@
 #include "dist/elim_tree.hpp"
 #include "dist/local.hpp"
 #include "mso/lower.hpp"
-#include "par/pool.hpp"
 
 namespace dmc::dist {
 
@@ -28,13 +27,9 @@ struct VerdictMsg {
   bool holds = false;
 };
 
-int bits_for_count(std::size_t num_types) {
-  return std::max(1,
-                  congest::count_bits(static_cast<std::uint64_t>(num_types)));
-}
-
 int class_bits(const bpt::Engine& engine) {
-  return bits_for_count(engine.num_types());
+  return std::max(
+      1, congest::count_bits(static_cast<std::uint64_t>(engine.num_types())));
 }
 
 /// Wire codecs (audit mode). A class id is the frame's only field, so it
@@ -68,16 +63,14 @@ class DecisionProgram : public congest::NodeProgram {
  public:
   DecisionProgram(bpt::Engine& engine, bpt::Evaluator* evaluator,
                   LocalContext ctx, VertexId parent_id,
-                  std::vector<VertexId> children_ids, int* max_bits,
-                  const std::size_t* types_at_round_start)
+                  std::vector<VertexId> children_ids, int* max_bits)
       : engine_(engine),
         evaluator_(evaluator),
         local_(std::move(ctx)),
         parent_id_(parent_id),
         children_ids_(std::move(children_ids)),
         child_slots_(children_ids_),
-        max_bits_(max_bits),
-        types_at_round_start_(types_at_round_start) {
+        max_bits_(max_bits) {
     inputs_.assign(children_ids_.size(), bpt::kInvalidType);
   }
 
@@ -127,16 +120,10 @@ class DecisionProgram : public congest::NodeProgram {
         verdict_ = evaluator_->eval(my_class_);
         forward_verdict(ctx);
       } else if (send_up_) {
-        // Declared width must be schedule-independent under parallel
-        // stepping (send-time num_types depends on the interning
-        // schedule), so it is sized from the round-start universe
-        // snapshot. The declaration is cost accounting only; the
-        // simulator ships the value itself either way. Audit mode steps
-        // serially and keeps the legacy send-time width so wire
-        // re-encoding checks the exact declared frame.
-        const int bits = ctx.audited() ? class_bits(engine_)
-                                       : bits_for_count(*types_at_round_start_);
-        par::atomic_fetch_max(*max_bits_, bits);
+        // Sized at send time: the width audit mode validates. The solve
+        // steps serially, so the width is schedule-independent.
+        const int bits = class_bits(engine_);
+        *max_bits_ = std::max(*max_bits_, bits);
         ctx.send(ctx.port_of(parent_id_), Message(ClassMsg{my_class_}, bits));
       }
     }
@@ -176,7 +163,6 @@ class DecisionProgram : public congest::NodeProgram {
   bool verdict_known_ = false;
   bool verdict_ = false;
   int* max_bits_;
-  const std::size_t* types_at_round_start_;
 };
 
 }  // namespace
@@ -201,11 +187,6 @@ DecisionOutcome run_decision_solve(congest::Network& net,
 
   congest::PhaseScope trace_scope(net, "decide");
   bpt::Evaluator evaluator(*engine, lowered);
-  // Round-start universe snapshot for schedule-independent class_bits
-  // declarations; refreshed by the network before each round's steps.
-  std::size_t types_at_round_start = engine->num_types();
-  net.set_round_begin_hook(
-      [&types_at_round_start, engine] { types_at_round_start = engine->num_types(); });
   const bool incremental =
       cache != nullptr &&
       cache->refold.size() == static_cast<std::size_t>(net.n()) &&
@@ -224,7 +205,7 @@ DecisionOutcome run_decision_solve(congest::Network& net,
     auto p = std::make_unique<DecisionProgram>(
         *engine, &evaluator, std::move(lctx),
         tree.parent[v] < 0 ? -1 : net.id_of_vertex(tree.parent[v]),
-        std::move(children_ids), &out.max_class_bits, &types_at_round_start);
+        std::move(children_ids), &out.max_class_bits);
     if (replay(v)) {
       const int parent = tree.parent[v];
       p->set_cached(cache->classes[v], parent >= 0 && !replay(parent));
@@ -232,8 +213,12 @@ DecisionOutcome run_decision_solve(congest::Network& net,
     handles.push_back(p.get());
     programs.push_back(std::move(p));
   }
-  out.run = net.run_outcome(programs);
-  net.set_round_begin_hook(nullptr);
+  {
+    // Class messages declare the send-time universe width, which depends
+    // on the interning schedule; keep the solve on the serial path.
+    congest::Network::SerialSection serial(net);
+    out.run = net.run_outcome(programs);
+  }
   out.rounds_updown = out.run.rounds;
   out.num_classes = engine->num_types();
   if (!out.run.ok()) return out;  // degraded: verdict untrusted
