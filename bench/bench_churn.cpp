@@ -38,12 +38,10 @@ int main() {
   for (int n : {16, 32, 64, 128}) {
     gen::Rng rng(23);
     const Graph g = gen::random_bounded_treedepth(n, 3, 0.25, rng);
-    churn::Query query;
-    query.pipeline = churn::Pipeline::kDecision;
-    query.formula = mso::lib::triangle_free();
     churn::Options opts;
     opts.d = 4;  // headroom: seeded edge inserts may deepen the tree
-    churn::ChurnEngine engine(g, query, opts);
+    churn::ChurnEngine engine(
+        g, {dist::Kind::kDecision, mso::lib::triangle_free()}, opts);
 
     const churn::StepOutcome init = engine.init();
     if (!init.ok()) {

@@ -3,7 +3,7 @@
 // exact oracles.
 #include "bench_util.hpp"
 #include "congest/network.hpp"
-#include "dist/counting.hpp"
+#include "dist/query.hpp"
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
@@ -21,11 +21,13 @@ int main() {
     gen::Rng rng(3);
     const Graph g = gen::random_bounded_treedepth(n, 3, 0.5, rng);
     congest::Network net(g);
-    const auto out = dist::run_count(net, mso::lib::triangle_tuple(),
-                                     {{"X", mso::Sort::VertexSet},
-                                      {"Y", mso::Sort::VertexSet},
-                                      {"Z", mso::Sort::VertexSet}},
-                                     3);
+    const auto out =
+        dist::run(net,
+            {dist::Kind::kCount, mso::lib::triangle_tuple(),
+             {{"X", mso::Sort::VertexSet},
+              {"Y", mso::Sort::VertexSet},
+              {"Z", mso::Sort::VertexSet}}},
+            3);
     if (out.treedepth_exceeded) continue;
     bench::row((long long)n, out.total_rounds(), (long long)(out.count / 6),
                (long long)exact::count_triangles(g),
@@ -38,8 +40,10 @@ int main() {
     gen::Rng rng(17);
     const Graph g = gen::random_bounded_treedepth(n, 3, 0.4, rng);
     congest::Network net(g);
-    const auto out = dist::run_count(net, mso::lib::independent_set_indicator(),
-                                     {{"S", mso::Sort::VertexSet}}, 3);
+    const auto out =
+        dist::run(net,
+                  {dist::Kind::kCount, mso::lib::independent_set_indicator(),
+                   {{"S", mso::Sort::VertexSet}}}, 3);
     if (out.treedepth_exceeded) continue;
     bench::row((long long)n, out.total_rounds(), (long long)out.count,
                (long long)exact::count_independent_sets(g));

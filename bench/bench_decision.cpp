@@ -4,7 +4,7 @@
 #include "bench_util.hpp"
 #include "congest/network.hpp"
 #include "dist/baseline.hpp"
-#include "dist/decision.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 
@@ -45,7 +45,7 @@ int main() {
         congest::NetworkConfig cfg;
         cfg.sink = &trace;
         congest::Network net(g, cfg);
-        const auto out = dist::run_decision(net, c.formula, 3);
+        const auto out = dist::run(net, {dist::Kind::kDecision, c.formula}, 3);
         if (out.treedepth_exceeded) continue;
         proto_rounds = out.total_rounds();
         holds = out.holds;

@@ -16,8 +16,8 @@
 #include "bench_util.hpp"
 #include "congest/faults.hpp"
 #include "congest/network.hpp"
-#include "dist/decision.hpp"
 #include "dist/elim_tree.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 
@@ -96,7 +96,7 @@ int main() {
     long ref_vrounds = 0;  // protocol steps == fault-free physical rounds
     for (std::size_t s = 0; s < std::size(specs); ++s) {
       congest::Network net(g, cfg_for(specs[s], 60 + n));
-      const auto out = dist::run_decision(net, formula, 3);
+      const auto out = dist::run(net, {dist::Kind::kDecision, formula}, 3);
       if (!out.run.ok()) {
         std::printf("%14d%14s%14s\n", n, spec_names[s], "degraded");
         continue;

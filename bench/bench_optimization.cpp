@@ -4,7 +4,7 @@
 // (cross-checked against the exact oracle for small n).
 #include "bench_util.hpp"
 #include "congest/network.hpp"
-#include "dist/optimization.hpp"
+#include "dist/query.hpp"
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
@@ -24,8 +24,10 @@ int main() {
     Graph g = gen::random_bounded_treedepth(n, 3, 0.3, rng);
     gen::randomize_weights(g, 1, 5, rng);
     congest::Network net(g);
-    const auto out = dist::run_maximize(net, mso::lib::independent_set(), "S",
-                                        mso::Sort::VertexSet, 3);
+    const auto out =
+        dist::run(net,
+                  {dist::Kind::kMaximize, mso::lib::independent_set(),
+                   {{"S", mso::Sort::VertexSet}}}, 3);
     if (out.treedepth_exceeded || !out.best_weight) continue;
     const long long oracle =
         n <= 24 ? exact::max_weight_independent_set(g) : -1;
@@ -40,8 +42,10 @@ int main() {
     gen::Rng rng(9);
     const Graph g = gen::random_bounded_treedepth(n, 3, 0.3, rng);
     congest::Network net(g);
-    const auto out = dist::run_minimize(net, mso::lib::dominating_set(), "S",
-                                        mso::Sort::VertexSet, 3);
+    const auto out =
+        dist::run(net,
+                  {dist::Kind::kMinimize, mso::lib::dominating_set(),
+                   {{"S", mso::Sort::VertexSet}}}, 3);
     if (out.treedepth_exceeded || !out.best_weight) continue;
     const long long oracle =
         n <= 24 ? exact::min_weight_dominating_set(g) : -1;
@@ -58,8 +62,10 @@ int main() {
     for (EdgeId e = 0; e < g.num_edges(); ++e)
       g.set_edge_weight(e, 1 + (e * 37) % 11);
     congest::Network net(g);
-    const auto out = dist::run_minimize(net, mso::lib::spanning_connected(),
-                                        "F", mso::Sort::EdgeSet, 3);
+    const auto out =
+        dist::run(net,
+                  {dist::Kind::kMinimize, mso::lib::spanning_connected(),
+                   {{"F", mso::Sort::EdgeSet}}}, 3);
     if (out.treedepth_exceeded || !out.best_weight) continue;
     bench::row((long long)n, out.total_rounds(), (long long)*out.best_weight,
                (long long)exact::min_weight_spanning_tree(g),

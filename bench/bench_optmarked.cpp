@@ -2,7 +2,7 @@
 // an optimal solution, in the same g(d, phi) rounds as optimization.
 #include "bench_util.hpp"
 #include "congest/network.hpp"
-#include "dist/optmarked.hpp"
+#include "dist/query.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
@@ -29,18 +29,22 @@ int main() {
       for (VertexId v = 0; v < n; ++v)
         if (opt->vertices[v]) g.set_vertex_label("marked", v);
       congest::Network net(g);
-      const auto out = dist::run_optmarked(net, mso::lib::independent_set(),
-                                           "S", mso::Sort::VertexSet, 3);
+      const auto out =
+          dist::run(net,
+                    {dist::Kind::kOptMarked, mso::lib::independent_set(),
+                     {{"S", mso::Sort::VertexSet}}}, 3);
       bench::row((long long)n, std::string("optimal"), out.total_rounds(),
-                 (long long)out.satisfies, (long long)out.is_optimal);
+                 (long long)out.holds, (long long)out.is_optimal);
     }
     // empty marking (feasible but suboptimal)
     {
       congest::Network net(base);
-      const auto out = dist::run_optmarked(net, mso::lib::independent_set(),
-                                           "S", mso::Sort::VertexSet, 3);
+      const auto out =
+          dist::run(net,
+                    {dist::Kind::kOptMarked, mso::lib::independent_set(),
+                     {{"S", mso::Sort::VertexSet}}}, 3);
       bench::row((long long)n, std::string("empty"), out.total_rounds(),
-                 (long long)out.satisfies, (long long)out.is_optimal);
+                 (long long)out.holds, (long long)out.is_optimal);
     }
   }
 
@@ -54,10 +58,11 @@ int main() {
     for (EdgeId e : kruskal_mst(g)) g.set_edge_label("marked", e);
     congest::Network net(g);
     const auto out =
-        dist::run_optmarked(net, mso::lib::spanning_connected(), "F",
-                            mso::Sort::EdgeSet, 3, /*minimize=*/true);
+        dist::run(net,
+                  {dist::Kind::kOptMarked, mso::lib::spanning_connected(),
+                   {{"F", mso::Sort::EdgeSet}}, true}, 3);
     bench::row((long long)n, std::string("kruskal"), out.total_rounds(),
-               (long long)out.satisfies, (long long)out.is_optimal);
+               (long long)out.holds, (long long)out.is_optimal);
   }
   return 0;
 }

@@ -26,8 +26,8 @@
 #include "bpt/universe_cache.hpp"
 #include "congest/conformance.hpp"
 #include "congest/network.hpp"
-#include "dist/decision.hpp"
 #include "dist/hfreeness.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/ast.hpp"
 #include "mso/formulas.hpp"
@@ -88,7 +88,7 @@ void report_step_digests() {
     cfg.threads = threads;
     congest::Network net(g, cfg);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto out = dist::run_decision(net, formula, 4);
+    const auto out = dist::run(net, {dist::Kind::kDecision, formula}, 4);
     const double ms = ms_since(t0);
     if (threads == 1) {
       serial_digests = sink.digests();

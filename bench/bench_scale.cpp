@@ -38,8 +38,8 @@
 #include "bench_util.hpp"
 #include "congest/conformance.hpp"
 #include "congest/network.hpp"
-#include "dist/decision.hpp"
 #include "dist/elim_tree.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 
@@ -57,7 +57,8 @@ void report_equivalence() {
     cfg.id_seed = 9;
     cfg.sparse_stepping = sparse;
     congest::Network net(g, cfg);
-    const auto out = dist::run_decision(net, mso::lib::triangle_free(), 4);
+    const auto out =
+        dist::run(net, {dist::Kind::kDecision, mso::lib::triangle_free()}, 4);
     *digests = sink.digests();
     return std::make_tuple(out.holds, net.stats().rounds,
                            net.stats().active_steps);
@@ -101,8 +102,9 @@ void report_scale() {
     congest::Network net(r.graph, cfg);
     dist::ElimTreeOptions tree_opts;
     tree_opts.sparse_flood = true;
-    const auto out = dist::run_decision(net, mso::lib::triangle_free(), r.d,
-                                        /*engine=*/nullptr, tree_opts);
+    const auto out =
+        dist::run(net, {dist::Kind::kDecision, mso::lib::triangle_free()}, r.d,
+                  /*engine=*/nullptr, tree_opts);
     if (!out.run.ok()) {
       std::printf("unexpected degraded run on %s\n", r.name);
       return;

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "congest/network.hpp"
-#include "dist/optimization.hpp"
+#include "dist/query.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
@@ -23,8 +23,10 @@ int main() {
               g.num_edges());
 
   congest::Network net(g, {.id_seed = 7});
-  const auto outcome = dist::run_minimize(net, mso::lib::spanning_connected(),
-                                          "F", mso::Sort::EdgeSet, /*d=*/3);
+  const auto outcome =
+      dist::run(net,
+                {dist::Kind::kMinimize, mso::lib::spanning_connected(),
+                 {{"F", mso::Sort::EdgeSet}}}, /*d=*/3);
   if (outcome.treedepth_exceeded || !outcome.best_weight) {
     std::printf("failed to solve\n");
     return 1;

@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "congest/network.hpp"
-#include "dist/counting.hpp"
 #include "dist/hfreeness.hpp"
+#include "dist/query.hpp"
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
@@ -40,11 +40,13 @@ int main() {
   gen::Rng rng2(6);
   const Graph h = gen::random_bounded_treedepth(30, 3, 0.5, rng2);
   congest::Network net(h);
-  const auto count = dist::run_count(net, mso::lib::triangle_tuple(),
-                                     {{"X", mso::Sort::VertexSet},
-                                      {"Y", mso::Sort::VertexSet},
-                                      {"Z", mso::Sort::VertexSet}},
-                                     3);
+  const auto count =
+      dist::run(net,
+          {dist::Kind::kCount, mso::lib::triangle_tuple(),
+           {{"X", mso::Sort::VertexSet},
+            {"Y", mso::Sort::VertexSet},
+            {"Z", mso::Sort::VertexSet}}},
+          3);
   std::printf(
       "\ntriangle counting on btd(30,3): %llu triangles in %ld rounds "
       "(oracle %llu)\n",

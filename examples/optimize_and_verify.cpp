@@ -7,8 +7,7 @@
 #include <cstdio>
 
 #include "congest/network.hpp"
-#include "dist/optimization.hpp"
-#include "dist/optmarked.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 
@@ -26,8 +25,10 @@ int main() {
   Weight value = 0;
   {
     congest::Network net(g);
-    const auto out = dist::run_maximize(net, mso::lib::independent_set(), "S",
-                                        mso::Sort::VertexSet, 3);
+    const auto out =
+        dist::run(net,
+                  {dist::Kind::kMaximize, mso::lib::independent_set(),
+                   {{"S", mso::Sort::VertexSet}}}, 3);
     if (out.treedepth_exceeded || !out.best_weight) return 1;
     solution = out.vertices;
     value = *out.best_weight;
@@ -40,15 +41,18 @@ int main() {
     if (solution[v]) g.set_vertex_label("marked", v);
   {
     congest::Network net(g);
-    const auto out = dist::run_optmarked(net, mso::lib::independent_set(), "S",
-                                         mso::Sort::VertexSet, 3);
+    const auto out =
+        dist::run(net,
+                  {dist::Kind::kOptMarked, mso::lib::independent_set(),
+                   {{"S", mso::Sort::VertexSet}}}, 3);
     std::printf(
         "optmarked: satisfies=%s optimal=%s (marked %lld vs best %lld), "
         "%ld rounds\n",
-        out.satisfies ? "yes" : "no", out.is_optimal ? "yes" : "no",
+        out.holds ? "yes" : "no", out.is_optimal ? "yes" : "no",
         static_cast<long long>(out.marked_weight),
-        static_cast<long long>(out.best_weight), out.total_rounds());
-    if (!out.satisfies || !out.is_optimal) return 1;
+        static_cast<long long>(out.best_weight.value_or(0)),
+        out.total_rounds());
+    if (!out.holds || !out.is_optimal) return 1;
   }
 
   // Phase 3: perturb the marking — the verifier must reject.
@@ -57,8 +61,10 @@ int main() {
     for (VertexId v = 0; v < bad.num_vertices(); ++v)
       bad.set_vertex_label("marked", v, false);
     congest::Network net(bad);  // empty marking: feasible but not optimal
-    const auto out = dist::run_optmarked(net, mso::lib::independent_set(), "S",
-                                         mso::Sort::VertexSet, 3);
+    const auto out =
+        dist::run(net,
+                  {dist::Kind::kOptMarked, mso::lib::independent_set(),
+                   {{"S", mso::Sort::VertexSet}}}, 3);
     std::printf("empty marking rejected as optimal: %s\n",
                 !out.is_optimal ? "yes" : "NO");
     if (out.is_optimal) return 1;

@@ -11,7 +11,7 @@
 #include <string>
 
 #include "congest/network.hpp"
-#include "dist/decision.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/parser.hpp"
 #include "seq/courcelle.hpp"
@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
 
   // 2. Distributed check in the CONGEST simulator (treedepth budget d=3).
   congest::Network net(g, {.id_seed = 1});
-  const auto outcome = dist::run_decision(net, formula, /*d=*/3);
+  const auto outcome =
+      dist::run(net, {dist::Kind::kDecision, formula}, /*d=*/3);
   if (outcome.treedepth_exceeded) {
     std::printf("distributed: treedepth budget exceeded\n");
     return 1;
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
   std::printf(
       "rounds: %ld total (elim tree %ld + bags %ld + up/down %ld)\n",
       outcome.total_rounds(), outcome.rounds_elim, outcome.rounds_bags,
-      outcome.rounds_updown);
+      outcome.rounds_solve);
   std::printf("class universe |C| = %zu, class messages <= %d bits\n",
               outcome.num_classes, outcome.max_class_bits);
   std::printf("network stats: %ld messages, %lld bits, bandwidth %d b/edge\n",

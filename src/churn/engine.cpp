@@ -5,35 +5,9 @@
 #include <utility>
 
 #include "dist/bags.hpp"
-#include "dist/optimization.hpp"
-#include "dist/optmarked.hpp"
 #include "metrics/metrics.hpp"
-#include "mso/lower.hpp"
 
 namespace dmc::churn {
-
-namespace {
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
-const char* to_string(Pipeline pipeline) {
-  switch (pipeline) {
-    case Pipeline::kDecision: return "decision";
-    case Pipeline::kCount: return "count";
-    case Pipeline::kMaximize: return "maximize";
-    case Pipeline::kMinimize: return "minimize";
-    case Pipeline::kOptMarked: return "optmarked";
-  }
-  return "?";
-}
 
 const char* to_string(StepStatus status) {
   switch (status) {
@@ -45,32 +19,14 @@ const char* to_string(StepStatus status) {
   return "?";
 }
 
-std::uint64_t VerdictSummary::digest(Pipeline pipeline) const {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv_mix(h, static_cast<std::uint64_t>(pipeline));
-  h = fnv_mix(h, treedepth_exceeded ? 1 : 0);
-  if (treedepth_exceeded) return h;  // no verdict fields to compare
-  switch (pipeline) {
-    case Pipeline::kDecision:
-      h = fnv_mix(h, holds ? 1 : 0);
-      break;
-    case Pipeline::kCount:
-      h = fnv_mix(h, count);
-      break;
-    case Pipeline::kMaximize:
-    case Pipeline::kMinimize:
-      h = fnv_mix(h, feasible ? 1 : 0);
-      h = fnv_mix(h, static_cast<std::uint64_t>(best_weight));
-      break;
-    case Pipeline::kOptMarked:
-      h = fnv_mix(h, satisfies ? 1 : 0);
-      h = fnv_mix(h, is_optimal ? 1 : 0);
-      h = fnv_mix(h, static_cast<std::uint64_t>(marked_weight));
-      h = fnv_mix(h, static_cast<std::uint64_t>(best_weight));
-      break;
-  }
-  return h;
+namespace {
+
+/// The 64-bit form of a canonical result digest, for StepOutcome.
+std::uint64_t digest_of(const dist::Outcome& out) {
+  return std::stoull(out.digest, nullptr, 16);
 }
+
+}  // namespace
 
 std::vector<dist::LocalBag> bags_for_tree(
     const congest::Network& net, const dist::ElimTreeResult& tree,
@@ -122,37 +78,12 @@ std::vector<dist::LocalBag> bags_for_tree(
   return bags;
 }
 
-ChurnEngine::ChurnEngine(Graph g, Query query, Options opts)
-    : graph_(std::move(g)), query_(std::move(query)), opts_(std::move(opts)) {
-  switch (query_.pipeline) {
-    case Pipeline::kDecision: {
-      const mso::FormulaPtr lowered = mso::lower(query_.formula);
-      engine_.emplace(bpt::config_for(*lowered));
-      break;
-    }
-    case Pipeline::kCount: {
-      const mso::FormulaPtr lowered = mso::lower(query_.formula, query_.vars);
-      engine_.emplace(bpt::config_for(*lowered, query_.vars));
-      break;
-    }
-    case Pipeline::kMaximize:
-    case Pipeline::kMinimize: {
-      const std::vector<std::pair<std::string, mso::Sort>> frees{
-          {query_.var, query_.var_sort}};
-      const mso::FormulaPtr lowered = mso::lower(query_.formula, frees);
-      engine_.emplace(bpt::config_for(*lowered, frees));
-      break;
-    }
-    case Pipeline::kOptMarked:
-      break;  // run_optmarked_solve builds its own engine each epoch
-  }
-  if (query_.pipeline == Pipeline::kOptMarked) {
-    std::tie(vlabels_, elabels_) =
-        dist::optmarked_labels(query_.formula, query_.var, query_.var_sort);
-  } else {
-    vlabels_ = engine_->config().vertex_labels;
-    elabels_ = engine_->config().edge_labels;
-  }
+ChurnEngine::ChurnEngine(Graph g, dist::Query query, Options opts)
+    : graph_(std::move(g)),
+      query_(std::move(query)),
+      opts_(std::move(opts)),
+      engine_(dist::engine_config(query_)) {
+  std::tie(vlabels_, elabels_) = dist::bag_labels(query_, engine_.config());
   invalidate_caches();
 }
 
@@ -170,109 +101,24 @@ void bump(const congest::NetworkConfig& cfg, const char* name) {
 }  // namespace
 
 void ChurnEngine::invalidate_caches() {
-  const int n = graph_.num_vertices();
-  dcache_.classes.assign(n, bpt::kInvalidType);
-  dcache_.refold.assign(n, 1);
-  ccache_.tables.assign(n, bpt::CountTable{});
-  ccache_.valid.assign(n, 0);
-  ccache_.refold.assign(n, 1);
-  net_ids_.assign(n, -1);
-}
-
-void ChurnEngine::remap_caches(const std::vector<VertexId>& old_to_new,
-                               int new_n) {
-  const std::size_t old_n = old_to_new.size();
-  dist::DecisionCache nd;
-  nd.classes.assign(new_n, bpt::kInvalidType);
-  nd.refold.assign(new_n, 1);  // new vertices always refold
-  if (dcache_.classes.size() == old_n && dcache_.refold.size() == old_n) {
-    for (std::size_t ov = 0; ov < old_n; ++ov) {
-      const VertexId nv = old_to_new[ov];
-      if (nv < 0) continue;
-      nd.classes[nv] = dcache_.classes[ov];
-      // A refold flag left set by a degraded epoch means "still stale":
-      // it survives the renumbering and is OR-ed with the new dirty set.
-      nd.refold[nv] = dcache_.refold[ov];
-    }
-  }
-  dcache_ = std::move(nd);
-  dist::CountingCache nc;
-  nc.tables.assign(new_n, bpt::CountTable{});
-  nc.valid.assign(new_n, 0);
-  nc.refold.assign(new_n, 1);
-  if (ccache_.tables.size() == old_n && ccache_.valid.size() == old_n &&
-      ccache_.refold.size() == old_n) {
-    for (std::size_t ov = 0; ov < old_n; ++ov) {
-      const VertexId nv = old_to_new[ov];
-      if (nv < 0) continue;
-      nc.tables[nv] = std::move(ccache_.tables[ov]);
-      nc.valid[nv] = ccache_.valid[ov];
-      nc.refold[nv] = ccache_.refold[ov];
-    }
-  }
-  ccache_ = std::move(nc);
-  std::vector<int> nids(new_n, -1);
-  if (net_ids_.size() == old_n)
-    for (std::size_t ov = 0; ov < old_n; ++ov)
-      if (old_to_new[ov] >= 0) nids[old_to_new[ov]] = net_ids_[ov];
-  net_ids_ = std::move(nids);
+  cache_.reset(graph_.num_vertices());
+  net_ids_.assign(graph_.num_vertices(), -1);
 }
 
 StepOutcome ChurnEngine::solve(congest::Network& net,
                                const dist::ElimTreeResult& tree,
                                const std::vector<dist::LocalBag>& bags) {
   StepOutcome out;
-  switch (query_.pipeline) {
-    case Pipeline::kDecision: {
-      const dist::DecisionOutcome r = dist::run_decision_solve(
-          net, query_.formula, tree, bags, &*engine_, &dcache_);
-      out.run = r.run;
-      out.folds = r.folds;
-      out.verdict.holds = r.holds;
-      break;
-    }
-    case Pipeline::kCount: {
-      const dist::CountingOutcome r = dist::run_count_solve(
-          net, query_.formula, query_.vars, tree, bags, &*engine_, &ccache_);
-      out.run = r.run;
-      out.folds = r.folds;
-      out.verdict.count = r.count;
-      break;
-    }
-    case Pipeline::kMaximize:
-    case Pipeline::kMinimize: {
-      const dist::OptimizationOutcome r =
-          query_.pipeline == Pipeline::kMaximize
-              ? dist::run_maximize_solve(net, query_.formula, query_.var,
-                                         query_.var_sort, tree, bags,
-                                         &*engine_)
-              : dist::run_minimize_solve(net, query_.formula, query_.var,
-                                         query_.var_sort, tree, bags,
-                                         &*engine_);
-      out.run = r.run;
-      out.verdict.feasible = r.best_weight.has_value();
-      out.verdict.best_weight = r.best_weight.value_or(0);
-      break;
-    }
-    case Pipeline::kOptMarked: {
-      const dist::OptMarkedOutcome r = dist::run_optmarked_solve(
-          net, query_.formula, query_.var, query_.var_sort, tree, bags,
-          query_.minimize_marked);
-      out.run = r.run;
-      out.verdict.satisfies = r.satisfies;
-      out.verdict.is_optimal = r.is_optimal;
-      out.verdict.marked_weight = r.marked_weight;
-      out.verdict.best_weight = r.best_weight;
-      break;
-    }
-  }
+  out.verdict = dist::solve(net, query_, tree, bags, &engine_, &cache_);
+  out.run = out.verdict.run;
+  out.folds = out.verdict.folds;
   out.rounds = out.run.rounds;
   out.status =
       out.run.ok() ? StepStatus::kRecomputed : StepStatus::kDegraded;
   if (!out.run.ok()) out.flight = net.flight_recorder().dump_string();
-  out.digest = out.verdict.digest(query_.pipeline);
+  out.digest = digest_of(out.verdict);
   if (out.run.ok()) {
-    // The refreshed caches are positional over bags ordered by these ids.
+    // The refreshed cache is positional over bags ordered by these ids.
     net_ids_.assign(net.n(), -1);
     for (int v = 0; v < net.n(); ++v) net_ids_[v] = net.id_of_vertex(v);
   }
@@ -295,8 +141,10 @@ StepOutcome ChurnEngine::full_compute(const congest::NetworkConfig& cfg) {
   }
   if (!tree.success) {
     out.status = StepStatus::kRecomputed;
+    out.verdict.kind = query_.kind;
     out.verdict.treedepth_exceeded = true;
-    out.digest = out.verdict.digest(query_.pipeline);
+    dist::describe(out.verdict, opts_.d);
+    out.digest = digest_of(out.verdict);
     tree_.reset();
     invalidate_caches();
     return out;
@@ -334,11 +182,12 @@ void ChurnEngine::verify_step(StepOutcome& out) {
   // budget — the verdict itself is budget-independent.
   const int max_budget = opts_.d + 3;
   for (int budget = opts_.d; budget <= max_budget; ++budget) {
-    VerdictSummary oracle;
-    congest::RunOutcome orun;
-    long orounds = 0;
+    congest::NetworkConfig clean;
+    clean.id_seed = opts_.net.id_seed;
+    dist::Outcome oracle;
     try {
-      oracle_run(budget, oracle, orun, orounds);
+      congest::Network net(graph_, clean);
+      oracle = dist::run(net, query_, budget);
     } catch (const std::exception&) {
       // A larger budget can yield trees deeper than the packed atomic
       // representation supports (bpt::kMaxTerminals); the oracle is
@@ -347,8 +196,8 @@ void ChurnEngine::verify_step(StepOutcome& out) {
                  "; digest check skipped";
       return;
     }
-    out.rounds_full = orounds;
-    if (!orun.ok()) {
+    out.rounds_full = oracle.total_rounds();
+    if (!oracle.run.ok()) {
       out.note = "oracle run degraded; digest check skipped";
       return;
     }
@@ -358,66 +207,11 @@ void ChurnEngine::verify_step(StepOutcome& out) {
                  "digest check skipped";
       return;
     }
-    out.oracle_digest = oracle.digest(query_.pipeline);
+    out.oracle_digest = digest_of(oracle);
     out.verified = true;
     out.digest_ok = out.digest == out.oracle_digest;
     if (!out.digest_ok) bump(opts_.net, "churn.digest_mismatches");
     return;
-  }
-}
-
-void ChurnEngine::oracle_run(int budget, VerdictSummary& oracle,
-                             congest::RunOutcome& orun, long& orounds) {
-  congest::NetworkConfig clean;
-  clean.id_seed = opts_.net.id_seed;
-  congest::Network net(graph_, clean);
-  switch (query_.pipeline) {
-    case Pipeline::kDecision: {
-      const dist::DecisionOutcome r =
-          dist::run_decision(net, query_.formula, budget);
-      orun = r.run;
-      orounds = r.total_rounds();
-      oracle.treedepth_exceeded = r.treedepth_exceeded;
-      oracle.holds = r.holds;
-      break;
-    }
-    case Pipeline::kCount: {
-      const dist::CountingOutcome r =
-          dist::run_count(net, query_.formula, query_.vars, budget);
-      orun = r.run;
-      orounds = r.total_rounds();
-      oracle.treedepth_exceeded = r.treedepth_exceeded;
-      oracle.count = r.count;
-      break;
-    }
-    case Pipeline::kMaximize:
-    case Pipeline::kMinimize: {
-      const dist::OptimizationOutcome r =
-          query_.pipeline == Pipeline::kMaximize
-              ? dist::run_maximize(net, query_.formula, query_.var,
-                                   query_.var_sort, budget)
-              : dist::run_minimize(net, query_.formula, query_.var,
-                                   query_.var_sort, budget);
-      orun = r.run;
-      orounds = r.total_rounds();
-      oracle.treedepth_exceeded = r.treedepth_exceeded;
-      oracle.feasible = r.best_weight.has_value();
-      oracle.best_weight = r.best_weight.value_or(0);
-      break;
-    }
-    case Pipeline::kOptMarked: {
-      const dist::OptMarkedOutcome r =
-          dist::run_optmarked(net, query_.formula, query_.var, query_.var_sort,
-                              budget, query_.minimize_marked);
-      orun = r.run;
-      orounds = r.total_rounds();
-      oracle.treedepth_exceeded = r.treedepth_exceeded;
-      oracle.satisfies = r.satisfies;
-      oracle.is_optimal = r.is_optimal;
-      oracle.marked_weight = r.marked_weight;
-      oracle.best_weight = r.best_weight;
-      break;
-    }
   }
 }
 
@@ -458,22 +252,22 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
     out.note = patch.reason;
   } else {
     const int n = graph_.num_vertices();
-    remap_caches(old_to_new, n);
+    cache_.remap(old_to_new, n);
+    std::vector<int> ids(n, -1);
+    for (std::size_t ov = 0; ov < old_to_new.size(); ++ov)
+      if (old_to_new[ov] >= 0 && ov < net_ids_.size())
+        ids[old_to_new[ov]] = net_ids_[ov];
+    net_ids_ = std::move(ids);
     // Refold set = dirty plus its root-path (ancestor) closure: a vertex's
-    // class summarizes its whole subtree, so staleness propagates upward.
+    // table summarizes its whole subtree, so staleness propagates upward.
     // The walk stops at already-marked vertices — anything this loop marked
     // had its full ancestor path marked too.
-    std::vector<char> refold(n, 0);
+    std::vector<char>& refold = cache_.refold;
+    std::vector<char> marked(n, 0);
     for (int v = 0; v < n; ++v) {
       if (!patch.dirty[v]) continue;
-      for (int x = v; x >= 0 && !refold[x]; x = patch.tree.parent[x])
-        refold[x] = 1;
-    }
-    for (int v = 0; v < n; ++v) {
-      if (refold[v]) {
-        dcache_.refold[v] = 1;
-        ccache_.refold[v] = 1;
-      }
+      for (int x = v; x >= 0 && !marked[x]; x = patch.tree.parent[x])
+        marked[x] = refold[x] = 1;
     }
 
     congest::Network net(graph_, solve_config());
@@ -481,20 +275,13 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
     // id assignment moved for any surviving vertex (it is a permutation of
     // [0, n), so vertex churn reshuffles it wholesale), every cached table
     // is suspect — refold the lot.
-    bool ids_stable = net_ids_.size() == static_cast<std::size_t>(n);
-    for (int v = 0; v < n && ids_stable; ++v)
-      if (net_ids_[v] >= 0 && net_ids_[v] != net.id_of_vertex(v))
-        ids_stable = false;
-    if (!ids_stable) {
-      std::fill(dcache_.refold.begin(), dcache_.refold.end(), 1);
-      std::fill(ccache_.refold.begin(), ccache_.refold.end(), 1);
-    }
-    // Report from the cache this pipeline actually refreshes (the other
-    // one's flags stay set and would always read n).
-    const std::vector<char>& flags = query_.pipeline == Pipeline::kCount
-                                         ? ccache_.refold
-                                         : dcache_.refold;
-    out.refold_count = static_cast<int>(std::count(flags.begin(), flags.end(), 1));
+    for (int v = 0; v < n; ++v)
+      if (net_ids_[v] >= 0 && net_ids_[v] != net.id_of_vertex(v)) {
+        std::fill(refold.begin(), refold.end(), 1);
+        break;
+      }
+    out.refold_count =
+        static_cast<int>(std::count(refold.begin(), refold.end(), 1));
 
     const std::vector<dist::LocalBag> bags =
         bags_for_tree(net, patch.tree, vlabels_, elabels_);

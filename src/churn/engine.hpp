@@ -6,8 +6,8 @@
 // repaired epoch spends zero distributed rounds on the prologue), and
 // re-runs only the solve phase of the requested pipeline over a fresh
 // network — with the dirty set's ancestor closure re-folded and every
-// clean vertex replaying its cached class/table (decision/counting seams
-// in src/dist/).
+// clean vertex replaying its cached table (dist::solve with a
+// dist::FoldCache).
 //
 // Fault composition: the solve network inherits the caller's
 // NetworkConfig, so the PR-3 fault plans (and the dmc-mc SchedulerHook)
@@ -18,10 +18,9 @@
 //
 // Verification: with Options::verify each completed step re-solves from
 // scratch on a clean (fault-free, serial) network with a fresh class
-// universe and compares verdict digests. Digests cover only
-// schedule-independent verdict fields (holds / count / best weight /
-// marked weight) — witness sets and class ids legitimately vary with the
-// tree shape and interning schedule.
+// universe and compares digests of the canonical result text
+// (dist::Outcome::result) — witness sets and class ids legitimately vary
+// with the tree shape and interning schedule and never enter it.
 #pragma once
 
 #include <cstdint>
@@ -34,45 +33,26 @@
 #include "churn/repair.hpp"
 #include "churn/script.hpp"
 #include "congest/network.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
 #include "dist/elim_tree.hpp"
+#include "dist/query.hpp"
 #include "graph/graph.hpp"
 #include "mso/ast.hpp"
 
 namespace dmc::churn {
 
-/// Which distributed pipeline the engine re-solves each epoch.
-enum class Pipeline { kDecision, kCount, kMaximize, kMinimize, kOptMarked };
+/// Adapters kept for the callers in perfbench/: the engine answers one
+/// dist::Query across epochs, and a Query converts to it.
+using Pipeline = dist::Kind;
 
-const char* to_string(Pipeline pipeline);
-
-/// The (pipeline, formula) a ChurnEngine keeps answering across epochs.
 struct Query {
   Pipeline pipeline = Pipeline::kDecision;
   mso::FormulaPtr formula;
-  /// Free variables for kCount (slot order).
-  std::vector<std::pair<std::string, mso::Sort>> vars;
-  /// Free variable for kMaximize / kMinimize / kOptMarked.
-  std::string var;
-  mso::Sort var_sort = mso::Sort::VertexSet;
-  /// kOptMarked: verify against the minimum instead of the maximum.
+  std::vector<std::pair<std::string, mso::Sort>> frees = {};
   bool minimize_marked = false;
-};
 
-/// Schedule-independent verdict of one epoch; the digest is what
-/// incremental-vs-oracle equality is checked on.
-struct VerdictSummary {
-  bool treedepth_exceeded = false;
-  bool holds = false;            // kDecision
-  std::uint64_t count = 0;       // kCount
-  bool feasible = false;         // kMaximize / kMinimize
-  Weight best_weight = 0;        // kMaximize / kMinimize / kOptMarked
-  bool satisfies = false;        // kOptMarked
-  bool is_optimal = false;       // kOptMarked
-  Weight marked_weight = 0;      // kOptMarked
-
-  std::uint64_t digest(Pipeline pipeline) const;
+  operator dist::Query() const {
+    return {pipeline, formula, frees, minimize_marked};
+  }
 };
 
 enum class StepStatus {
@@ -98,10 +78,12 @@ struct StepOutcome {
   std::uint64_t oracle_digest = 0;
   long rounds = 0;        // distributed rounds this epoch spent
   long rounds_full = 0;   // rounds of the oracle run (0 when !verified)
-  long folds = 0;         // BPT folds this epoch (decision/counting)
+  long folds = 0;         // BPT folds this epoch (dist::Outcome::folds)
   int refold_count = 0;   // vertices scheduled for refold (n on full)
   int region = 0;         // vertices re-placed by a structural rebuild
-  VerdictSummary verdict;
+  /// The epoch's answer; its canonical result text is what the digests
+  /// cover.
+  dist::Outcome verdict;
   /// Outcome of the last network run of the epoch (the fallback's when
   /// fallback_used). Degraded steps carry the degraded outcome here.
   congest::RunOutcome run;
@@ -135,7 +117,7 @@ std::vector<dist::LocalBag> bags_for_tree(
 
 class ChurnEngine {
  public:
-  ChurnEngine(Graph g, Query query, Options opts);
+  ChurnEngine(Graph g, dist::Query query, Options opts);
   ~ChurnEngine();
 
   /// Epoch 0: full distributed build (elim tree + bags + solve) under the
@@ -154,31 +136,27 @@ class ChurnEngine {
   const Graph& graph() const { return graph_; }
   /// Current elimination tree; engaged only after a completed epoch.
   const std::optional<dist::ElimTreeResult>& tree() const { return tree_; }
-  const Query& query() const { return query_; }
+  const dist::Query& query() const { return query_; }
 
  private:
   congest::NetworkConfig solve_config() const;
   void invalidate_caches();
-  void remap_caches(const std::vector<VertexId>& old_to_new, int new_n);
   /// Full distributed recompute on the current graph under `cfg`; refreshes
-  /// tree_ and the caches on success.
+  /// tree_ and the cache on success.
   StepOutcome full_compute(const congest::NetworkConfig& cfg);
-  /// Solve phase over (tree, bags) on `net` (caches always supplied; a
-  /// full recompute simply has every refold flag set).
+  /// Solve phase over (tree, bags) on `net` (the cache is always supplied;
+  /// a full recompute simply has every refold flag set).
   StepOutcome solve(congest::Network& net, const dist::ElimTreeResult& tree,
                     const std::vector<dist::LocalBag>& bags);
   void verify_step(StepOutcome& out);
-  void oracle_run(int budget, VerdictSummary& oracle, congest::RunOutcome& orun,
-                  long& orounds);
 
   Graph graph_;
-  Query query_;
+  dist::Query query_;
   Options opts_;
-  std::optional<bpt::Engine> engine_;  // warm universe (all but optmarked)
+  bpt::Engine engine_;  // warm universe shared by every epoch
   std::vector<std::string> vlabels_, elabels_;
   std::optional<dist::ElimTreeResult> tree_;
-  dist::DecisionCache dcache_;
-  dist::CountingCache ccache_;
+  dist::FoldCache cache_;
   // Network id per graph vertex at the last cache-refreshing solve (-1 =
   // unknown / fresh vertex). Bags are ordered by network id and cached
   // tables are positional, so a reshuffled id assignment (any vertex

@@ -65,6 +65,7 @@ class FragmentSender {
   /// the chunk header — otherwise the ceil(k / (B - header)) round
   /// accounting would silently degrade to meaningless 1-bit chunks.
   void pump(NodeCtx& ctx) {
+    if (idle()) return;
     if (ctx.bandwidth() <= kHeaderBits)
       throw std::logic_error(
           "FragmentSender::pump: bandwidth (" +
@@ -130,13 +131,16 @@ class FragmentReassembler {
   /// payload when one is deliverable in order. Call once per round per
   /// port (like poll_fragment).
   std::optional<std::any> poll(NodeCtx& ctx, int port) {
+    const Message* msg = ctx.recv(port);
+    const Fragment* frag =
+        msg != nullptr ? std::any_cast<Fragment>(&msg->value) : nullptr;
+    // Ports that never carried a chunk hold no state (a hub's many
+    // single-message ports stay free).
+    if (frag == nullptr && port >= static_cast<int>(ports_.size()))
+      return std::nullopt;
     if (port >= static_cast<int>(ports_.size())) ports_.resize(port + 1);
     PortState& state = ports_[port];
-    const Message* msg = ctx.recv(port);
-    if (msg != nullptr) {
-      const Fragment* frag = std::any_cast<Fragment>(&msg->value);
-      if (frag != nullptr) absorb(state, *frag);
-    }
+    if (frag != nullptr) absorb(state, *frag);
     ctx.note_reassembly_depth(
         static_cast<int>(state.partials.size() + state.ready.size()));
     // Surface the next in-sequence completed message, if any.

@@ -49,7 +49,6 @@ int NodeCtx::n() const { return net_.n(); }
 int NodeCtx::round() const { return net_.round_; }
 int NodeCtx::bandwidth() const { return net_.bandwidth_; }
 bool NodeCtx::traced() const { return net_.traced(); }
-bool NodeCtx::audited() const { return net_.cfg_.audit; }
 
 void NodeCtx::annotate(std::string_view name) {
   if (net_.cfg_.sink == nullptr) return;
@@ -612,10 +611,9 @@ RunOutcome Network::run_perfect(
   // longer forfeit the skip: a trace sink gets one coalesced
   // QuiescentEvent (expanded to per-round events by sinks that need
   // them), metrics get the equivalent bulk fold (metrics_skip_rounds).
-  // Only the audit digest and the round-begin hook still force
-  // round-by-round execution: both run arbitrary per-round logic whose
-  // absence would change their outputs.
-  const bool can_fast_forward = sparse && !cfg_.audit && !round_begin_hook_;
+  // Only the audit digest still forces round-by-round execution: it runs
+  // per-round logic whose absence would change its output.
+  const bool can_fast_forward = sparse && !cfg_.audit;
   for (;;) {
     if (sparse) {
       sched_build_active();
@@ -663,7 +661,6 @@ RunOutcome Network::run_perfect(
         sched_build_active();  // the skipped-to round's wakes are now due
       }
     }
-    if (round_begin_hook_) round_begin_hook_();
     // Step the active set (or every node when dense). Rounds are
     // simultaneous in the model, so the step order must be immaterial;
     // kReverse exists so the conformance harness can prove that for each

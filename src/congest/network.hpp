@@ -248,12 +248,6 @@ class NodeCtx {
   /// True iff a trace sink is configured. Protocols that build annotation
   /// names dynamically should gate the formatting on this.
   bool traced() const;
-  /// True iff wire-format audit mode is on. Protocols whose declared bit
-  /// sizes depend on *when* in the round they are computed branch on this:
-  /// audit mode keeps the legacy send-time value (audit validates encoded
-  /// <= declared per message), while non-audit runs may use a
-  /// round-start snapshot that is step-order independent.
-  bool audited() const;
   /// Labels the network's current protocol step for the trace (a span
   /// nested under the innermost driver phase). Network-global and
   /// deduplicated: annotating the current name again is a no-op, a new
@@ -378,21 +372,13 @@ class Network {
   void phase_end();
   void annotate(std::string_view name);
 
-  /// Called at the start of every protocol round, before any node steps
-  /// (on the perfect path and on both fault-mode paths, so fault-free
-  /// parity holds). Drivers use it to snapshot round-start state that all
-  /// nodes must agree on — e.g. the decision protocol's class-bits width.
-  /// One hook at a time; replaced by the next set, cleared with {}.
-  void set_round_begin_hook(std::function<void()> hook) {
-    round_begin_hook_ = std::move(hook);
-  }
-
   /// While at least one SerialSection is alive, run() steps nodes
   /// serially even when cfg.threads > 1. Drivers wrap protocol stages
   /// whose *declared message sizes* measure schedule-dependent values
-  /// (the table-shipping solve phases varuint-encode interned class ids,
-  /// and parallel folding permutes id values), so their declared-bits
-  /// traces stay deterministic. See docs/PERFORMANCE.md.
+  /// (every dist::solve: class messages are as wide as the universe at
+  /// send time, tables varuint-encode interned class ids, and parallel
+  /// folding permutes id values), so their declared-bits traces stay
+  /// deterministic. See docs/PERFORMANCE.md.
   class SerialSection {
    public:
     explicit SerialSection(Network& net) : net_(net) {
@@ -480,7 +466,6 @@ class Network {
   NetworkStats stats_;
   int round_ = 0;
   int round_max_message_bits_ = 0;  // reset per round while traced
-  std::function<void()> round_begin_hook_;
   int serial_section_depth_ = 0;
   // Parallel-step annotation buffering (traced runs only).
   bool stepping_parallel_ = false;

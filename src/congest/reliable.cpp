@@ -408,9 +408,6 @@ RunOutcome FaultRuntime::run_reliable(
 
   for (;;) {
     apply_scheduled_crashes();
-    // Same hook point as the perfect path, once per virtual round, so
-    // round-start snapshots keep exact fault-free (p = 0) parity.
-    if (net_.round_begin_hook_) net_.round_begin_hook_();
 
     // Step every live *active* node: one *virtual* round (NodeCtx::round()
     // is the virtual clock, so fixed-schedule protocols run unmodified).
@@ -647,7 +644,6 @@ RunOutcome FaultRuntime::run_raw(
 
   for (;;) {
     apply_scheduled_crashes();
-    if (net_.round_begin_hook_) net_.round_begin_hook_();
 
     // Raw transport steps dense: messages ride the faulty links directly,
     // so a receiver cannot be told apart from a non-receiver until the

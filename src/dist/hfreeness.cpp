@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "congest/network.hpp"
-#include "dist/decision.hpp"
+#include "dist/query.hpp"
 #include "graph/algorithms.hpp"
 #include "mso/formulas.hpp"
 #include "mso/lower.hpp"
@@ -97,7 +97,8 @@ SubsetResult run_subset(const Graph& g, const Graph& h, int p, int td_budget,
     char span[48];
     std::snprintf(span, sizeof(span), "subset=%d comp=%d", subset_index, c);
     congest::PhaseScope trace_scope(net, span);
-    const DecisionOutcome res = run_decision(net, formula, td_budget, &engine);
+    const Outcome res =
+        run(net, {Kind::kDecision, formula}, td_budget, &engine);
     out.max_rounds = std::max(out.max_rounds, res.total_rounds());
     if (!res.run.ok()) {
       out.run = res.run;

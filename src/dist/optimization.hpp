@@ -1,84 +1,29 @@
-// Distributed MSO optimization (paper Theorem 6.1, optimization part).
-//
-// Bottom-up phase: each node computes its OPT table (Definition 4.5,
-// Lemma 4.6) from its children's tables and sends it to its parent as a
-// fragmented payload of |C| (class id, weight) entries — |C| rounds of
-// O(log n)-bit messages per level, as in the paper's proof.
-//
-// Top-down phase (Algorithm 1, lines 11-26): the root picks the accepting
-// class of maximum weight, every node re-derives its children's optimal
-// classes from its local ARGOPT backpointers and forwards them, and each
-// node marks itself (and its incident bag edges) according to
-// Selected(c_u, B_u).
+// Optimization adapters over the query front door (query.hpp), kept for
+// the callers in perfbench/. Everything else calls dist::run / dist::solve.
 #pragma once
 
-#include <optional>
-
-#include "bpt/engine.hpp"
-#include "congest/network.hpp"
-#include "dist/bags.hpp"
-#include "dist/elim_tree.hpp"
-#include "graph/graph.hpp"
-#include "mso/ast.hpp"
+#include "dist/query.hpp"
 
 namespace dmc::dist {
 
-struct OptimizationOutcome {
-  bool treedepth_exceeded = false;
-  /// Engaged iff some assignment satisfies the formula.
-  std::optional<Weight> best_weight;
-  /// The selected set (union of per-node markings), by graph vertex / edge.
-  std::vector<bool> vertices;
-  std::vector<bool> edges;
-  long rounds_elim = 0, rounds_bags = 0, rounds_solve = 0;
-  std::size_t num_classes = 0;
-  int max_table_entries = 0;  // largest OPT table sent
-  /// How the pipeline ended. When !run.ok() every other field is untrusted.
-  congest::RunOutcome run;
+inline Outcome run_maximize_solve(congest::Network& net,
+                                  const mso::FormulaPtr& formula,
+                                  const std::string& var, mso::Sort var_sort,
+                                  const ElimTreeResult& tree,
+                                  const std::vector<LocalBag>& bags,
+                                  bpt::Engine* engine = nullptr) {
+  return solve(net, {Kind::kMaximize, formula, {{var, var_sort}}}, tree, bags,
+               engine);
+}
 
-  long total_rounds() const {
-    return rounds_elim + rounds_bags + rounds_solve;
-  }
-};
-
-/// Solves max phi(S) distributively (free variable `var` of sort
-/// `var_sort`, weights from the network's graph). Budget d as in Alg. 2.
-/// When `engine` is non-null it is used instead of a fresh one (its config
-/// must match `config_for(lower(formula, frees), frees)`); this is how the
-/// CLI injects a cache-warmed universe.
-OptimizationOutcome run_maximize(congest::Network& net,
-                                 const mso::FormulaPtr& formula,
-                                 const std::string& var, mso::Sort var_sort,
-                                 int d, bpt::Engine* engine = nullptr,
-                                 const ElimTreeOptions& tree_opts = {});
-
-/// min phi(S): maximization over negated weights.
-OptimizationOutcome run_minimize(congest::Network& net,
-                                 const mso::FormulaPtr& formula,
-                                 const std::string& var, mso::Sort var_sort,
-                                 int d, bpt::Engine* engine = nullptr,
-                                 const ElimTreeOptions& tree_opts = {});
-
-/// Solve phase only, over an externally supplied elimination tree and bag
-/// set — the churn-engine seam (see dist::run_decision_solve). Unlike the
-/// decision/counting seams there is no per-vertex fold cache: Algorithm 1's
-/// top-down phase re-derives children's classes from ARGOPT backpointers,
-/// which only exist in a freshly built solver, so every node folds each
-/// epoch and the incremental saving is the skipped elim/bags prologue.
-OptimizationOutcome run_maximize_solve(congest::Network& net,
-                                       const mso::FormulaPtr& formula,
-                                       const std::string& var,
-                                       mso::Sort var_sort,
-                                       const ElimTreeResult& tree,
-                                       const std::vector<LocalBag>& bags,
-                                       bpt::Engine* engine = nullptr);
-
-OptimizationOutcome run_minimize_solve(congest::Network& net,
-                                       const mso::FormulaPtr& formula,
-                                       const std::string& var,
-                                       mso::Sort var_sort,
-                                       const ElimTreeResult& tree,
-                                       const std::vector<LocalBag>& bags,
-                                       bpt::Engine* engine = nullptr);
+inline Outcome run_minimize_solve(congest::Network& net,
+                                  const mso::FormulaPtr& formula,
+                                  const std::string& var, mso::Sort var_sort,
+                                  const ElimTreeResult& tree,
+                                  const std::vector<LocalBag>& bags,
+                                  bpt::Engine* engine = nullptr) {
+  return solve(net, {Kind::kMinimize, formula, {{var, var_sort}}}, tree, bags,
+               engine);
+}
 
 }  // namespace dmc::dist

@@ -174,22 +174,39 @@ int chromatic_number(const Graph& g) {
     if (is_k_colorable(g, k)) return k;
 }
 
+namespace {
+
+/// Independent sets of the subgraph induced by `alive`: branch on a
+/// maximum-degree vertex v (sets without v, plus sets with v and without
+/// its neighbours); a graph of isolated vertices has 2^|alive|.
+std::uint64_t count_independent(std::uint64_t alive,
+                                const std::vector<std::uint64_t>& nbr) {
+  int branch = -1, branch_degree = 0;
+  for (std::uint64_t rest = alive; rest != 0; rest &= rest - 1) {
+    const int v = __builtin_ctzll(rest);
+    const int degree = __builtin_popcountll(nbr[v] & alive);
+    if (degree > branch_degree) {
+      branch = v;
+      branch_degree = degree;
+    }
+  }
+  if (branch < 0) return 1ull << __builtin_popcountll(alive);
+  const std::uint64_t without = alive & ~(1ull << branch);
+  return count_independent(without, nbr) +
+         count_independent(without & ~nbr[branch], nbr);
+}
+
+}  // namespace
+
 std::uint64_t count_independent_sets(const Graph& g) {
-  check_size(g);
+  check_size(g, 63);
   const int n = g.num_vertices();
   std::vector<std::uint64_t> nbr(n, 0);
   for (const Edge& e : g.edges()) {
     nbr[e.u] |= 1ull << e.v;
     nbr[e.v] |= 1ull << e.u;
   }
-  std::uint64_t count = 0;
-  for (std::uint64_t mask = 0; mask < (1ull << n); ++mask) {
-    bool ok = true;
-    for (int v = 0; v < n && ok; ++v)
-      if (((mask >> v) & 1) && (nbr[v] & mask)) ok = false;
-    if (ok) ++count;
-  }
-  return count;
+  return count_independent(n == 0 ? 0 : ~0ull >> (64 - n), nbr);
 }
 
 std::uint64_t count_perfect_matchings(const Graph& g) {

@@ -35,7 +35,8 @@ Weight min_weight_dominating_set(const Graph& g);
 bool is_k_colorable(const Graph& g, int k);
 int chromatic_number(const Graph& g);
 
-/// Number of independent sets (including the empty set).
+/// Number of independent sets (including the empty set); graphs of up to
+/// 63 vertices (the count must fit 64 bits).
 std::uint64_t count_independent_sets(const Graph& g);
 
 /// Number of perfect matchings.

@@ -195,7 +195,7 @@ ChurnScenario scenario_churn_repair() {
   g.add_edge(2, 3);
   g.add_edge(3, 0);
   s.graph = std::move(g);
-  s.query.pipeline = churn::Pipeline::kDecision;
+  s.query.kind = dist::Kind::kDecision;
   s.query.formula = mso::lib::triangle_free();
   // Deleting a cycle edge leaves the 4-path: connectivity holds, td stays
   // within budget, and the repair takes the rule-3 (edge change) path.

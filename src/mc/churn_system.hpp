@@ -43,7 +43,7 @@ struct ChurnScenario {
   std::string name;
   std::string description;
   Graph graph;
-  churn::Query query;
+  dist::Query query;
   churn::ChurnScript script;
   congest::FaultPlan plan;  // lossless by default; crashes are explored
   int d = 2;

@@ -5,9 +5,7 @@
 #include <stdexcept>
 
 #include "congest/network.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
-#include "dist/optimization.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "mso/lower.hpp"
@@ -44,70 +42,33 @@ std::optional<std::vector<std::pair<std::string, mso::Sort>>> parse_vars(
   return out;
 }
 
-/// Selected-set witness text, matching the dmc CLI's ordering (vertex ids
-/// ascending, then edge ids ascending). Reported but never digested: with
-/// several optimal solutions, reconstruction tie-breaks on engine class
-/// ids, so the choice legitimately varies with engine warmth.
-std::string selected_text(const Graph& g, const std::vector<bool>& vertices,
-                          const std::vector<bool>& edges) {
-  std::string out = "selected:";
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (v < static_cast<VertexId>(vertices.size()) && vertices[v])
-      out += " v" + std::to_string(v);
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    if (e < static_cast<EdgeId>(edges.size()) && edges[e])
-      out += " e" + std::to_string(e) + "(" + std::to_string(g.edge(e).u) +
-             "-" + std::to_string(g.edge(e).v) + ")";
-  return out;
+std::optional<dist::Kind> kind_of(const std::string& verb) {
+  if (verb == "decide") return dist::Kind::kDecision;
+  if (verb == "count") return dist::Kind::kCount;
+  if (verb == "maximize") return dist::Kind::kMaximize;
+  if (verb == "minimize") return dist::Kind::kMinimize;
+  return std::nullopt;
+}
+
+/// Response status of an outcome; degraded endings reuse the CLI's
+/// structured codes (docs/ROBUSTNESS.md): round budget -> 6, crash-stop
+/// -> 7.
+const char* status_of(const dist::Outcome& out) {
+  switch (out.exit_code()) {
+    case 0: return "ok";
+    case 1: return out.kind == dist::Kind::kDecision ? "fails" : "infeasible";
+    case 3: return "treedepth";
+    case 7: return "crashed";
+    default: return "degraded";
+  }
 }
 
 QueryResult finish(QueryResult r) {
-  r.digest = result_digest(r.result);
+  r.digest = dist::result_digest(r.result);
   return r;
 }
 
-/// Degraded endings reuse the CLI's structured codes (docs/ROBUSTNESS.md):
-/// round budget -> 6, crash-stop -> 7. The canonical text names the code
-/// but never a partial verdict — degraded outputs are untrusted. The
-/// network's flight recorder is serialized here, while the Network still
-/// exists, so the caller can persist the post-mortem.
-QueryResult degraded(const congest::RunOutcome& run,
-                     const congest::Network& net) {
-  QueryResult r;
-  if (run.status == congest::RunStatus::kCrashed) {
-    r.status = "crashed";
-    r.code = 7;
-    r.result = "degraded: crashed";
-  } else {
-    r.status = "degraded";
-    r.code = kDeadlineExit;
-    r.result = "degraded: round budget exhausted";
-  }
-  r.rounds = run.rounds;
-  r.flight = net.flight_recorder().dump_string();
-  return finish(std::move(r));
-}
-
-QueryResult treedepth_exceeded(int d, long rounds) {
-  QueryResult r;
-  r.status = "treedepth";
-  r.code = 3;
-  r.result = "treedepth>" + std::to_string(d);
-  r.rounds = rounds;
-  return finish(std::move(r));
-}
-
 }  // namespace
-
-std::string result_digest(const std::string& canonical) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : canonical)
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
 
 std::optional<Prepared> prepare(const Query& q, std::string& error) {
   Prepared p;
@@ -164,67 +125,30 @@ QueryResult execute(const Prepared& p, bpt::Engine* engine) {
     cfg.threads = 1;
     if (p.q.max_rounds > 0)
       cfg.max_rounds = static_cast<int>(p.q.max_rounds);
+    const std::optional<dist::Kind> kind = kind_of(p.q.verb);
+    if (!kind) throw std::invalid_argument("unknown verb " + p.q.verb);
     congest::Network net(p.graph, cfg);
-
-    if (p.q.verb == "decide") {
-      const auto out = dist::run_decision(net, p.formula, p.q.dist, engine);
-      if (!out.run.ok()) return degraded(out.run, net);
-      if (out.treedepth_exceeded)
-        return treedepth_exceeded(p.q.dist, out.total_rounds());
-      QueryResult r;
-      r.status = out.holds ? "ok" : "fails";
-      r.code = out.holds ? 0 : 1;
-      r.result = out.holds ? "holds" : "fails";
-      r.rounds = out.total_rounds();
-      r.num_classes = out.num_classes;
-      return finish(std::move(r));
-    }
-    if (p.q.verb == "maximize" || p.q.verb == "minimize") {
-      const bool maximize = p.q.verb == "maximize";
-      const auto& [var, sort] = p.frees.front();
-      const auto out =
-          maximize
-              ? dist::run_maximize(net, p.formula, var, sort, p.q.dist,
-                                   engine)
-              : dist::run_minimize(net, p.formula, var, sort, p.q.dist,
-                                   engine);
-      if (!out.run.ok()) return degraded(out.run, net);
-      if (out.treedepth_exceeded)
-        return treedepth_exceeded(p.q.dist, out.total_rounds());
-      QueryResult r;
-      r.rounds = out.total_rounds();
-      r.num_classes = out.num_classes;
-      if (!out.best_weight) {
-        r.status = "infeasible";
-        r.code = 1;
-        r.result = "infeasible";
-        return finish(std::move(r));
-      }
-      r.status = "ok";
-      r.code = 0;
-      r.result = "optimum=" + std::to_string(*out.best_weight);
-      r.witness = selected_text(p.graph, out.vertices, out.edges);
-      return finish(std::move(r));
-    }
-    if (p.q.verb == "count") {
-      const auto out =
-          dist::run_count(net, p.formula, p.frees, p.q.dist, engine);
-      if (!out.run.ok()) return degraded(out.run, net);
-      if (out.treedepth_exceeded)
-        return treedepth_exceeded(p.q.dist, out.total_rounds());
-      QueryResult r;
-      r.status = "ok";
-      r.code = 0;
-      r.result = "count=" + std::to_string(out.count);
-      r.rounds = out.total_rounds();
-      r.num_classes = out.num_classes;
-      return finish(std::move(r));
-    }
+    const dist::Outcome out =
+        dist::run(net, {*kind, p.formula, p.frees}, p.q.dist, engine);
     QueryResult r;
-    r.status = "error";
-    r.code = 4;
-    r.result = "error: unknown verb " + p.q.verb;
-    return finish(std::move(r));
+    r.code = out.exit_code();
+    r.status = status_of(out);
+    r.result = out.result;
+    r.digest = out.digest;
+    r.rounds = out.total_rounds();
+    r.num_classes = out.num_classes;
+    if (!out.run.ok()) {
+      // Degraded outputs are untrusted: the canonical text names the code,
+      // never a partial verdict. The flight recorder is serialized while
+      // the Network still exists, so the caller can persist the
+      // post-mortem.
+      r.rounds = out.run.rounds;
+      r.num_classes = 0;
+      r.flight = net.flight_recorder().dump_string();
+    } else if (out.best_weight) {
+      r.witness = dist::selected_text(p.graph, out.vertices, out.edges);
+    }
+    return r;
   } catch (const std::exception& e) {
     QueryResult r;
     r.status = "error";

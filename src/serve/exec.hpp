@@ -70,7 +70,4 @@ QueryResult execute(const Prepared& p, bpt::Engine* engine);
 /// equivalent of a cold `dmc` CLI run of the same query.
 QueryResult run_one_shot(const Query& q);
 
-/// FNV-1a 64 over the canonical text, as a fixed-width hex string.
-std::string result_digest(const std::string& canonical);
-
 }  // namespace dmc::serve

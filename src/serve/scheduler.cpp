@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "bpt/universe_cache.hpp"
+#include "dist/query.hpp"
 #include "metrics/metrics.hpp"
 #include "obs/atomic_file.hpp"
 #include "serve/io.hpp"
@@ -168,7 +169,7 @@ void Scheduler::run_batch(const std::string& key, std::vector<Task> batch) {
       r.status = "deadline";
       r.code = kDeadlineExit;
       r.result = "degraded: deadline expired in queue";
-      r.digest = result_digest(r.result);
+      r.digest = dist::result_digest(r.result);
       obs::SpanLog log(t.prepared.q.id);
       const int root = log.open_at("query", t.admit_ms);
       const int qspan = log.open_at("queue", t.admit_ms, root);

@@ -229,37 +229,23 @@ TEST(ChurnBags, MirrorsDistributedBagsExactly) {
 
 // --- engine: incremental == from-scratch --------------------------------------
 
-Query decision_query() {
-  Query q;
-  q.pipeline = Pipeline::kDecision;
-  q.formula = lib::triangle_free();
-  return q;
+dist::Query decision_query() {
+  return {dist::Kind::kDecision, lib::triangle_free()};
 }
 
-Query count_query() {
-  Query q;
-  q.pipeline = Pipeline::kCount;
-  q.formula = lib::independent_set_indicator();
-  q.vars = {{"S", Sort::VertexSet}};
-  return q;
+dist::Query count_query() {
+  return {dist::Kind::kCount, lib::independent_set_indicator(),
+          {{"S", Sort::VertexSet}}};
 }
 
-Query maximize_query() {
-  Query q;
-  q.pipeline = Pipeline::kMaximize;
-  q.formula = lib::independent_set();
-  q.var = "S";
-  q.var_sort = Sort::VertexSet;
-  return q;
+dist::Query maximize_query() {
+  return {dist::Kind::kMaximize, lib::independent_set(),
+          {{"S", Sort::VertexSet}}};
 }
 
-Query minimize_query() {
-  Query q;
-  q.pipeline = Pipeline::kMinimize;
-  q.formula = lib::dominating_set();
-  q.var = "S";
-  q.var_sort = Sort::VertexSet;
-  return q;
+dist::Query minimize_query() {
+  return {dist::Kind::kMinimize, lib::dominating_set(),
+          {{"S", Sort::VertexSet}}};
 }
 
 void expect_all_verified(const std::vector<StepOutcome>& outs) {
@@ -342,11 +328,8 @@ TEST(ChurnEngine, OptMarkedDigestsMatchOracleUnderChurn) {
   // flip as edges arrive — both sides must flip identically).
   Graph g = gen::cycle(8);
   for (int v = 0; v < 8; v += 2) g.set_vertex_label("marked", v);
-  Query q;
-  q.pipeline = Pipeline::kOptMarked;
-  q.formula = lib::independent_set();
-  q.var = "S";
-  q.var_sort = Sort::VertexSet;
+  const dist::Query q{dist::Kind::kOptMarked, lib::independent_set(),
+                      {{"S", Sort::VertexSet}}};
   Options opts;
   opts.d = 4;  // td(C_8) = 4
   ChurnEngine engine(std::move(g), q, opts);

@@ -15,11 +15,8 @@
 #include "dist/bags.hpp"
 #include "dist/baseline.hpp"
 #include "dist/certification.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
 #include "dist/hfreeness.hpp"
-#include "dist/optimization.hpp"
-#include "dist/optmarked.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 
@@ -80,7 +77,8 @@ TEST(Conformance, Decision) {
   expect_conformant(check_conformance(
       g, {},
       [](Network& net) {
-        const auto out = dist::run_decision(net, lib::triangle_free(), 3);
+        const auto out =
+            dist::run(net, {dist::Kind::kDecision, lib::triangle_free()}, 3);
         return "holds=" + std::to_string(out.holds);
       },
       verdict_only_seeds()));
@@ -91,8 +89,10 @@ TEST(Conformance, Optimization) {
   expect_conformant(check_conformance(
       g, {},
       [](Network& net) {
-        const auto out = dist::run_maximize(net, lib::independent_set(), "S",
-                                            Sort::VertexSet, 3);
+        const auto out =
+            dist::run(net,
+                      {dist::Kind::kMaximize, lib::independent_set(),
+                       {{"S", Sort::VertexSet}}}, 3);
         return "best=" +
                (out.best_weight ? std::to_string(*out.best_weight) : "none");
       },
@@ -104,8 +104,10 @@ TEST(Conformance, Counting) {
   expect_conformant(check_conformance(
       g, {},
       [](Network& net) {
-        const auto out = dist::run_count(net, lib::independent_set_indicator(),
-                                         {{"S", Sort::VertexSet}}, 3);
+        const auto out =
+            dist::run(net,
+                      {dist::Kind::kCount, lib::independent_set_indicator(),
+                       {{"S", Sort::VertexSet}}}, 3);
         return "count=" + std::to_string(out.count);
       },
       verdict_only_seeds()));
@@ -116,9 +118,11 @@ TEST(Conformance, OptMarked) {
   expect_conformant(check_conformance(
       g, {},
       [](Network& net) {
-        const auto out = dist::run_optmarked(net, lib::independent_set(), "S",
-                                             Sort::VertexSet, 3);
-        return "sat=" + std::to_string(out.satisfies) +
+        const auto out =
+            dist::run(net,
+                      {dist::Kind::kOptMarked, lib::independent_set(),
+                       {{"S", Sort::VertexSet}}}, 3);
+        return "sat=" + std::to_string(out.holds) +
                " opt=" + std::to_string(out.is_optimal);
       },
       verdict_only_seeds()));
@@ -160,7 +164,8 @@ TEST(Conformance, DecisionStrictOnClique) {
   expect_conformant(check_conformance(
       g, {},
       [](Network& net) {
-        const auto out = dist::run_decision(net, lib::connected(), 4);
+        const auto out =
+            dist::run(net, {dist::Kind::kDecision, lib::connected()}, 4);
         return "holds=" + std::to_string(out.holds);
       },
       strict_seeds()));
@@ -232,24 +237,30 @@ struct SeedCase {
 };
 
 std::string run_decision_case(Network& net) {
-  const auto out = dist::run_decision(net, lib::connected(), 4);
+  const auto out = dist::run(net, {dist::Kind::kDecision, lib::connected()}, 4);
   return "holds=" + std::to_string(out.holds);
 }
 std::string run_optimize_case(Network& net) {
   const auto out =
-      dist::run_minimize(net, lib::vertex_cover(), "S", Sort::VertexSet, 4);
+      dist::run(net,
+                {dist::Kind::kMinimize, lib::vertex_cover(),
+                 {{"S", Sort::VertexSet}}}, 4);
   return "best=" +
          (out.best_weight ? std::to_string(*out.best_weight) : "none");
 }
 std::string run_count_case(Network& net) {
-  const auto out = dist::run_count(net, lib::independent_set_indicator(),
-                                   {{"S", Sort::VertexSet}}, 4);
+  const auto out =
+      dist::run(net,
+                {dist::Kind::kCount, lib::independent_set_indicator(),
+                 {{"S", Sort::VertexSet}}}, 4);
   return "count=" + std::to_string(out.count);
 }
 std::string run_optmarked_case(Network& net) {
-  const auto out = dist::run_optmarked(net, lib::independent_set(), "S",
-                                       Sort::VertexSet, 4);
-  return "sat=" + std::to_string(out.satisfies);
+  const auto out =
+      dist::run(net,
+                {dist::Kind::kOptMarked, lib::independent_set(),
+                 {{"S", Sort::VertexSet}}}, 4);
+  return "sat=" + std::to_string(out.holds);
 }
 std::string run_baseline_case(Network& net) {
   const auto out = dist::run_gather_baseline(net, lib::acyclic());
@@ -301,6 +312,72 @@ INSTANTIATE_TEST_SUITE_P(
                       SeedCase{"baseline", run_baseline_case},
                       SeedCase{"elim_tree", run_elim_tree_case}),
     [](const ::testing::TestParamInfo<SeedCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// --- audit mode declares the same traffic -----------------------------------
+
+struct AuditParityCase {
+  const char* name;
+  dist::Query query;
+  Graph graph;
+  int d;
+};
+
+Graph marked_cycle(int n) {
+  Graph g = gen::cycle(n);
+  for (int v = 0; v < n; v += 2) g.set_vertex_label("marked", v);
+  return g;
+}
+
+class AuditParity : public ::testing::TestWithParam<AuditParityCase> {};
+
+// Audit mode re-encodes every message; it must not change what a run
+// declares. Each run starts from a fresh universe, so the universe grows
+// while classes are sent (star:50) and totals may exceed one message
+// (count on star:32).
+TEST_P(AuditParity, AuditedRunDeclaresIdenticalTraffic) {
+  const AuditParityCase& c = GetParam();
+  std::string verdict[2];
+  congest::NetworkStats stats[2];
+  for (int audit = 0; audit < 2; ++audit) {
+    Network net(c.graph, {.audit = audit == 1});
+    verdict[audit] = dist::run(net, c.query, c.d).result;
+    stats[audit] = net.stats();
+  }
+  EXPECT_EQ(verdict[0], verdict[1]);
+  EXPECT_EQ(stats[0].messages, stats[1].messages);
+  EXPECT_EQ(stats[0].total_bits, stats[1].total_bits);
+}
+
+const std::vector<std::pair<std::string, Sort>> kS{{"S", Sort::VertexSet}};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, AuditParity,
+    ::testing::Values(
+        AuditParityCase{"decide", {dist::Kind::kDecision, lib::triangle_free()},
+                        btd_graph(1), 3},
+        AuditParityCase{"decide_star50",
+                        {dist::Kind::kDecision, lib::triangle_free()},
+                        gen::star(50), 4},
+        AuditParityCase{"count",
+                        {dist::Kind::kCount, lib::independent_set_indicator(),
+                         kS},
+                        btd_graph(3, 8), 3},
+        AuditParityCase{"count_star32",
+                        {dist::Kind::kCount, lib::independent_set_indicator(),
+                         kS},
+                        gen::star(32), 3},
+        AuditParityCase{"maximize",
+                        {dist::Kind::kMaximize, lib::independent_set(), kS},
+                        btd_graph(2), 3},
+        AuditParityCase{"minimize",
+                        {dist::Kind::kMinimize, lib::vertex_cover(), kS},
+                        btd_graph(5), 3},
+        AuditParityCase{"optmarked",
+                        {dist::Kind::kOptMarked, lib::independent_set(), kS},
+                        marked_cycle(8), 4}),
+    [](const ::testing::TestParamInfo<AuditParityCase>& info) {
       return std::string(info.param.name);
     });
 

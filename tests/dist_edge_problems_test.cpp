@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "congest/network.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
-#include "dist/optimization.hpp"
+#include "dist/query.hpp"
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
 #include "mso/eval.hpp"
@@ -19,14 +17,14 @@ namespace lib = mso::lib;
 
 TEST(DistEdgeProblems, SingleVertexNetwork) {
   congest::Network net(Graph(1));
-  const auto out = run_decision(net, lib::connected(), 1);
+  const auto out = run(net, {Kind::kDecision, lib::connected()}, 1);
   ASSERT_FALSE(out.treedepth_exceeded);
   EXPECT_TRUE(out.holds);
 }
 
 TEST(DistEdgeProblems, TwoVertexNetwork) {
   congest::Network net(gen::path(2));
-  const auto out = run_decision(net, lib::triangle_free(), 2);
+  const auto out = run(net, {Kind::kDecision, lib::triangle_free()}, 2);
   ASSERT_FALSE(out.treedepth_exceeded);
   EXPECT_TRUE(out.holds);
 }
@@ -39,7 +37,9 @@ TEST(DistEdgeProblems, MixedSignWeightsMaxIs) {
   gen::randomize_weights(g, -4, 4, rng);
   congest::Network net(g);
   const auto out =
-      run_maximize(net, lib::independent_set(), "S", Sort::VertexSet, 3);
+      run(net,
+          {Kind::kMaximize, lib::independent_set(), {{"S", Sort::VertexSet}}},
+          3);
   ASSERT_FALSE(out.treedepth_exceeded);
   ASSERT_TRUE(out.best_weight.has_value());
   EXPECT_EQ(*out.best_weight, exact::max_weight_independent_set(g));
@@ -58,7 +58,9 @@ TEST(DistEdgeProblems, MinEdgeDominatingSet) {
     if (g.num_edges() == 0 || g.num_edges() > 16) continue;
     congest::Network net(g);
     const auto out =
-        run_minimize(net, lib::edge_dominating_set(), "F", Sort::EdgeSet, 3);
+        run(net,
+            {Kind::kMinimize, lib::edge_dominating_set(),
+             {{"F", Sort::EdgeSet}}}, 3);
     ASSERT_FALSE(out.treedepth_exceeded);
     ASSERT_TRUE(out.best_weight.has_value());
     // brute force
@@ -80,7 +82,8 @@ TEST(DistEdgeProblems, CountPerfectMatchingsDistributed) {
     const Graph g = gen::random_bounded_treedepth(6, 3, 0.5, rng);
     congest::Network net(g);
     const auto out =
-        run_count(net, lib::perfect_matching(), {{"F", Sort::EdgeSet}}, 3);
+        run(net,
+            {Kind::kCount, lib::perfect_matching(), {{"F", Sort::EdgeSet}}}, 3);
     ASSERT_FALSE(out.treedepth_exceeded);
     EXPECT_EQ(out.count, exact::count_perfect_matchings(g)) << "seed=" << seed;
   }
@@ -90,7 +93,8 @@ TEST(DistEdgeProblems, MaxMatchingDistributed) {
   gen::Rng rng(50);
   const Graph g = gen::random_bounded_treedepth(7, 3, 0.4, rng);
   congest::Network net(g);
-  const auto out = run_maximize(net, lib::matching(), "F", Sort::EdgeSet, 3);
+  const auto out =
+      run(net, {Kind::kMaximize, lib::matching(), {{"F", Sort::EdgeSet}}}, 3);
   ASSERT_FALSE(out.treedepth_exceeded);
   ASSERT_TRUE(out.best_weight.has_value());
   Weight best = 0;

@@ -6,11 +6,8 @@
 #include "congest/network.hpp"
 #include "dist/bags.hpp"
 #include "dist/baseline.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
 #include "dist/elim_tree.hpp"
-#include "dist/optimization.hpp"
-#include "dist/optmarked.hpp"
+#include "dist/query.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
@@ -106,7 +103,7 @@ TEST_P(DistDecision, AgreesWithBruteForce) {
   for (unsigned seed = 0; seed < 6; ++seed) {
     const Graph g = btd_graph(seed, 9, 3, 0.35);
     congest::Network net(g, {.id_seed = seed * 13 + 1});
-    const auto outcome = run_decision(net, formula, 3);
+    const auto outcome = run(net, {Kind::kDecision, formula}, 3);
     ASSERT_FALSE(outcome.treedepth_exceeded) << name << " seed=" << seed;
     EXPECT_EQ(outcome.holds, mso::evaluate(g, *formula))
         << name << " seed=" << seed << " " << g.to_string();
@@ -126,7 +123,7 @@ TEST(DistDecisionSuite, AcyclicOnSmallGraphs) {
   for (unsigned seed = 0; seed < 3; ++seed) {
     const Graph g = btd_graph(seed + 50, 6, 2, 0.5);
     congest::Network net(g);
-    const auto outcome = run_decision(net, lib::acyclic(), 2);
+    const auto outcome = run(net, {Kind::kDecision, lib::acyclic()}, 2);
     ASSERT_FALSE(outcome.treedepth_exceeded);
     EXPECT_EQ(outcome.holds, mso::evaluate(g, *lib::acyclic()));
   }
@@ -137,20 +134,20 @@ TEST(DistDecisionSuite, LabeledColoring) {
   g.set_vertex_label("red", 0);
   for (int v = 1; v <= 4; ++v) g.set_vertex_label("blue", v);
   congest::Network net(g);
-  const auto ok = run_decision(net, lib::properly_2_colored(), 2);
+  const auto ok = run(net, {Kind::kDecision, lib::properly_2_colored()}, 2);
   ASSERT_FALSE(ok.treedepth_exceeded);
   EXPECT_TRUE(ok.holds);
 
   g.set_vertex_label("blue", 1, false);
   g.set_vertex_label("red", 1);
   congest::Network net2(g);
-  const auto bad = run_decision(net2, lib::properly_2_colored(), 2);
+  const auto bad = run(net2, {Kind::kDecision, lib::properly_2_colored()}, 2);
   EXPECT_FALSE(bad.holds);
 }
 
 TEST(DistDecisionSuite, TreedepthBudgetRespected) {
   congest::Network net(gen::path(15));  // td 4
-  const auto outcome = run_decision(net, lib::connected(), 2);
+  const auto outcome = run(net, {Kind::kDecision, lib::connected()}, 2);
   EXPECT_TRUE(outcome.treedepth_exceeded);
 }
 
@@ -159,11 +156,13 @@ TEST(DistDecisionSuite, RoundsIndependentOfNOnStars) {
   long rounds_small = 0, rounds_large = 0;
   {
     congest::Network net(gen::star(8));
-    rounds_small = run_decision(net, lib::connected(), 2).total_rounds();
+    rounds_small =
+        run(net, {Kind::kDecision, lib::connected()}, 2).total_rounds();
   }
   {
     congest::Network net(gen::star(80));
-    rounds_large = run_decision(net, lib::connected(), 2).total_rounds();
+    rounds_large =
+        run(net, {Kind::kDecision, lib::connected()}, 2).total_rounds();
   }
   // Bags payloads depend on bag size (= depth <= 4), not on n; identical
   // structure => identical rounds.
@@ -173,7 +172,7 @@ TEST(DistDecisionSuite, RoundsIndependentOfNOnStars) {
 TEST(DistDecisionSuite, ClassMessagesAreSmall) {
   const Graph g = btd_graph(3, 12, 3, 0.4);
   congest::Network net(g);
-  const auto outcome = run_decision(net, lib::connected(), 3);
+  const auto outcome = run(net, {Kind::kDecision, lib::connected()}, 3);
   ASSERT_FALSE(outcome.treedepth_exceeded);
   EXPECT_GT(outcome.num_classes, 0u);
   EXPECT_LE(outcome.max_class_bits, 32);
@@ -188,7 +187,9 @@ TEST(DistOptimization, MaxIndependentSetMatchesOracle) {
     gen::randomize_weights(g, 1, 5, rng);
     congest::Network net(g, {.id_seed = seed + 1});
     const auto outcome =
-        run_maximize(net, lib::independent_set(), "S", Sort::VertexSet, 3);
+        run(net,
+            {Kind::kMaximize, lib::independent_set(), {{"S", Sort::VertexSet}}},
+            3);
     ASSERT_FALSE(outcome.treedepth_exceeded);
     ASSERT_TRUE(outcome.best_weight.has_value());
     EXPECT_EQ(*outcome.best_weight, exact::max_weight_independent_set(g))
@@ -208,7 +209,9 @@ TEST(DistOptimization, MinDominatingSetMatchesOracle) {
     const Graph g = btd_graph(seed + 20, 8, 3, 0.35);
     congest::Network net(g);
     const auto outcome =
-        run_minimize(net, lib::dominating_set(), "S", Sort::VertexSet, 3);
+        run(net,
+            {Kind::kMinimize, lib::dominating_set(), {{"S", Sort::VertexSet}}},
+            3);
     ASSERT_FALSE(outcome.treedepth_exceeded);
     ASSERT_TRUE(outcome.best_weight.has_value());
     EXPECT_EQ(*outcome.best_weight, exact::min_weight_dominating_set(g));
@@ -229,7 +232,9 @@ TEST(DistOptimization, DistributedMstMatchesKruskal) {
       g.set_edge_weight(e, 1 + static_cast<Weight>((seed * 7 + e * 13) % 9));
     congest::Network net(g);
     const auto outcome =
-        run_minimize(net, lib::spanning_connected(), "F", Sort::EdgeSet, 3);
+        run(net,
+            {Kind::kMinimize, lib::spanning_connected(),
+             {{"F", Sort::EdgeSet}}}, 3);
     ASSERT_FALSE(outcome.treedepth_exceeded);
     ASSERT_TRUE(outcome.best_weight.has_value());
     EXPECT_EQ(*outcome.best_weight, exact::min_weight_spanning_tree(g));
@@ -244,7 +249,8 @@ TEST(DistOptimization, InfeasibleFormulaReportsNoSolution) {
   const Graph g = gen::path(4);
   congest::Network net(g);
   const auto f = mso::land(mso::singleton("S"), mso::empty_set("S"));
-  const auto outcome = run_maximize(net, f, "S", Sort::VertexSet, 3);
+  const auto outcome =
+      run(net, {Kind::kMaximize, f, {{"S", Sort::VertexSet}}}, 3);
   ASSERT_FALSE(outcome.treedepth_exceeded);
   EXPECT_FALSE(outcome.best_weight.has_value());
 }
@@ -252,13 +258,22 @@ TEST(DistOptimization, InfeasibleFormulaReportsNoSolution) {
 // --- counting -------------------------------------------------------------------
 
 TEST(DistCounting, IndependentSetsMatchOracle) {
-  for (unsigned seed = 0; seed < 4; ++seed) {
-    const Graph g = btd_graph(seed + 60, 8, 3, 0.4);
-    congest::Network net(g, {.id_seed = seed + 5});
-    const auto outcome = run_count(net, lib::independent_set_indicator(),
-                                   {{"S", Sort::VertexSet}}, 3);
+  std::vector<Graph> graphs;
+  for (unsigned seed = 0; seed < 4; ++seed)
+    graphs.push_back(btd_graph(seed + 60, 8, 3, 0.4));
+  // 2^32 + 1 and 2^50 + 1 independent sets: totals wider than one
+  // 32-bit message, sent down in fragments.
+  graphs.push_back(gen::star(32));
+  graphs.push_back(gen::star(50));
+  for (unsigned i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    congest::Network net(g, {.id_seed = i + 5});
+    const Query q{Kind::kCount, lib::independent_set_indicator(),
+                  {{"S", Sort::VertexSet}}};
+    const auto outcome = run(net, q, 3);
+    ASSERT_TRUE(outcome.run.ok()) << "graph " << i;
     ASSERT_FALSE(outcome.treedepth_exceeded);
-    EXPECT_EQ(outcome.count, exact::count_independent_sets(g));
+    EXPECT_EQ(outcome.count, exact::count_independent_sets(g)) << "graph " << i;
   }
 }
 
@@ -266,15 +281,76 @@ TEST(DistCounting, TrianglesMatchOracle) {
   for (unsigned seed = 0; seed < 4; ++seed) {
     const Graph g = btd_graph(seed + 70, 8, 3, 0.6);
     congest::Network net(g);
-    const auto outcome = run_count(net, lib::triangle_tuple(),
-                                   {{"X", Sort::VertexSet},
-                                    {"Y", Sort::VertexSet},
-                                    {"Z", Sort::VertexSet}},
-                                   3);
+    const auto outcome =
+        run(net,
+            {Kind::kCount, lib::triangle_tuple(),
+             {{"X", Sort::VertexSet},
+              {"Y", Sort::VertexSet},
+              {"Z", Sort::VertexSet}}},
+            3);
     ASSERT_FALSE(outcome.treedepth_exceeded);
     EXPECT_EQ(outcome.count, 6 * exact::count_triangles(g)) << "seed=" << seed;
   }
 }
+
+// --- solve seam == full pipeline == sequential oracle ------------------------
+
+class SolveSeam : public ::testing::TestWithParam<Kind> {};
+
+// dist::solve over a tree and bags built by run_elim_tree / run_bags (the
+// churn engine's seam) must answer exactly like dist::run and like the
+// sequential engine. optmarked marks the sequential optimum, so its oracle
+// answer is "satisfies optimal" at that weight.
+TEST_P(SolveSeam, SolveEqualsRunAndSequentialOracle) {
+  const Kind kind = GetParam();
+  Graph g = btd_graph(90, 10, 3, 0.4);
+  gen::Rng rng(91);
+  gen::randomize_weights(g, 1, 5, rng);
+  const std::vector<std::pair<std::string, Sort>> s{{"S", Sort::VertexSet}};
+  Query q{kind, lib::independent_set(), s};
+  if (kind == Kind::kDecision) q = {kind, lib::triangle_free()};
+  if (kind == Kind::kCount) q.formula = lib::independent_set_indicator();
+  if (kind == Kind::kMinimize) q.formula = lib::dominating_set();
+
+  Outcome oracle;
+  if (kind == Kind::kOptMarked) {
+    const auto opt = seq::maximize(g, q.formula, "S", Sort::VertexSet);
+    ASSERT_TRUE(opt.has_value());
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      if (opt->vertices[v]) g.set_vertex_label("marked", v);
+    oracle.kind = kind;
+    oracle.holds = oracle.is_optimal = true;
+    oracle.marked_weight = opt->weight;
+    oracle.best_weight = opt->weight;
+    describe(oracle, 0);
+  } else {
+    oracle = run_sequential(g, q);
+  }
+
+  congest::Network net(g, {.id_seed = 3});
+  const auto tree = run_elim_tree(net, 3);
+  ASSERT_TRUE(tree.success);
+  const auto [vlabels, elabels] = bag_labels(q, engine_config(q));
+  const auto bags = run_bags(net, tree, vlabels, elabels);
+  const Outcome solved = solve(net, q, tree, bags.bags);
+  ASSERT_TRUE(solved.run.ok());
+
+  congest::Network fresh(g, {.id_seed = 3});
+  const Outcome full = run(fresh, q, 3);
+  ASSERT_TRUE(full.run.ok());
+  EXPECT_EQ(solved.result, full.result);
+  EXPECT_EQ(solved.digest, full.digest);
+  EXPECT_EQ(solved.rounds_solve, full.rounds_solve);
+  EXPECT_EQ(solved.result, oracle.result);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, SolveSeam,
+                         ::testing::Values(Kind::kDecision, Kind::kCount,
+                                           Kind::kMaximize, Kind::kMinimize,
+                                           Kind::kOptMarked),
+                         [](const ::testing::TestParamInfo<Kind>& info) {
+                           return std::string(phase_name(info.param));
+                         });
 
 // --- optmarked (Section 6) -------------------------------------------------------
 
@@ -290,9 +366,11 @@ TEST(DistOptMarked, AcceptsOptimalIndependentSetRejectsOthers) {
       if (opt->vertices[v]) g.set_vertex_label("marked", v);
     congest::Network net(g);
     const auto outcome =
-        run_optmarked(net, lib::independent_set(), "S", Sort::VertexSet, 3);
+        run(net,
+            {Kind::kOptMarked, lib::independent_set(),
+             {{"S", Sort::VertexSet}}}, 3);
     ASSERT_FALSE(outcome.treedepth_exceeded);
-    EXPECT_TRUE(outcome.satisfies);
+    EXPECT_TRUE(outcome.holds);
     EXPECT_TRUE(outcome.is_optimal);
     EXPECT_EQ(outcome.marked_weight, opt->weight);
   }
@@ -300,8 +378,10 @@ TEST(DistOptMarked, AcceptsOptimalIndependentSetRejectsOthers) {
     // Empty marked set: satisfies (independent) but not optimal.
     congest::Network net(base);
     const auto outcome =
-        run_optmarked(net, lib::independent_set(), "S", Sort::VertexSet, 3);
-    EXPECT_TRUE(outcome.satisfies);
+        run(net,
+            {Kind::kOptMarked, lib::independent_set(),
+             {{"S", Sort::VertexSet}}}, 3);
+    EXPECT_TRUE(outcome.holds);
     EXPECT_FALSE(outcome.is_optimal);
   }
   {
@@ -312,8 +392,10 @@ TEST(DistOptMarked, AcceptsOptimalIndependentSetRejectsOthers) {
     g.set_vertex_label("marked", g.edge(0).v);
     congest::Network net(g);
     const auto outcome =
-        run_optmarked(net, lib::independent_set(), "S", Sort::VertexSet, 3);
-    EXPECT_FALSE(outcome.satisfies);
+        run(net,
+            {Kind::kOptMarked, lib::independent_set(),
+             {{"S", Sort::VertexSet}}}, 3);
+    EXPECT_FALSE(outcome.holds);
     EXPECT_FALSE(outcome.is_optimal);
   }
 }
@@ -326,10 +408,12 @@ TEST(DistOptMarked, VerifiesMarkedMst) {
   const auto mst = kruskal_mst(g);
   for (EdgeId e : mst) g.set_edge_label("marked", e);
   congest::Network net(g);
-  const auto outcome = run_optmarked(net, lib::spanning_connected(), "F",
-                                     Sort::EdgeSet, 3, /*minimize=*/true);
+  const auto outcome =
+      run(net,
+          {Kind::kOptMarked, lib::spanning_connected(), {{"F", Sort::EdgeSet}},
+           true}, 3);
   ASSERT_FALSE(outcome.treedepth_exceeded);
-  EXPECT_TRUE(outcome.satisfies);
+  EXPECT_TRUE(outcome.holds);
   EXPECT_TRUE(outcome.is_optimal);
   EXPECT_EQ(outcome.marked_weight, total_edge_weight(g, mst));
 }

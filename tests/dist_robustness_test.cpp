@@ -5,9 +5,7 @@
 
 #include "bpt/engine.hpp"
 #include "congest/network.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
-#include "dist/optimization.hpp"
+#include "dist/query.hpp"
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
 #include "mso/eval.hpp"
@@ -26,7 +24,7 @@ TEST(DistRobustness, DecisionStableUnderIdPermutations) {
   const bool truth = mso::evaluate(g, *lib::triangle_free());
   for (unsigned seed = 1; seed <= 8; ++seed) {
     congest::Network net(g, {.id_seed = seed});
-    const auto out = run_decision(net, lib::triangle_free(), 3);
+    const auto out = run(net, {Kind::kDecision, lib::triangle_free()}, 3);
     ASSERT_FALSE(out.treedepth_exceeded) << "seed=" << seed;
     EXPECT_EQ(out.holds, truth) << "seed=" << seed;
   }
@@ -40,7 +38,9 @@ TEST(DistRobustness, OptimizationStableUnderIdPermutations) {
   for (unsigned seed = 1; seed <= 6; ++seed) {
     congest::Network net(g, {.id_seed = seed});
     const auto out =
-        run_maximize(net, lib::independent_set(), "S", Sort::VertexSet, 3);
+        run(net,
+            {Kind::kMaximize, lib::independent_set(), {{"S", Sort::VertexSet}}},
+            3);
     ASSERT_FALSE(out.treedepth_exceeded);
     ASSERT_TRUE(out.best_weight.has_value()) << "seed=" << seed;
     EXPECT_EQ(*out.best_weight, truth) << "seed=" << seed;
@@ -54,14 +54,14 @@ TEST(DistRobustness, TightBandwidthOnlyCostsRounds) {
   long roomy_rounds = 0, tight_rounds = 0;
   {
     congest::Network net(g, {.bandwidth_multiplier = 8, .min_bandwidth = 64});
-    const auto out = run_decision(net, lib::k_colorable(2), 3);
+    const auto out = run(net, {Kind::kDecision, lib::k_colorable(2)}, 3);
     ASSERT_FALSE(out.treedepth_exceeded);
     EXPECT_EQ(out.holds, truth);
     roomy_rounds = out.total_rounds();
   }
   {
     congest::Network net(g, {.bandwidth_multiplier = 1, .min_bandwidth = 16});
-    const auto out = run_decision(net, lib::k_colorable(2), 3);
+    const auto out = run(net, {Kind::kDecision, lib::k_colorable(2)}, 3);
     ASSERT_FALSE(out.treedepth_exceeded);
     EXPECT_EQ(out.holds, truth);
     tight_rounds = out.total_rounds();
@@ -75,11 +75,13 @@ TEST(DistRobustness, CountingStableUnderTightBandwidth) {
   const std::uint64_t truth = exact::count_triangles(g);
   congest::Network net(g, {.bandwidth_multiplier = 1, .min_bandwidth = 16,
                            .id_seed = 5});
-  const auto out = run_count(net, lib::triangle_tuple(),
-                             {{"X", Sort::VertexSet},
-                              {"Y", Sort::VertexSet},
-                              {"Z", Sort::VertexSet}},
-                             3);
+  const auto out =
+      run(net,
+          {Kind::kCount, lib::triangle_tuple(),
+           {{"X", Sort::VertexSet},
+            {"Y", Sort::VertexSet},
+            {"Z", Sort::VertexSet}}},
+          3);
   ASSERT_FALSE(out.treedepth_exceeded);
   EXPECT_EQ(out.count, 6 * truth);
 }
@@ -92,7 +94,7 @@ TEST(DistRobustness, LargerBudgetsAreHarmlessButSlower) {
   long prev = 0;
   for (int d = 2; d <= 4; ++d) {
     congest::Network net(g);
-    const auto out = run_decision(net, lib::connected(), d);
+    const auto out = run(net, {Kind::kDecision, lib::connected()}, d);
     ASSERT_FALSE(out.treedepth_exceeded) << "d=" << d;
     EXPECT_EQ(out.holds, truth);
     EXPECT_GT(out.total_rounds(), prev);
@@ -105,9 +107,10 @@ TEST(DistRobustness, AllProtocolsShareOneNetworkSequentially) {
   gen::Rng rng(12);
   const Graph g = gen::random_bounded_treedepth(8, 3, 0.4, rng);
   congest::Network net(g);
-  const auto d1 = run_decision(net, lib::connected(), 3);
+  const auto d1 = run(net, {Kind::kDecision, lib::connected()}, 3);
   const long after_first = net.stats().rounds;
-  const auto d2 = run_decision(net, lib::has_isolated_vertex_lowrank(), 3);
+  const auto d2 =
+      run(net, {Kind::kDecision, lib::has_isolated_vertex_lowrank()}, 3);
   EXPECT_GT(net.stats().rounds, after_first);
   ASSERT_FALSE(d1.treedepth_exceeded);
   ASSERT_FALSE(d2.treedepth_exceeded);
@@ -124,7 +127,8 @@ TEST(DistRobustness, SharedEngineAcrossInstances) {
   for (int trial = 0; trial < 6; ++trial) {
     const Graph g = gen::random_bounded_treedepth(8, 3, 0.5, rng);
     congest::Network net(g);
-    const auto out = run_decision(net, lib::triangle_free(), 3, &engine);
+    const auto out =
+        run(net, {Kind::kDecision, lib::triangle_free()}, 3, &engine);
     ASSERT_FALSE(out.treedepth_exceeded);
     EXPECT_EQ(out.holds, mso::evaluate(g, *lib::triangle_free()));
   }

@@ -21,11 +21,8 @@
 #include "congest/fragment.hpp"
 #include "congest/network.hpp"
 #include "congest/primitives.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
 #include "dist/elim_tree.hpp"
-#include "dist/optimization.hpp"
-#include "dist/optmarked.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 #include "seq/courcelle.hpp"
@@ -169,14 +166,14 @@ TEST(ReliableTransport, ZeroFaultPlanMatchesPerfectPathExactly) {
   for (unsigned seed = 0; seed < 3; ++seed) {
     const Graph g = btd_graph(seed);
     congest::Network perfect(g, {.id_seed = seed + 1});
-    const auto ref = dist::run_decision(perfect, formula, 3);
+    const auto ref = dist::run(perfect, {dist::Kind::kDecision, formula}, 3);
     ASSERT_TRUE(ref.run.ok());
 
     NetworkConfig cfg;
     cfg.id_seed = seed + 1;
     cfg.faults = FaultPlan{};  // transport on, nothing injected
     congest::Network net(g, cfg);
-    const auto out = dist::run_decision(net, formula, 3);
+    const auto out = dist::run(net, {dist::Kind::kDecision, formula}, 3);
     ASSERT_TRUE(out.run.ok());
     EXPECT_EQ(out.holds, ref.holds) << "seed=" << seed;
     // One physical round per protocol step: identical round accounting.
@@ -204,7 +201,7 @@ TEST(FaultSweep, DecisionStaysOracleCorrect) {
       NetworkConfig cfg = faulty_cfg(spec, seed);
       cfg.faults->seed = seed;
       congest::Network net(g, cfg);
-      const auto out = dist::run_decision(net, formula, 3);
+      const auto out = dist::run(net, {dist::Kind::kDecision, formula}, 3);
       ASSERT_TRUE(out.run.ok()) << spec << " seed=" << seed;
       ASSERT_FALSE(out.treedepth_exceeded);
       EXPECT_EQ(out.holds, expected) << spec << " seed=" << seed;
@@ -224,7 +221,10 @@ TEST(FaultSweep, OptimizationStaysOracleCorrect) {
       NetworkConfig cfg = faulty_cfg(spec, seed);
       cfg.faults->seed = seed * 7 + 1;
       congest::Network net(g, cfg);
-      const auto out = dist::run_maximize(net, formula, "S", Sort::VertexSet, 3);
+      const auto out =
+          dist::run(net,
+                    {dist::Kind::kMaximize, formula, {{"S", Sort::VertexSet}}},
+                    3);
       ASSERT_TRUE(out.run.ok()) << spec << " seed=" << seed;
       ASSERT_FALSE(out.treedepth_exceeded);
       ASSERT_EQ(out.best_weight.has_value(), oracle.has_value());
@@ -245,7 +245,7 @@ TEST(FaultSweep, CountingStaysOracleCorrect) {
       NetworkConfig cfg = faulty_cfg(spec, seed);
       cfg.faults->seed = seed * 3 + 2;
       congest::Network net(g, cfg);
-      const auto out = dist::run_count(net, formula, vars, 3);
+      const auto out = dist::run(net, {dist::Kind::kCount, formula, vars}, 3);
       ASSERT_TRUE(out.run.ok()) << spec << " seed=" << seed;
       EXPECT_EQ(out.count, expected) << spec << " seed=" << seed;
     }
@@ -263,16 +263,20 @@ TEST(FaultSweep, OptMarkedStaysOracleCorrect) {
       if (oracle->vertices[v]) g.set_vertex_label("marked", v);
     congest::Network ref_net(g, {.id_seed = seed});
     const auto ref =
-        dist::run_optmarked(ref_net, formula, "S", Sort::VertexSet, 3);
+        dist::run(ref_net,
+                  {dist::Kind::kOptMarked, formula, {{"S", Sort::VertexSet}}},
+                  3);
     ASSERT_TRUE(ref.run.ok());
     for (const char* spec : kSweepSpecs) {
       NetworkConfig cfg = faulty_cfg(spec, seed);
       cfg.faults->seed = seed + 17;
       congest::Network net(g, cfg);
       const auto out =
-          dist::run_optmarked(net, formula, "S", Sort::VertexSet, 3);
+          dist::run(net,
+                    {dist::Kind::kOptMarked, formula, {{"S", Sort::VertexSet}}},
+                    3);
       ASSERT_TRUE(out.run.ok()) << spec << " seed=" << seed;
-      EXPECT_EQ(out.satisfies, ref.satisfies) << spec;
+      EXPECT_EQ(out.holds, ref.holds) << spec;
       EXPECT_EQ(out.is_optimal, ref.is_optimal) << spec;
       EXPECT_EQ(out.marked_weight, ref.marked_weight) << spec;
     }
@@ -290,7 +294,7 @@ TEST(FaultSweep, SameSeedReproducesTheExactTrace) {
     cfg.faults->seed = fault_seed;
     cfg.sink = &sink;
     congest::Network net(g, cfg);
-    const auto out = dist::run_decision(net, formula, 3);
+    const auto out = dist::run(net, {dist::Kind::kDecision, formula}, 3);
     EXPECT_TRUE(out.run.ok());
     return sink.digests();
   };
@@ -307,7 +311,7 @@ TEST(CrashFaults, CrashYieldsStructuredDegradedOutcome) {
     const Graph g = btd_graph(seed);
     NetworkConfig cfg = faulty_cfg("crash=2@r25", seed);
     congest::Network net(g, cfg);
-    const auto out = dist::run_decision(net, formula, 3);
+    const auto out = dist::run(net, {dist::Kind::kDecision, formula}, 3);
     EXPECT_FALSE(out.run.ok()) << "seed=" << seed;
     EXPECT_EQ(out.run.status, RunStatus::kCrashed);
     ASSERT_EQ(out.run.crashed.size(), 1u);
@@ -360,7 +364,7 @@ TEST(CrashFaults, ReorderComposedWithSameRoundCrashesStaysStructured) {
     cfg.faults->seed = fault_seed;
     cfg.sink = &sink;
     congest::Network net(g, cfg);
-    const auto out = dist::run_decision(net, formula, 3);
+    const auto out = dist::run(net, {dist::Kind::kDecision, formula}, 3);
     EXPECT_FALSE(out.run.ok());
     EXPECT_EQ(out.run.status, RunStatus::kCrashed);
     // Both crash-stops fire in the one round; the degraded outcome names
@@ -382,7 +386,7 @@ TEST(CrashFaults, ReorderComposedWithSameRoundCrashesStaysStructured) {
       faulty_cfg("reorder=0.4,reorder_max=3,crash=99@r12,crash=98@r12", 2);
   cfg.faults->seed = 9;
   congest::Network net(g, cfg);
-  const auto out = dist::run_decision(net, formula, 3);
+  const auto out = dist::run(net, {dist::Kind::kDecision, formula}, 3);
   ASSERT_TRUE(out.run.ok());
   EXPECT_EQ(out.holds, expected);
 }

@@ -26,7 +26,7 @@
 
 #include "congest/faults.hpp"
 #include "congest/network.hpp"
-#include "dist/decision.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 #include "par/pool.hpp"
@@ -235,7 +235,8 @@ void expect_reconciled(const NetworkConfig& base_cfg) {
   NetworkConfig cfg = base_cfg;
   cfg.metrics = &reg;
   Network net(gen::path(8), cfg);
-  const auto out = dist::run_decision(net, mso::lib::connected(), 4);
+  const auto out =
+      dist::run(net, {dist::Kind::kDecision, mso::lib::connected()}, 4);
   ASSERT_FALSE(out.treedepth_exceeded);
   const congest::NetworkStats& stats = net.stats();
   EXPECT_EQ(reg.counter("congest.rounds").value(), stats.rounds);

@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "congest/network.hpp"
-#include "dist/decision.hpp"
 #include "dist/elim_tree.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 #include "obs/buffer.hpp"
@@ -70,7 +70,8 @@ long run_traced_decision(obs::TraceSink* sink, std::uint64_t id_seed = 42) {
   cfg.id_seed = id_seed;
   cfg.sink = sink;
   Network net(g, cfg);
-  const auto out = dist::run_decision(net, mso::lib::connected(), 4);
+  const auto out =
+      dist::run(net, {dist::Kind::kDecision, mso::lib::connected()}, 4);
   EXPECT_FALSE(out.treedepth_exceeded);
   EXPECT_TRUE(out.holds);
   return net.stats().rounds;
@@ -83,7 +84,8 @@ TEST(ObsTrace, RoundDeltasSumExactlyToNetworkStats) {
   cfg.id_seed = 42;
   cfg.sink = &buffer;
   Network net(g, cfg);
-  const auto out = dist::run_decision(net, mso::lib::connected(), 4);
+  const auto out =
+      dist::run(net, {dist::Kind::kDecision, mso::lib::connected()}, 4);
   ASSERT_FALSE(out.treedepth_exceeded);
 
   long rounds = 0, messages = 0;
@@ -114,7 +116,8 @@ TEST(ObsTrace, SummaryTotalsMatchNetworkStatsAndBalance) {
   NetworkConfig cfg;
   cfg.sink = &buffer;
   Network net(g, cfg);
-  const auto out = dist::run_decision(net, mso::lib::connected(), 4);
+  const auto out =
+      dist::run(net, {dist::Kind::kDecision, mso::lib::connected()}, 4);
   ASSERT_FALSE(out.treedepth_exceeded);
 
   const obs::Summary s = obs::summarize(buffer);
@@ -236,7 +239,8 @@ TEST(ObsTrace, PhaseSpansNestAndClose) {
   NetworkConfig cfg;
   cfg.sink = &buffer;
   Network net(g, cfg);
-  const auto out = dist::run_decision(net, mso::lib::connected(), 4);
+  const auto out =
+      dist::run(net, {dist::Kind::kDecision, mso::lib::connected()}, 4);
   ASSERT_FALSE(out.treedepth_exceeded);
 
   // Replay: every End matches the innermost open Begin, depths agree with

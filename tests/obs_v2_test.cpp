@@ -23,8 +23,8 @@
 
 #include "congest/faults.hpp"
 #include "congest/network.hpp"
-#include "dist/decision.hpp"
 #include "dist/elim_tree.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 #include "obs/atomic_file.hpp"
@@ -177,7 +177,8 @@ TEST(FlightRecorder, CrashRunDumpNamesCrashedNodeAndRound) {
   cfg.id_seed = 3;
   cfg.faults = congest::parse_fault_plan("crash=2@r25,seed=7");
   congest::Network net(g, cfg);
-  const auto out = dist::run_decision(net, lib::triangle_free(), 3);
+  const auto out =
+      dist::run(net, {dist::Kind::kDecision, lib::triangle_free()}, 3);
   ASSERT_FALSE(out.run.ok());
   ASSERT_EQ(out.run.status, congest::RunStatus::kCrashed);
   ASSERT_EQ(out.run.crashed.size(), 1u);
@@ -228,7 +229,8 @@ CoalescedRun run_deeppath(bool sparse, int threads) {
   dist::ElimTreeOptions opts;
   opts.sparse_flood = true;
   const auto result =
-      dist::run_decision(net, lib::triangle_free(), 4, nullptr, opts);
+      dist::run(net, {dist::Kind::kDecision, lib::triangle_free()}, 4, nullptr,
+                opts);
   EXPECT_TRUE(result.run.ok());
   out.stats = net.stats();
   out.holds = result.holds;

@@ -15,10 +15,8 @@
 #include "bpt/tables.hpp"
 #include "congest/conformance.hpp"
 #include "congest/network.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
 #include "dist/hfreeness.hpp"
-#include "dist/optimization.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 #include "mso/lower.hpp"
@@ -129,7 +127,8 @@ void expect_thread_invariant(const Graph& g, Fn&& protocol) {
 TEST(ParDeterminism, DecisionDigestsThreadInvariant) {
   for (unsigned seed = 0; seed < 3; ++seed) {
     expect_thread_invariant(btd_graph(seed), [](congest::Network& net) {
-      const auto out = dist::run_decision(net, lib::triangle_free(), 3);
+      const auto out =
+          dist::run(net, {dist::Kind::kDecision, lib::triangle_free()}, 3);
       return std::string(out.holds ? "holds" : "fails");
     });
   }
@@ -138,7 +137,9 @@ TEST(ParDeterminism, DecisionDigestsThreadInvariant) {
 TEST(ParDeterminism, OptimizationDigestsThreadInvariant) {
   expect_thread_invariant(btd_graph(1), [](congest::Network& net) {
     const auto out =
-        dist::run_minimize(net, lib::dominating_set(), "S", Sort::VertexSet, 3);
+        dist::run(net,
+                  {dist::Kind::kMinimize, lib::dominating_set(),
+                   {{"S", Sort::VertexSet}}}, 3);
     if (!out.best_weight) return std::string("infeasible");
     return "optimum=" + std::to_string(*out.best_weight);
   });
@@ -146,8 +147,10 @@ TEST(ParDeterminism, OptimizationDigestsThreadInvariant) {
 
 TEST(ParDeterminism, CountingDigestsThreadInvariant) {
   expect_thread_invariant(btd_graph(2, 16), [](congest::Network& net) {
-    const auto out = dist::run_count(
-        net, lib::independent_set(), {{"S", Sort::VertexSet}}, 3);
+    const auto out =
+        dist::run(net,
+                  {dist::Kind::kCount, lib::independent_set(),
+                   {{"S", Sort::VertexSet}}}, 3);
     return "count=" + std::to_string(out.count);
   });
 }

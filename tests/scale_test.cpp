@@ -15,11 +15,8 @@
 
 #include "congest/conformance.hpp"
 #include "congest/network.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
 #include "dist/elim_tree.hpp"
-#include "dist/optimization.hpp"
-#include "dist/optmarked.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 
@@ -79,7 +76,8 @@ void expect_scheduler_invariant(const Graph& g, Fn&& protocol) {
 TEST(ScaleEquivalence, DecisionSchedulerInvariant) {
   for (unsigned seed = 0; seed < 3; ++seed) {
     expect_scheduler_invariant(btd_graph(seed), [](congest::Network& net) {
-      const auto out = dist::run_decision(net, lib::triangle_free(), 3);
+      const auto out =
+          dist::run(net, {dist::Kind::kDecision, lib::triangle_free()}, 3);
       return std::string(out.holds ? "holds" : "fails");
     });
   }
@@ -87,8 +85,10 @@ TEST(ScaleEquivalence, DecisionSchedulerInvariant) {
 
 TEST(ScaleEquivalence, CountingSchedulerInvariant) {
   expect_scheduler_invariant(btd_graph(2, 16), [](congest::Network& net) {
-    const auto out = dist::run_count(net, lib::independent_set(),
-                                     {{"S", Sort::VertexSet}}, 3);
+    const auto out =
+        dist::run(net,
+                  {dist::Kind::kCount, lib::independent_set(),
+                   {{"S", Sort::VertexSet}}}, 3);
     return "count=" + std::to_string(out.count);
   });
 }
@@ -96,7 +96,9 @@ TEST(ScaleEquivalence, CountingSchedulerInvariant) {
 TEST(ScaleEquivalence, OptimizationSchedulerInvariant) {
   expect_scheduler_invariant(btd_graph(1), [](congest::Network& net) {
     const auto out =
-        dist::run_minimize(net, lib::dominating_set(), "S", Sort::VertexSet, 3);
+        dist::run(net,
+                  {dist::Kind::kMinimize, lib::dominating_set(),
+                   {{"S", Sort::VertexSet}}}, 3);
     if (!out.best_weight) return std::string("infeasible");
     return "optimum=" + std::to_string(*out.best_weight);
   });
@@ -104,9 +106,11 @@ TEST(ScaleEquivalence, OptimizationSchedulerInvariant) {
 
 TEST(ScaleEquivalence, OptMarkedSchedulerInvariant) {
   expect_scheduler_invariant(btd_graph(4), [](congest::Network& net) {
-    const auto out = dist::run_optmarked(net, lib::independent_set(), "S",
-                                         Sort::VertexSet, 3);
-    return std::string(out.satisfies ? "satisfies" : "violates") +
+    const auto out =
+        dist::run(net,
+                  {dist::Kind::kOptMarked, lib::independent_set(),
+                   {{"S", Sort::VertexSet}}}, 3);
+    return std::string(out.holds ? "satisfies" : "violates") +
            (out.is_optimal ? "+optimal" : "");
   });
 }
@@ -120,8 +124,9 @@ TEST(ScaleEquivalence, SparseFloodThreadInvariantPerScheduler) {
   auto protocol = [](congest::Network& net) {
     dist::ElimTreeOptions opts;
     opts.sparse_flood = true;
-    const auto out = dist::run_decision(net, lib::triangle_free(), 3,
-                                        /*engine=*/nullptr, opts);
+    const auto out =
+        dist::run(net, {dist::Kind::kDecision, lib::triangle_free()}, 3,
+                  /*engine=*/nullptr, opts);
     return std::string(out.holds ? "holds" : "fails");
   };
   const Graph g = btd_graph(3);
@@ -154,8 +159,9 @@ TEST(ScaleEquivalence, SparseSteppingSavesWorkOnLongPaths) {
   auto protocol = [](congest::Network& net) {
     dist::ElimTreeOptions opts;
     opts.sparse_flood = net.config().sparse_stepping;
-    const auto out = dist::run_decision(net, lib::triangle_free(), 4,
-                                        /*engine=*/nullptr, opts);
+    const auto out =
+        dist::run(net, {dist::Kind::kDecision, lib::triangle_free()}, 4,
+                  /*engine=*/nullptr, opts);
     return std::string(out.holds ? "holds" : "fails");
   };
   const RunResult dense = run_once(g, 1, false, protocol);

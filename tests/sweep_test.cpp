@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "congest/network.hpp"
-#include "dist/optimization.hpp"
+#include "dist/query.hpp"
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
@@ -95,8 +95,12 @@ TEST_P(OptimizationSweep, SequentialAndDistributedMatchOracle) {
   congest::Network net(g, {.id_seed = seed + 1});
   const auto dist_result =
       is_max(problem)
-          ? dist::run_maximize(net, formula, "S", Sort::VertexSet, 3)
-          : dist::run_minimize(net, formula, "S", Sort::VertexSet, 3);
+          ? dist::run(net,
+                      {dist::Kind::kMaximize, formula,
+                       {{"S", Sort::VertexSet}}}, 3)
+          : dist::run(net,
+                      {dist::Kind::kMinimize, formula,
+                       {{"S", Sort::VertexSet}}}, 3);
   ASSERT_FALSE(dist_result.treedepth_exceeded);
   ASSERT_TRUE(dist_result.best_weight.has_value());
   EXPECT_EQ(*dist_result.best_weight, oracle);

@@ -15,11 +15,8 @@
 #include "congest/primitives.hpp"
 #include "congest/wire.hpp"
 #include "dist/baseline.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
 #include "dist/hfreeness.hpp"
-#include "dist/optimization.hpp"
-#include "dist/optmarked.hpp"
+#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/eval.hpp"
 #include "mso/formulas.hpp"
@@ -230,7 +227,8 @@ TEST(AuditProtocols, DecisionAuditClean) {
   for (unsigned seed = 0; seed < 3; ++seed) {
     const Graph g = btd_graph(seed, 9, 3, 0.35);
     Network net(g, {.id_seed = seed + 1, .audit = true});
-    const auto outcome = dist::run_decision(net, lib::triangle_free(), 3);
+    const auto outcome =
+        dist::run(net, {dist::Kind::kDecision, lib::triangle_free()}, 3);
     ASSERT_FALSE(outcome.treedepth_exceeded);
     EXPECT_EQ(outcome.holds, mso::evaluate(g, *lib::triangle_free()));
     expect_fully_audited(net);
@@ -241,7 +239,9 @@ TEST(AuditProtocols, OptimizationAuditClean) {
   const Graph g = btd_graph(42, 9, 3, 0.4);
   Network net(g, {.audit = true});
   const auto outcome =
-      dist::run_maximize(net, lib::independent_set(), "S", Sort::VertexSet, 3);
+      dist::run(net,
+                {dist::Kind::kMaximize, lib::independent_set(),
+                 {{"S", Sort::VertexSet}}}, 3);
   ASSERT_FALSE(outcome.treedepth_exceeded);
   ASSERT_TRUE(outcome.best_weight.has_value());
   const auto oracle =
@@ -254,8 +254,10 @@ TEST(AuditProtocols, OptimizationAuditClean) {
 TEST(AuditProtocols, CountingAuditClean) {
   const Graph g = btd_graph(60, 8, 3, 0.4);
   Network net(g, {.audit = true});
-  const auto outcome = dist::run_count(net, lib::independent_set_indicator(),
-                                       {{"S", Sort::VertexSet}}, 3);
+  const auto outcome =
+      dist::run(net,
+                {dist::Kind::kCount, lib::independent_set_indicator(),
+                 {{"S", Sort::VertexSet}}}, 3);
   ASSERT_FALSE(outcome.treedepth_exceeded);
   expect_fully_audited(net);
 }
@@ -269,9 +271,11 @@ TEST(AuditProtocols, OptMarkedAuditClean) {
     if (opt->vertices[v]) g.set_vertex_label("marked", v);
   Network net(g, {.audit = true});
   const auto outcome =
-      dist::run_optmarked(net, lib::independent_set(), "S", Sort::VertexSet, 3);
+      dist::run(net,
+                {dist::Kind::kOptMarked, lib::independent_set(),
+                 {{"S", Sort::VertexSet}}}, 3);
   ASSERT_FALSE(outcome.treedepth_exceeded);
-  EXPECT_TRUE(outcome.satisfies);
+  EXPECT_TRUE(outcome.holds);
   EXPECT_TRUE(outcome.is_optimal);
   expect_fully_audited(net);
 }

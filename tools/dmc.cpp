@@ -76,9 +76,7 @@
 #include "congest/conformance.hpp"
 #include "congest/faults.hpp"
 #include "congest/network.hpp"
-#include "dist/counting.hpp"
-#include "dist/decision.hpp"
-#include "dist/optimization.hpp"
+#include "dist/query.hpp"
 #include "metrics/metrics.hpp"
 #include "mso/lower.hpp"
 #include "graph/generators.hpp"
@@ -89,7 +87,6 @@
 #include "obs/chrome.hpp"
 #include "obs/jsonl.hpp"
 #include "obs/summary.hpp"
-#include "seq/courcelle.hpp"
 #include "td/elimination_forest.hpp"
 
 using namespace dmc;
@@ -254,15 +251,13 @@ struct UniverseCache {
   }
 };
 
-UniverseCache make_universe_cache(
-    const Args& args, const mso::FormulaPtr& formula,
-    const std::vector<std::pair<std::string, mso::Sort>>& frees) {
+UniverseCache make_universe_cache(const Args& args, const dist::Query& q) {
   UniverseCache uc;
   if (!args.has("universe-cache")) return uc;
   std::string dir = args.get("universe-cache");
   if (dir == "auto") dir = bpt::default_universe_cache_dir();
-  const mso::FormulaPtr lowered = mso::lower(formula, frees);
-  uc.engine.emplace(bpt::config_for(*lowered, frees));
+  const mso::FormulaPtr lowered = mso::lower(q.formula, q.frees);
+  uc.engine.emplace(dist::engine_config(q));
   if (dir.empty()) return uc;  // no usable cache dir: run uncached
   uc.path =
       bpt::universe_cache_path(dir, mso::to_string(*lowered), uc.engine->config());
@@ -505,7 +500,7 @@ void print_phase_summary(const obs::TraceBuffer& buffer,
 /// the affected root-path tables, digest-check against a from-scratch
 /// oracle. Per-epoch reporting plus the final epoch's verdict; exit 5 on
 /// any incremental/oracle digest divergence, 9 if any epoch degraded.
-int run_churn(const Args& args, Graph g, churn::Query query, int d) {
+int run_churn(const Args& args, Graph g, const dist::Query& query, int d) {
   churn::ChurnScript script;
   try {
     script = churn::parse_churn_script(args.get("churn"));
@@ -518,7 +513,7 @@ int run_churn(const Args& args, Graph g, churn::Query query, int d) {
   opts.verify = script.verify;
   opts.net.threads = thread_count(args);
   apply_fault_options(args, opts.net);
-  churn::ChurnEngine engine(std::move(g), std::move(query), opts);
+  churn::ChurnEngine engine(std::move(g), query, opts);
   const std::vector<churn::StepOutcome> outs = engine.run(script);
   bool degraded = false, mismatch = false;
   for (std::size_t i = 0; i < outs.size(); ++i) {
@@ -546,22 +541,7 @@ int run_churn(const Args& args, Graph g, churn::Query query, int d) {
     std::printf("final: degraded (%s); verdict untrusted\n",
                 congest::to_string(last.run.status));
   } else {
-    switch (engine.query().pipeline) {
-      case churn::Pipeline::kDecision:
-        std::printf("final: %s\n", last.verdict.holds ? "holds" : "fails");
-        break;
-      case churn::Pipeline::kCount:
-        std::printf("final: count=%llu\n",
-                    static_cast<unsigned long long>(last.verdict.count));
-        break;
-      default:
-        if (last.verdict.feasible)
-          std::printf("final: optimum=%lld\n",
-                      static_cast<long long>(last.verdict.best_weight));
-        else
-          std::printf("final: infeasible\n");
-        break;
-    }
+    std::printf("final: %s\n", last.verdict.result.c_str());
   }
   if (ms) ms->write_snapshot(degraded ? "churn-degraded" : "churn-ok");
   // The flight ring of the most recent degraded epoch, if any — churn
@@ -584,220 +564,96 @@ int run_churn(const Args& args, Graph g, churn::Query query, int d) {
   return 0;
 }
 
-int cmd_decide(const Args& args) {
-  const Graph g = load_graph(args);
-  const auto formula = mso::parse(args.get("formula"));
-  if (const auto d = dist_budget(args)) {
-    if (args.has("churn")) {
-      churn::Query q;
-      q.pipeline = churn::Pipeline::kDecision;
-      q.formula = formula;
-      return run_churn(args, g, std::move(q), *d);
+/// The query a decide/maximize/minimize/count command line asks.
+dist::Query parse_query(const Args& args, dist::Kind kind) {
+  dist::Query q{kind, mso::parse(args.get("formula")), {}};
+  if (kind == dist::Kind::kMaximize || kind == dist::Kind::kMinimize)
+    q.frees = {{args.get("var"), parse_sort(args.get("sort"))}};
+  if (kind == dist::Kind::kCount) {
+    std::istringstream ss(args.get("vars"));
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+      const auto colon = item.find(':');
+      if (colon == std::string::npos)
+        usage("--vars needs NAME:vset|eset items");
+      q.frees.emplace_back(item.substr(0, colon),
+                           parse_sort(item.substr(colon + 1)));
     }
-    auto ms = make_metrics_setup(args);  // before any engine/network exists
-    if (args.has("audit")) {
-      const int rc = run_audit_battery(g, [&](congest::Network& net) {
-        const auto out = dist::run_decision(net, formula, *d);
-        if (out.treedepth_exceeded) return std::string("treedepth exceeded");
-        return std::string(out.holds ? "holds" : "fails");
-      });
-      if (ms) ms->write_snapshot(rc == 0 ? "audit-ok" : "audit-failed");
-      return rc;
-    }
-    auto trace = make_trace_setup(args);
-    auto cache = make_universe_cache(args, formula, {});
-    congest::NetworkConfig cfg;
-    cfg.sink = trace->sink();
-    cfg.threads = thread_count(args);
-    apply_fault_options(args, cfg);
-    apply_metrics_options(ms.get(), cfg);
-    congest::Network net(g, cfg);
-    const auto out =
-        dist::run_decision(net, formula, *d, cache.get(), tree_options(args));
-    cache.save();
-    if (!out.run.ok()) {
-      print_phase_summary(trace->buffer, net.stats());
-      print_fault_summary(net.stats(), out.run);
-      finish_metrics(ms.get(), net.stats(), out.run);
-      const int rc = report_degraded(out.run);
-      maybe_dump_flight(args, rc, net.flight_recorder().dump_string());
-      return rc;
-    }
-    if (out.treedepth_exceeded) {
-      std::printf("treedepth > %d (reported by Algorithm 2)\n", *d);
-      print_phase_summary(trace->buffer, net.stats());
-      finish_metrics(ms.get(), net.stats(), out.run);
-      return 3;
-    }
-    std::printf("%s\n", out.holds ? "holds" : "fails");
-    std::printf("rounds=%ld classes=%zu class_bits<=%d\n", out.total_rounds(),
-                out.num_classes, out.max_class_bits);
-    print_phase_summary(trace->buffer, net.stats());
-    if (args.has("faults")) print_fault_summary(net.stats(), out.run);
-    finish_metrics(ms.get(), net.stats(), out.run);
-    return out.holds ? 0 : 1;
   }
-  const bool holds = seq::decide(g, formula);
-  std::printf("%s\n", holds ? "holds" : "fails");
-  return holds ? 0 : 1;
+  return q;
 }
 
-int cmd_optimize(const Args& args, bool maximize) {
+int cmd_query(const Args& args, dist::Kind kind) {
   const Graph g = load_graph(args);
-  const auto formula = mso::parse(args.get("formula"));
-  const std::string var = args.get("var");
-  const mso::Sort sort = parse_sort(args.get("sort"));
-  if (const auto d = dist_budget(args)) {
-    if (args.has("churn")) {
-      churn::Query q;
-      q.pipeline =
-          maximize ? churn::Pipeline::kMaximize : churn::Pipeline::kMinimize;
-      q.formula = formula;
-      q.var = var;
-      q.var_sort = sort;
-      return run_churn(args, g, std::move(q), *d);
-    }
-    auto ms = make_metrics_setup(args);  // before any engine/network exists
-    if (args.has("audit")) {
-      const int rc = run_audit_battery(g, [&](congest::Network& net) {
-        const auto out = maximize
-                             ? dist::run_maximize(net, formula, var, sort, *d)
-                             : dist::run_minimize(net, formula, var, sort, *d);
-        if (out.treedepth_exceeded) return std::string("treedepth exceeded");
-        if (!out.best_weight) return std::string("infeasible");
-        return "optimum=" + std::to_string(*out.best_weight);
-      });
-      if (ms) ms->write_snapshot(rc == 0 ? "audit-ok" : "audit-failed");
-      return rc;
-    }
-    auto trace = make_trace_setup(args);
-    auto cache = make_universe_cache(args, formula, {{var, sort}});
-    congest::NetworkConfig cfg;
-    cfg.sink = trace->sink();
-    cfg.threads = thread_count(args);
-    apply_fault_options(args, cfg);
-    apply_metrics_options(ms.get(), cfg);
-    congest::Network net(g, cfg);
-    const auto out = maximize
-                         ? dist::run_maximize(net, formula, var, sort, *d,
-                                              cache.get(), tree_options(args))
-                         : dist::run_minimize(net, formula, var, sort, *d,
-                                              cache.get(), tree_options(args));
-    cache.save();
-    if (!out.run.ok()) {
-      print_phase_summary(trace->buffer, net.stats());
-      print_fault_summary(net.stats(), out.run);
-      finish_metrics(ms.get(), net.stats(), out.run);
-      const int rc = report_degraded(out.run);
-      maybe_dump_flight(args, rc, net.flight_recorder().dump_string());
-      return rc;
-    }
-    if (out.treedepth_exceeded) {
-      std::printf("treedepth > %d\n", *d);
-      print_phase_summary(trace->buffer, net.stats());
-      finish_metrics(ms.get(), net.stats(), out.run);
-      return 3;
-    }
+  const dist::Query q = parse_query(args, kind);
+  const auto d = dist_budget(args);
+  if (!d) {
+    const dist::Outcome out = dist::run_sequential(g, q);
+    std::printf("%s\n", out.result.c_str());
+    if (out.best_weight)
+      std::printf("%s\n",
+                  dist::selected_text(g, out.vertices, out.edges).c_str());
+    return out.exit_code();
+  }
+  if (args.has("churn")) return run_churn(args, g, q, *d);
+  auto ms = make_metrics_setup(args);  // before any engine/network exists
+  if (args.has("audit")) {
+    const int rc = run_audit_battery(g, [&](congest::Network& net) {
+      const dist::Outcome out = dist::run(net, q, *d);
+      return out.treedepth_exceeded ? std::string("treedepth exceeded")
+                                    : out.result;
+    });
+    if (ms) ms->write_snapshot(rc == 0 ? "audit-ok" : "audit-failed");
+    return rc;
+  }
+  auto trace = make_trace_setup(args);
+  auto cache = make_universe_cache(args, q);
+  congest::NetworkConfig cfg;
+  cfg.sink = trace->sink();
+  cfg.threads = thread_count(args);
+  apply_fault_options(args, cfg);
+  apply_metrics_options(ms.get(), cfg);
+  congest::Network net(g, cfg);
+  const dist::Outcome out =
+      dist::run(net, q, *d, cache.get(), tree_options(args));
+  cache.save();
+  if (!out.run.ok()) {
     print_phase_summary(trace->buffer, net.stats());
-    if (args.has("faults")) print_fault_summary(net.stats(), out.run);
+    print_fault_summary(net.stats(), out.run);
     finish_metrics(ms.get(), net.stats(), out.run);
-    if (!out.best_weight) {
-      std::printf("infeasible\n");
-      return 1;
-    }
-    std::printf("optimum=%lld rounds=%ld\n",
-                static_cast<long long>(*out.best_weight), out.total_rounds());
-    std::printf("selected:");
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      if (v < static_cast<int>(out.vertices.size()) && out.vertices[v])
-        std::printf(" v%d", v);
-    for (EdgeId e = 0; e < g.num_edges(); ++e)
-      if (e < static_cast<int>(out.edges.size()) && out.edges[e])
-        std::printf(" e%d(%d-%d)", e, g.edge(e).u, g.edge(e).v);
-    std::printf("\n");
-    return 0;
+    const int rc = report_degraded(out.run);
+    maybe_dump_flight(args, rc, net.flight_recorder().dump_string());
+    return rc;
   }
-  const auto out = maximize ? seq::maximize(g, formula, var, sort)
-                            : seq::minimize(g, formula, var, sort);
-  if (!out) {
-    std::printf("infeasible\n");
-    return 1;
-  }
-  std::printf("optimum=%lld\n", static_cast<long long>(out->weight));
-  std::printf("selected:");
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (out->vertices[v]) std::printf(" v%d", v);
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    if (out->edges[e]) std::printf(" e%d(%d-%d)", e, g.edge(e).u, g.edge(e).v);
-  std::printf("\n");
-  return 0;
-}
-
-int cmd_count(const Args& args) {
-  const Graph g = load_graph(args);
-  const auto formula = mso::parse(args.get("formula"));
-  std::vector<std::pair<std::string, mso::Sort>> vars;
-  std::istringstream ss(args.get("vars"));
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const auto colon = item.find(':');
-    if (colon == std::string::npos) usage("--vars needs NAME:vset|eset items");
-    vars.emplace_back(item.substr(0, colon), parse_sort(item.substr(colon + 1)));
-  }
-  if (const auto d = dist_budget(args)) {
-    if (args.has("churn")) {
-      churn::Query q;
-      q.pipeline = churn::Pipeline::kCount;
-      q.formula = formula;
-      q.vars = vars;
-      return run_churn(args, g, std::move(q), *d);
-    }
-    auto ms = make_metrics_setup(args);  // before any engine/network exists
-    if (args.has("audit")) {
-      const int rc = run_audit_battery(g, [&](congest::Network& net) {
-        const auto out = dist::run_count(net, formula, vars, *d);
-        if (out.treedepth_exceeded) return std::string("treedepth exceeded");
-        return "count=" + std::to_string(out.count);
-      });
-      if (ms) ms->write_snapshot(rc == 0 ? "audit-ok" : "audit-failed");
-      return rc;
-    }
-    auto trace = make_trace_setup(args);
-    auto cache = make_universe_cache(args, formula, vars);
-    congest::NetworkConfig cfg;
-    cfg.sink = trace->sink();
-    cfg.threads = thread_count(args);
-    apply_fault_options(args, cfg);
-    apply_metrics_options(ms.get(), cfg);
-    congest::Network net(g, cfg);
-    const auto out = dist::run_count(net, formula, vars, *d, cache.get(),
-                                     tree_options(args));
-    cache.save();
-    if (!out.run.ok()) {
-      print_phase_summary(trace->buffer, net.stats());
-      print_fault_summary(net.stats(), out.run);
-      finish_metrics(ms.get(), net.stats(), out.run);
-      const int rc = report_degraded(out.run);
-      maybe_dump_flight(args, rc, net.flight_recorder().dump_string());
-      return rc;
-    }
-    if (out.treedepth_exceeded) {
-      std::printf("treedepth > %d\n", *d);
-      print_phase_summary(trace->buffer, net.stats());
-      finish_metrics(ms.get(), net.stats(), out.run);
-      return 3;
-    }
-    std::printf("count=%llu rounds=%ld\n",
-                static_cast<unsigned long long>(out.count),
-                out.total_rounds());
+  if (out.treedepth_exceeded) {
+    std::printf(kind == dist::Kind::kDecision
+                    ? "treedepth > %d (reported by Algorithm 2)\n"
+                    : "treedepth > %d\n",
+                *d);
     print_phase_summary(trace->buffer, net.stats());
-    if (args.has("faults")) print_fault_summary(net.stats(), out.run);
     finish_metrics(ms.get(), net.stats(), out.run);
-    return 0;
+    return 3;
   }
-  std::printf("count=%llu\n",
-              static_cast<unsigned long long>(seq::count(g, formula, vars)));
-  return 0;
+  // Output formatting only: decide and count lead with their answer,
+  // optimization prints answer and witness after the summaries.
+  if (kind == dist::Kind::kDecision)
+    std::printf("%s\nrounds=%ld classes=%zu class_bits<=%d\n",
+                out.result.c_str(), out.total_rounds(), out.num_classes,
+                out.max_class_bits);
+  if (kind == dist::Kind::kCount)
+    std::printf("%s rounds=%ld\n", out.result.c_str(), out.total_rounds());
+  print_phase_summary(trace->buffer, net.stats());
+  if (args.has("faults")) print_fault_summary(net.stats(), out.run);
+  finish_metrics(ms.get(), net.stats(), out.run);
+  if (kind == dist::Kind::kMaximize || kind == dist::Kind::kMinimize) {
+    if (out.best_weight)
+      std::printf("%s rounds=%ld\n%s\n", out.result.c_str(),
+                  out.total_rounds(),
+                  dist::selected_text(g, out.vertices, out.edges).c_str());
+    else
+      std::printf("%s\n", out.result.c_str());
+  }
+  return out.exit_code();
 }
 
 int cmd_treedepth(const Args& args) {
@@ -817,10 +673,11 @@ int cmd_treedepth(const Args& args) {
 int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
-    if (args.command == "decide") return cmd_decide(args);
-    if (args.command == "maximize") return cmd_optimize(args, true);
-    if (args.command == "minimize") return cmd_optimize(args, false);
-    if (args.command == "count") return cmd_count(args);
+    using dist::Kind;
+    if (args.command == "decide") return cmd_query(args, Kind::kDecision);
+    if (args.command == "maximize") return cmd_query(args, Kind::kMaximize);
+    if (args.command == "minimize") return cmd_query(args, Kind::kMinimize);
+    if (args.command == "count") return cmd_query(args, Kind::kCount);
     if (args.command == "treedepth") return cmd_treedepth(args);
     usage("unknown command");
   } catch (const congest::RoundLimitError& e) {
