@@ -7,6 +7,8 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "bpt/tables.hpp"
 #include "congest/fragment.hpp"
@@ -57,42 +59,80 @@ struct MarkedVerdictMsg {  // optmarked, down
   bool is_optimal = false;
 };
 
-void put_opt_table(const bpt::OptTable& table, audit::BitWriter& w) {
+using audit::BitReader;
+using audit::BitWriter;
+using audit::WireContext;
+
+/// Table encoding: varuint entry count, then per entry a varuint class and
+/// the value (varuint counts, zigzag-varint weights).
+template <class Table>
+void put_table(const Table& table, BitWriter& w) {
   w.put_varuint(table.size());
-  for (const auto& [c, wt] : table) {
+  for (const auto& [c, value] : table) {
     w.put_varuint(static_cast<std::uint64_t>(c));
-    w.put_varint(wt);
+    if constexpr (std::is_signed_v<std::decay_t<decltype(value)>>)
+      w.put_varint(value);
+    else
+      w.put_varuint(value);
   }
 }
 
-bpt::OptTable get_opt_table(audit::BitReader& r) {
-  bpt::OptTable table;
+template <class Table>
+Table get_table(BitReader& r) {
+  using Value = typename Table::value_type::second_type;
+  Table table;
   const std::uint64_t size = r.get_varuint();
   for (std::uint64_t i = 0; i < size; ++i) {
     const auto c = static_cast<bpt::TypeId>(r.get_varuint());
-    table[c] = r.get_varint();
+    if constexpr (std::is_signed_v<Value>)
+      table[c] = r.get_varint();
+    else
+      table[c] = r.get_varuint();
   }
   return table;
 }
 
-/// Wire codecs (audit mode). Single-field messages are sent minimal-width
-/// and sized from the frame end on decode, within their declared width.
-/// Tables declare their *measured* encoding (varuint entry count, then
-/// varuint class + varuint count / zigzag-varint weight per entry), so
-/// declared == encoded exactly.
+/// A message whose one field is an unsigned word: sent minimal-width and
+/// sized from the frame end on decode, within its declared width.
+template <class T, class F>
+void register_word(const char* name, F T::*field) {
+  audit::register_codec<T>(
+      name,
+      [field](const T& m, const WireContext&, BitWriter& w) {
+        w.put_uint_min(static_cast<std::uint64_t>(m.*field));
+      },
+      [field](const WireContext&, BitReader& r) {
+        T m;
+        m.*field = static_cast<F>(r.get_rest());
+        return m;
+      },
+      [field](const T& a, const T& b) { return a.*field == b.*field; });
+}
+
+/// A message whose one field is a table (the measured encoding above, so
+/// declared == encoded exactly).
+template <class T, class Table>
+void register_table(const char* name, Table T::*field) {
+  audit::register_codec<T>(
+      name,
+      [field](const T& m, const WireContext&, BitWriter& w) {
+        put_table(m.*field, w);
+      },
+      [field](const WireContext&, BitReader& r) {
+        T m;
+        m.*field = get_table<Table>(r);
+        return m;
+      },
+      [field](const T& a, const T& b) { return a.*field == b.*field; });
+}
+
+/// Wire codecs (audit mode).
 [[maybe_unused]] const bool wire_codecs_registered = [] {
-  using audit::BitReader;
-  using audit::BitWriter;
-  using audit::WireContext;
-  audit::register_codec<ClassMsg>(
-      "decision::ClassMsg",
-      [](const ClassMsg& m, const WireContext&, BitWriter& w) {
-        w.put_uint_min(static_cast<std::uint64_t>(m.type));
-      },
-      [](const WireContext&, BitReader& r) {
-        return ClassMsg{static_cast<bpt::TypeId>(r.get_rest())};
-      },
-      [](const ClassMsg& a, const ClassMsg& b) { return a.type == b.type; });
+  register_word("decision::ClassMsg", &ClassMsg::type);
+  register_word("counting::TotalMsg", &TotalMsg::total);
+  register_word("optimization::AssignMsg", &AssignMsg::type);
+  register_table("counting::CountTablePayload", &CountTablePayload::table);
+  register_table("optimization::TablePayload", &TablePayload::table);
   audit::register_codec<VerdictMsg>(
       "decision::VerdictMsg",
       [](const VerdictMsg& m, const WireContext&, BitWriter& w) {
@@ -102,54 +142,6 @@ bpt::OptTable get_opt_table(audit::BitReader& r) {
       [](const VerdictMsg& a, const VerdictMsg& b) {
         return a.holds == b.holds;
       });
-  audit::register_codec<CountTablePayload>(
-      "counting::CountTablePayload",
-      [](const CountTablePayload& m, const WireContext&, BitWriter& w) {
-        w.put_varuint(m.table.size());
-        for (const auto& [c, count] : m.table) {
-          w.put_varuint(static_cast<std::uint64_t>(c));
-          w.put_varuint(count);
-        }
-      },
-      [](const WireContext&, BitReader& r) {
-        CountTablePayload m;
-        const std::uint64_t size = r.get_varuint();
-        for (std::uint64_t i = 0; i < size; ++i) {
-          const auto c = static_cast<bpt::TypeId>(r.get_varuint());
-          m.table[c] = r.get_varuint();
-        }
-        return m;
-      },
-      [](const CountTablePayload& a, const CountTablePayload& b) {
-        return a.table == b.table;
-      });
-  audit::register_codec<TotalMsg>(
-      "counting::TotalMsg",
-      [](const TotalMsg& m, const WireContext&, BitWriter& w) {
-        w.put_uint_min(m.total);
-      },
-      [](const WireContext&, BitReader& r) { return TotalMsg{r.get_rest()}; },
-      [](const TotalMsg& a, const TotalMsg& b) { return a.total == b.total; });
-  audit::register_codec<TablePayload>(
-      "optimization::TablePayload",
-      [](const TablePayload& m, const WireContext&, BitWriter& w) {
-        put_opt_table(m.table, w);
-      },
-      [](const WireContext&, BitReader& r) {
-        return TablePayload{get_opt_table(r)};
-      },
-      [](const TablePayload& a, const TablePayload& b) {
-        return a.table == b.table;
-      });
-  audit::register_codec<AssignMsg>(
-      "optimization::AssignMsg",
-      [](const AssignMsg& m, const WireContext&, BitWriter& w) {
-        w.put_uint_min(static_cast<std::uint64_t>(m.type));
-      },
-      [](const WireContext&, BitReader& r) {
-        return AssignMsg{static_cast<bpt::TypeId>(r.get_rest())};
-      },
-      [](const AssignMsg& a, const AssignMsg& b) { return a.type == b.type; });
   audit::register_codec<InfeasibleMsg>(
       "optimization::InfeasibleMsg",
       [](const InfeasibleMsg&, const WireContext&, BitWriter& w) {
@@ -160,16 +152,18 @@ bpt::OptTable get_opt_table(audit::BitReader& r) {
         return InfeasibleMsg{};
       },
       [](const InfeasibleMsg&, const InfeasibleMsg&) { return true; });
+  // The OPT table, then the marked class (zigzag: kInvalidType is -1) and
+  // the marked weight.
   audit::register_codec<MarkedPayload>(
       "optmarked::UpPayload",
       [](const MarkedPayload& m, const WireContext&, BitWriter& w) {
-        put_opt_table(m.opt, w);
+        put_table(m.opt, w);
         w.put_varint(m.marked_class);
         w.put_varint(m.marked_weight);
       },
       [](const WireContext&, BitReader& r) {
         MarkedPayload m;
-        m.opt = get_opt_table(r);
+        m.opt = get_table<bpt::OptTable>(r);
         m.marked_class = static_cast<bpt::TypeId>(r.get_varint());
         m.marked_weight = r.get_varint();
         return m;
@@ -238,7 +232,9 @@ class Link {
 // --- the fold ---------------------------------------------------------------
 
 /// One node of the fold. The algebra A supplies the table type (Up), the
-/// answer type (Down), per-node state (Node) and the kind's rules:
+/// answer type (Down), a child table's fold input (Input), per-node state
+/// (Node) and the kind's rules:
+///   Input input(Up)              a child's table as a fold input
 ///   Up fold(FoldProgram&)        this node's table from inputs()
 ///   long up_bits(const Up&, ctx) declared size of the upward table
 ///   Down root(FoldProgram&)      the answer, computed at the root
@@ -249,13 +245,14 @@ class Link {
 /// plus kUpNote / kDownNote (trace annotations), kCached (FoldCache
 /// replay), kTableUp (the upward payload always streams in fragments) and
 /// to_wire / from_wire (an answer's message form). AlgebraBase supplies
-/// defaults for Node, localize (none), to_child (forward the node's own
-/// answer) and the wire forms (the answer itself).
+/// defaults for Node, localize (none), input (the table itself), to_child
+/// (forward the node's own answer) and the wire forms (the answer itself).
 template <class A>
 class FoldProgram final : public congest::NodeProgram {
  public:
   using Up = typename A::Up;
   using Down = typename A::Down;
+  using Input = decltype(A::input(std::declval<Up>()));
 
   FoldProgram(A& algebra, LocalContext local, VertexId self, VertexId parent,
               std::vector<VertexId> children)
@@ -279,7 +276,7 @@ class FoldProgram final : public congest::NodeProgram {
 
   const LocalContext& local() const { return local_; }
   VertexId self() const { return self_; }
-  const std::vector<Up>& inputs() const { return inputs_; }
+  std::vector<Input>& inputs() { return inputs_; }
   const Up& up() const { return up_; }
   const std::optional<Down>& down() const { return down_; }
   bool folded() const { return folded_; }
@@ -290,11 +287,13 @@ class FoldProgram final : public congest::NodeProgram {
       first_round_ = false;
       ctx.annotate(A::kUpNote);
     }
-    for (int p = 0; p < ctx.degree(); ++p) {
-      // A single message is tried as the expected type first: a matching
-      // std::any_cast is a pointer compare, a failing one a name compare.
+    for (int p = 0, degree = ctx.degree(); p < degree; ++p) {
+      // A port carries at most one logical message each way, so a payload
+      // can only complete in a round that delivers to it. A single message
+      // is tried as the expected type first: a matching std::any_cast is a
+      // pointer compare, a failing one a name compare.
       const Message* msg = ctx.recv(p);
-      if (msg != nullptr && receive(ctx, p, msg->value)) continue;
+      if (msg == nullptr || receive(ctx, p, msg->value)) continue;
       if (const auto value = link_.reassemble(ctx, p))
         receive(ctx, p, *value);
     }
@@ -337,7 +336,7 @@ class FoldProgram final : public congest::NodeProgram {
     if (t == nullptr) return false;
     const int slot = child_slots_.slot(from);
     if (slot >= 0) {
-      inputs_[slot] = *t;
+      inputs_[slot] = A::input(*t);
       if (!have_[slot]) {
         have_[slot] = 1;
         --missing_;
@@ -363,7 +362,7 @@ class FoldProgram final : public congest::NodeProgram {
   VertexId parent_;
   std::vector<VertexId> children_;
   ChildSlots child_slots_;
-  std::vector<Up> inputs_;
+  std::vector<Input> inputs_;
   std::vector<char> have_;
   std::size_t missing_;
   std::optional<Up> cached_;
@@ -387,6 +386,10 @@ struct AlgebraBase {
   struct Node {};  // per-node state
   void localize(LocalContext&) const {}
 
+  template <class Up>
+  static Up input(Up up) {
+    return up;
+  }
   template <class P, class Down>
   static Down to_child(P&, const Down& d, std::size_t) {
     return d;  // every child gets the node's own answer
@@ -439,11 +442,10 @@ struct DecideAlgebra : AlgebraBase {
 
   using AlgebraBase::AlgebraBase;
 
+  static bpt::TypeId input(const Up& up) { return up.type; }
   Up fold(FoldProgram<DecideAlgebra>& p) {
-    std::vector<bpt::TypeId> inputs;
-    inputs.reserve(p.inputs().size());
-    for (const ClassMsg& c : p.inputs()) inputs.push_back(c.type);
-    return {bpt::fold_type(engine, p.local().plan, p.local().graph, inputs)};
+    return {bpt::fold_type(engine, p.local().plan, p.local().graph,
+                           p.inputs())};
   }
   long up_bits(const Up&, const NodeCtx&) {
     const int bits = class_bits(engine);
@@ -478,12 +480,10 @@ struct CountAlgebra : AlgebraBase {
 
   using AlgebraBase::AlgebraBase;
 
+  static bpt::CountTable input(Up up) { return std::move(up.table); }
   Up fold(FoldProgram<CountAlgebra>& p) {
-    std::vector<bpt::CountTable> inputs;
-    inputs.reserve(p.inputs().size());
-    for (const auto& c : p.inputs()) inputs.push_back(c.table);
     auto tables = bpt::fold_count(engine, p.local().plan, p.local().graph,
-                                  std::move(inputs));
+                                  std::move(p.inputs()));
     return {std::move(tables[p.local().plan.root])};
   }
   long up_bits(const Up& t, const NodeCtx& ctx) {
@@ -537,12 +537,10 @@ struct OptimizeAlgebra : AlgebraBase {
   void localize(LocalContext& lctx) const {
     if (sign < 0) negate_weights(lctx);
   }
+  static bpt::OptTable input(Up up) { return std::move(up.table); }
   Up fold(FoldProgram<OptimizeAlgebra>& p) {
-    std::vector<bpt::OptTable> inputs;
-    inputs.reserve(p.inputs().size());
-    for (const auto& c : p.inputs()) inputs.push_back(c.table);
     p.node.solver = std::make_unique<bpt::OptSolver>(
-        engine, p.local().plan, p.local().graph, std::move(inputs));
+        engine, p.local().plan, p.local().graph, std::move(p.inputs()));
     const bpt::OptTable& table = p.node.solver->root_table();
     max_table_entries =
         std::max(max_table_entries, static_cast<int>(table.size()));
@@ -647,8 +645,8 @@ struct OptMarkedAlgebra : AlgebraBase {
     Up mine;
     std::vector<bpt::OptTable> opt_inputs;
     std::vector<bpt::TypeId> class_inputs;
-    for (const auto& c : p.inputs()) {
-      opt_inputs.push_back(c.opt);
+    for (auto& c : p.inputs()) {
+      opt_inputs.push_back(std::move(c.opt));
       class_inputs.push_back(c.marked_class);
       mine.marked_weight += c.marked_weight;
     }

@@ -1,7 +1,6 @@
 // Query execution against the CONGEST pipelines (see exec.hpp).
 #include "serve/exec.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "congest/network.hpp"
