@@ -92,13 +92,17 @@ Connection::ReadStatus Connection::read_line(std::string& out,
                                              int timeout_ms) {
   const long long deadline = now_ms() + timeout_ms;
   while (true) {
-    const auto nl = buf_.find('\n');
+    // Bytes before scanned_ hold no newline, so each byte is searched once
+    // and consuming a line only moves head_: long or pipelined input stays
+    // linear in its length.
+    const auto nl = buf_.find('\n', scanned_);
     if (nl != std::string::npos) {
-      out = buf_.substr(0, nl);
-      buf_.erase(0, nl + 1);
+      out.assign(buf_, head_, nl - head_);
+      head_ = scanned_ = nl + 1;
       if (!out.empty() && out.back() == '\r') out.pop_back();
       return ReadStatus::kLine;
     }
+    scanned_ = buf_.size();
     const long long remaining = deadline - now_ms();
     if (remaining <= 0) return ReadStatus::kTimeout;
     const int ready =
@@ -112,6 +116,10 @@ Connection::ReadStatus Connection::read_line(std::string& out,
       if (errno == EINTR || errno == EAGAIN) continue;
       return ReadStatus::kError;
     }
+    // Compact once per read: drop the lines already consumed.
+    buf_.erase(0, head_);
+    scanned_ -= head_;
+    head_ = 0;
     buf_.append(chunk, static_cast<std::size_t>(n));
   }
 }

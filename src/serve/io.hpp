@@ -84,7 +84,9 @@ class Connection {
 
  private:
   Socket sock_;
-  std::string buf_;
+  std::string buf_;         // received bytes; [head_, size) unconsumed
+  std::size_t head_ = 0;    // start of the next line
+  std::size_t scanned_ = 0; // [head_, scanned_) holds no newline
   std::mutex write_mu_;
 };
 

@@ -29,10 +29,13 @@
 #include "obs/spans.hpp"
 #include "serve/client.hpp"
 #include "serve/exec.hpp"
+#include "serve/io.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/span_store.hpp"
+
+#include <sys/socket.h>
 
 namespace dmc::serve {
 namespace {
@@ -501,6 +504,72 @@ TEST(ServeServer, TraceVerbReturnsSpanTimeline) {
   ASSERT_TRUE(down);
   daemon.join();
   EXPECT_EQ(rc, 0);
+}
+
+// --- line framing ---------------------------------------------------------------
+
+/// A connected unix-socket pair: `reader` is the daemon side of the
+/// connection, `writer_fd` the raw client descriptor.
+struct SocketPair {
+  TempDir tmp;
+  io::ListenSocket listener{(tmp.path / "io.sock").string()};
+  io::Socket client = io::connect_unix(listener.path());
+  io::Connection reader{std::move(*listener.accept(5000))};
+  int writer_fd() const { return client.fd(); }
+};
+
+/// Writes `data` in `chunk`-byte sends from a separate thread (the reader
+/// drains concurrently, so the socket buffer never has to hold it all).
+std::thread write_in_chunks(int fd, std::string data, std::size_t chunk) {
+  return std::thread([fd, data = std::move(data), chunk] {
+    for (std::size_t off = 0; off < data.size(); off += chunk) {
+      const std::size_t len = std::min(chunk, data.size() - off);
+      std::size_t sent = 0;
+      while (sent < len) {
+        const ssize_t n = ::send(fd, data.data() + off + sent, len - sent,
+                                 MSG_NOSIGNAL);
+        if (n <= 0) return;
+        sent += static_cast<std::size_t>(n);
+      }
+    }
+  });
+}
+
+TEST(ServeIo, MegabyteLineInFourKilobyteWrites) {
+  SocketPair pair;
+  std::string line(1 << 20, 'x');
+  for (std::size_t i = 0; i < line.size(); i += 997)
+    line[i] = static_cast<char>('a' + i % 26);
+  std::thread writer =
+      write_in_chunks(pair.writer_fd(), line + "\r\nnext\n", 4096);
+  std::string got;
+  EXPECT_EQ(pair.reader.read_line(got, 10000),
+            io::Connection::ReadStatus::kLine);
+  EXPECT_EQ(got, line);
+  EXPECT_EQ(pair.reader.read_line(got, 10000),
+            io::Connection::ReadStatus::kLine);
+  EXPECT_EQ(got, "next");
+  writer.join();
+}
+
+TEST(ServeIo, TenThousandPipelinedLinesArriveInOrder) {
+  SocketPair pair;
+  constexpr int kLines = 10000;
+  std::string batch;
+  for (int i = 0; i < kLines; ++i)
+    batch += "{\"id\":\"q" + std::to_string(i) + "\"}\n";
+  std::thread writer = write_in_chunks(pair.writer_fd(), batch, 4096);
+  std::string got;
+  for (int i = 0; i < kLines; ++i) {
+    ASSERT_EQ(pair.reader.read_line(got, 10000),
+              io::Connection::ReadStatus::kLine)
+        << "line " << i;
+    ASSERT_EQ(got, "{\"id\":\"q" + std::to_string(i) + "\"}");
+  }
+  writer.join();
+  pair.client.close();
+  EXPECT_EQ(pair.reader.read_line(got, 10000),
+            io::Connection::ReadStatus::kClosed);
 }
 
 }  // namespace
