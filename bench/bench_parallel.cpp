@@ -1,11 +1,9 @@
-// E13 — parallel fold/simulation engine and the persistent universe cache
-// (docs/PERFORMANCE.md). Wall-clock scaling of the three parallelized hot
+// E13 — parallel folds and sweep, and the persistent universe cache
+// (docs/PERFORMANCE.md). Wall-clock scaling of the two parallelized hot
 // paths, with equality against the serial path asserted inline:
 //
 //   * universe construction / folds:  fold_type_parallel at 1/2/4/8 threads
 //     (root class must match the serial fold);
-//   * per-round node stepping:        run_decision under --threads, with
-//     the round digest stream (RoundDigestSink) compared to threads=1;
 //   * the E7 per-union sweep:         HFreenessOptions::sweep_threads
 //     (verdict must match the serial sweep);
 //   * the universe cache:             cold build vs warm load of the same
@@ -24,10 +22,8 @@
 #include "bpt/plan.hpp"
 #include "bpt/tables.hpp"
 #include "bpt/universe_cache.hpp"
-#include "congest/conformance.hpp"
 #include "congest/network.hpp"
 #include "dist/hfreeness.hpp"
-#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/ast.hpp"
 #include "mso/formulas.hpp"
@@ -68,36 +64,6 @@ void report_fold_scaling() {
     const bpt::TypeId refold = bpt::fold_type(engine, plan, g);
     bench::row((long long)threads, ms, serial_ms / ms,
                (long long)engine.num_types(), (long long)(refold == root));
-  }
-}
-
-/// Simulator stepping: decision pipeline digests across thread counts.
-void report_step_digests() {
-  std::printf("\n-- parallel node stepping (decision pipeline digests) --\n");
-  gen::Rng rng(3);
-  const Graph g = gen::random_bounded_treedepth(48, 3, 0.4, rng);
-  const auto formula = mso::lib::triangle_free();
-
-  bench::columns({"threads", "ms", "verdict", "digest_equal"});
-  std::vector<std::uint64_t> serial_digests;
-  bool serial_verdict = false;
-  for (int threads : {1, 2, 4, 8}) {
-    audit::RoundDigestSink sink;
-    congest::NetworkConfig cfg;
-    cfg.sink = &sink;
-    cfg.threads = threads;
-    congest::Network net(g, cfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto out = dist::run(net, {dist::Kind::kDecision, formula}, 4);
-    const double ms = ms_since(t0);
-    if (threads == 1) {
-      serial_digests = sink.digests();
-      serial_verdict = out.holds;
-    }
-    bench::row((long long)threads, ms,
-               std::string(out.holds ? "holds" : "fails"),
-               (long long)(out.holds == serial_verdict &&
-                           sink.digests() == serial_digests));
   }
 }
 
@@ -168,12 +134,12 @@ void report_cache() {
 int main(int argc, char** argv) {
   bench::header(
       "E13: parallel fold/simulation engine + universe cache",
-      "Verdicts, folded classes, and round digests are identical across "
-      "--threads; the sweep and fold scale with cores; warm cache loads "
-      "beat cold universe construction.");
+      "Folded classes and sweep verdicts are identical across thread "
+      "counts; the sweep and fold scale with cores; warm cache loads beat "
+      "cold universe construction. The simulator steps serially "
+      "(docs/PERFORMANCE.md §2).");
   std::printf("hardware threads: %d\n", par::hardware_threads());
   report_fold_scaling();
-  report_step_digests();
   report_sweep_scaling();
   report_cache();
   bench::run_benchmarks(argc, argv);

@@ -98,7 +98,6 @@ void report_scale() {
     // Identity ids (seed 0): the spine/leg minima sit at the hub end, so
     // the computed tree depth is exactly leg length + 1 = 8, and every
     // flood path is <= 7 hops, bounding per-election churn per node.
-    cfg.threads = 1;  // active_steps and folds stay machine-independent
     congest::Network net(r.graph, cfg);
     dist::ElimTreeOptions tree_opts;
     tree_opts.sparse_flood = true;

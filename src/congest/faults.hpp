@@ -81,7 +81,7 @@ FaultPlan parse_fault_plan(std::string_view spec);
 std::string format_fault_plan(const FaultPlan& plan);
 
 /// Marker delivered in place of a raw-transport payload whose frame was
-/// corruption-flagged: receivers' std::any_cast<RealPayload> fails, so the
+/// corruption-flagged: receivers' Payload::get_if<RealPayload> fails, so the
 /// message is effectively garbage-but-detectable, mirroring a checksum
 /// failure. (Registered with the wire-audit layer for completeness; it
 /// never crosses NodeCtx::send, only deliveries.)

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <any>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -27,7 +26,7 @@ namespace dmc::congest {
 /// the duplicated and reordered deliveries a faulty transport can produce
 /// (faults.hpp).
 struct Fragment {
-  std::any value;  // engaged only on the final chunk
+  Payload value;  // engaged only on the final chunk
   /// Declared size of the whole logical payload (the `bits` passed to
   /// FragmentSender::enqueue). The audit layer checks the carried value's
   /// true encoded size against this — the chunk stream was budgeted from
@@ -46,7 +45,7 @@ class FragmentSender {
   static constexpr int kHeaderBits = 8;
 
   /// Queues a logical payload of `bits` bits for `port`.
-  void enqueue(int port, std::any value, long bits) {
+  void enqueue(int port, Payload value, long bits) {
     if (bits <= 0) bits = 1;
     queues_.resize(std::max<std::size_t>(queues_.size(), port + 1));
     next_seq_.resize(queues_.size(), 0);
@@ -94,7 +93,7 @@ class FragmentSender {
 
  private:
   struct Pending {
-    std::any value;
+    Payload value;
     long bits_left = 0;
     long total_bits = 0;
     std::uint32_t msg_seq = 0;
@@ -109,10 +108,10 @@ class FragmentSender {
 /// final chunk would surface the payload twice, a lost interior chunk goes
 /// unnoticed. Protocol code uses FragmentReassembler, which is robust to
 /// both; this helper remains for unit tests of the perfect path.
-inline std::optional<std::any> poll_fragment(NodeCtx& ctx, int port) {
+inline std::optional<Payload> poll_fragment(NodeCtx& ctx, int port) {
   const Message* msg = ctx.recv(port);
   if (msg == nullptr) return std::nullopt;
-  const Fragment* frag = std::any_cast<Fragment>(&msg->value);
+  const Fragment* frag = msg->value.get_if<Fragment>();
   if (frag == nullptr || !frag->value.has_value()) return std::nullopt;
   return frag->value;
 }
@@ -130,10 +129,10 @@ class FragmentReassembler {
   /// Examines this round's message on `port`; returns a completed logical
   /// payload when one is deliverable in order. Call once per round per
   /// port (like poll_fragment).
-  std::optional<std::any> poll(NodeCtx& ctx, int port) {
+  std::optional<Payload> poll(NodeCtx& ctx, int port) {
     const Message* msg = ctx.recv(port);
     const Fragment* frag =
-        msg != nullptr ? std::any_cast<Fragment>(&msg->value) : nullptr;
+        msg != nullptr ? msg->value.get_if<Fragment>() : nullptr;
     // Ports that never carried a chunk hold no state (a hub's many
     // single-message ports stay free).
     if (frag == nullptr && port >= static_cast<int>(ports_.size()))
@@ -146,7 +145,7 @@ class FragmentReassembler {
     // Surface the next in-sequence completed message, if any.
     for (std::size_t i = 0; i < state.ready.size(); ++i) {
       if (state.ready[i].seq != state.next_deliver) continue;
-      std::any value = std::move(state.ready[i].value);
+      Payload value = std::move(state.ready[i].value);
       state.ready.erase(state.ready.begin() + i);
       state.next_deliver += 1;
       return value;
@@ -159,11 +158,11 @@ class FragmentReassembler {
     std::uint32_t seq = 0;
     std::vector<bool> have;  // chunk index -> received
     int have_count = 0;
-    std::any value;
+    Payload value;
   };
   struct Ready {
     std::uint32_t seq = 0;
-    std::any value;
+    Payload value;
   };
   struct PortState {
     std::uint32_t next_deliver = 0;  // next msg_seq to surface

@@ -23,7 +23,6 @@ struct NetMetrics {
   metrics::Counter* rounds = nullptr;
   metrics::Counter* messages = nullptr;
   metrics::Counter* bits = nullptr;
-  metrics::Counter* serial_sections = nullptr;
   // Per-directed-link congestion: one histogram sample per link per round
   // in which that link carried protocol traffic.
   metrics::Histogram* link_round_bits = nullptr;
@@ -48,7 +47,6 @@ struct NetMetrics {
     rounds = &reg.counter("congest.rounds");
     messages = &reg.counter("congest.messages");
     bits = &reg.counter("congest.bits");
-    serial_sections = &reg.counter("congest.serial_sections");
     link_round_bits = &reg.histogram("congest.link.round_bits");
     link_round_msgs = &reg.histogram("congest.link.round_messages");
     link_max_bits = &reg.gauge("congest.link.max_bits");

@@ -12,7 +12,6 @@
 #include "congest/reliable.hpp"
 #include "congest/wire.hpp"
 #include "graph/algorithms.hpp"
-#include "par/pool.hpp"
 
 namespace dmc::congest {
 
@@ -51,15 +50,6 @@ int NodeCtx::bandwidth() const { return net_.bandwidth_; }
 bool NodeCtx::traced() const { return net_.traced(); }
 
 void NodeCtx::annotate(std::string_view name) {
-  if (net_.cfg_.sink == nullptr) return;
-  if (net_.stepping_parallel_) {
-    // Buffered during a parallel step and replayed in step order after the
-    // join (the sink is not thread-safe and event order must match the
-    // serial execution). Dedup happens at replay, like the live path.
-    auto& buf = net_.pending_annotations_[vertex_];
-    if (buf.empty() || buf.back() != name) buf.emplace_back(name);
-    return;
-  }
   net_.annotate(name);
 }
 
@@ -92,21 +82,18 @@ void NodeCtx::send(int port, Message msg) {
         std::to_string(msg.bits) + " > " + std::to_string(net_.bandwidth_) +
         " bits); fragment it");
   if (net_.cfg_.audit) net_.audit_send(vertex_, port, msg);
-  // Atomic accumulation: sends from concurrently-stepped nodes race on
-  // the counters, and sums/maxes are order-independent. Serial runs take
-  // the same path (uncontended atomics, same results).
-  par::atomic_fetch_add(net_.stats_.messages, 1L);
-  par::atomic_fetch_add(net_.stats_.total_bits,
-                        static_cast<long long>(msg.bits));
-  par::atomic_fetch_max(net_.stats_.max_message_bits, msg.bits);
-  par::atomic_fetch_max(net_.round_max_message_bits_, msg.bits);
+  NetworkStats& stats = net_.stats_;
+  stats.messages += 1;
+  stats.total_bits += msg.bits;
+  stats.max_message_bits = std::max(stats.max_message_bits, msg.bits);
+  net_.round_max_message_bits_ =
+      std::max(net_.round_max_message_bits_, msg.bits);
   if (net_.metrics_ != nullptr) net_.note_send_metrics(vertex_, port, msg.bits);
   out = std::move(msg);
   // Perfect-path delivery walks exactly the links sent on this round; the
   // fault paths scan their channel tables instead and never drain the list.
   if (net_.fault_rt_ == nullptr)
-    net_.sent_links_[par::atomic_claim(net_.sent_count_)] =
-        net_.link_of(vertex_, port);
+    net_.sent_links_[net_.sent_count_++] = net_.link_of(vertex_, port);
 }
 
 void NodeCtx::send_all(const Message& msg) {
@@ -180,7 +167,7 @@ Network::Network(const Graph& g, NetworkConfig cfg)
   for (int v = 0; v < g.num_vertices(); ++v) vertex_of_id_[ids_[v]] = v;
   // Our private copy of the graph serves every per-round incidence query;
   // finalize its CSR arena now so run() never hits the lazy rebuild (the
-  // per-round path stays allocation-free and safe under parallel stepping).
+  // per-round path stays allocation-free).
   graph_.finalize();
   const int n_ = graph_.num_vertices();
   link_offset_.resize(n_ + 1, 0);
@@ -309,10 +296,18 @@ void Network::sched_build_active() {
   }
   for (int v : pending_active_) push(v);
   pending_active_.clear();
-  // Sorted ascending: serial stepping visits the active set in the same
-  // (per-vertex) order dense stepping would, so annotation streams and any
-  // order-sensitive protocol bug reproduce identically.
-  std::sort(active_.begin(), active_.end());
+  // Ascending: the active set is stepped in the same (per-vertex) order
+  // dense stepping would, so annotation streams and any order-sensitive
+  // protocol bug reproduce identically. A dense set is cheaper to collect
+  // by scanning the stamps (O(n)) than to sort (O(k log k)).
+  const std::size_t k = active_.size();
+  if (k * std::bit_width(k) > static_cast<std::size_t>(n())) {
+    active_.clear();
+    for (int v = 0, n_ = n(); v < n_; ++v)
+      if (active_mark_[v] == stamp) active_.push_back(v);
+  } else {
+    std::sort(active_.begin(), active_.end());
+  }
 }
 
 void Network::sched_note_stepped(int v, bool done_now) {
@@ -343,11 +338,9 @@ void Network::sched_note_stepped(int v, bool done_now) {
 void Network::note_send_metrics(int vertex, int port, int bits) {
   metrics_->messages->add(1);
   metrics_->bits->add(bits);
-  // Per-link round loads; atomic because concurrently-stepped nodes send
-  // in parallel (same contract as the stats counters above).
   const int link = link_offset_[vertex] + port;
-  par::atomic_fetch_add(link_round_bits_[link], static_cast<long long>(bits));
-  par::atomic_fetch_add(link_round_msgs_[link], 1L);
+  link_round_bits_[link] += bits;
+  link_round_msgs_[link] += 1;
 }
 
 void Network::metrics_skip_rounds(long skip) {
@@ -406,10 +399,6 @@ void Network::metrics_round_end() {
   if (cfg_.metrics_interval > 0 && cfg_.metrics_flush &&
       m.metric_rounds % cfg_.metrics_interval == 0)
     cfg_.metrics_flush(m.metric_rounds);
-}
-
-void Network::note_serial_section() {
-  if (metrics_ != nullptr) metrics_->serial_sections->add(1);
 }
 
 Network::~Network() = default;
@@ -513,79 +502,24 @@ RunOutcome Network::run_outcome(
   return run_perfect(programs);
 }
 
-int Network::effective_step_threads() const {
-  if (cfg_.audit || serial_section_depth_ > 0) return 1;
-  return cfg_.threads <= 0 ? par::hardware_threads() : cfg_.threads;
-}
-
-void Network::step_programs(std::vector<std::unique_ptr<NodeProgram>>& programs,
-                            int threads) {
+void Network::step_programs(
+    std::vector<std::unique_ptr<NodeProgram>>& programs) {
   const int n_ = n();
   const bool reverse = cfg_.step_order == NetworkConfig::StepOrder::kReverse;
-  if (threads <= 1) {
-    for (int i = 0; i < n_; ++i) {
-      const int v = reverse ? n_ - 1 - i : i;
-      NodeCtx ctx(*this, v);
-      programs[v]->on_round(ctx);
-    }
-    return;
-  }
-  const bool buffer_annotations = cfg_.sink != nullptr;
-  if (buffer_annotations) {
-    pending_annotations_.assign(n_, {});
-    stepping_parallel_ = true;
-  }
-  par::parallel_for(threads, static_cast<std::size_t>(n_),
-                    [&](std::size_t i) {
-                      const int v =
-                          reverse ? n_ - 1 - static_cast<int>(i)
-                                  : static_cast<int>(i);
-                      NodeCtx ctx(*this, v);
-                      programs[v]->on_round(ctx);
-                    });
-  if (buffer_annotations) {
-    stepping_parallel_ = false;
-    // Replay in step order: each vertex's calls in call order, vertices in
-    // the order a serial step would have run them — the resulting event
-    // stream (and any digest over it) matches the serial one exactly.
-    for (int i = 0; i < n_; ++i) {
-      const int v = reverse ? n_ - 1 - i : i;
-      for (const std::string& name : pending_annotations_[v]) annotate(name);
-    }
+  for (int i = 0; i < n_; ++i) {
+    const int v = reverse ? n_ - 1 - i : i;
+    NodeCtx ctx(*this, v);
+    programs[v]->on_round(ctx);
   }
 }
 
-void Network::step_active(std::vector<std::unique_ptr<NodeProgram>>& programs,
-                          int threads) {
+void Network::step_active(std::vector<std::unique_ptr<NodeProgram>>& programs) {
   const int count = static_cast<int>(active_.size());
   const bool reverse = cfg_.step_order == NetworkConfig::StepOrder::kReverse;
-  if (threads <= 1) {
-    for (int i = 0; i < count; ++i) {
-      const int v = active_[reverse ? count - 1 - i : i];
-      NodeCtx ctx(*this, v);
-      programs[v]->on_round(ctx);
-    }
-    return;
-  }
-  const bool buffer_annotations = cfg_.sink != nullptr;
-  if (buffer_annotations) {
-    pending_annotations_.assign(n(), {});
-    stepping_parallel_ = true;
-  }
-  par::parallel_for(threads, static_cast<std::size_t>(count),
-                    [&](std::size_t i) {
-                      const int v =
-                          active_[reverse ? count - 1 - static_cast<int>(i)
-                                          : static_cast<int>(i)];
-                      NodeCtx ctx(*this, v);
-                      programs[v]->on_round(ctx);
-                    });
-  if (buffer_annotations) {
-    stepping_parallel_ = false;
-    for (int i = 0; i < count; ++i) {
-      const int v = active_[reverse ? count - 1 - i : i];
-      for (const std::string& name : pending_annotations_[v]) annotate(name);
-    }
+  for (int i = 0; i < count; ++i) {
+    const int v = active_[reverse ? count - 1 - i : i];
+    NodeCtx ctx(*this, v);
+    programs[v]->on_round(ctx);
   }
 }
 
@@ -604,7 +538,6 @@ RunOutcome Network::run_perfect(
     if (sink != nullptr) sink->run_begin(info);
   }
   long rounds_this_run = 0;
-  const int step_threads = effective_step_threads();
   const bool sparse = cfg_.sparse_stepping;
   // Bulk round skip: a stretch of rounds with an empty active set is a
   // pure clock advance — jump straight to the next wake. Observers no
@@ -664,12 +597,11 @@ RunOutcome Network::run_perfect(
     // Step the active set (or every node when dense). Rounds are
     // simultaneous in the model, so the step order must be immaterial;
     // kReverse exists so the conformance harness can prove that for each
-    // protocol, and that same property is what makes parallel stepping
-    // sound (see docs/PERFORMANCE.md).
+    // protocol.
     if (sparse)
-      step_active(programs, step_threads);
+      step_active(programs);
     else
-      step_programs(programs, step_threads);
+      step_programs(programs);
     stats_.active_steps +=
         sparse ? static_cast<long long>(active_.size()) : n_;
     // Check completion *after* the step (so final outputs are set). Sparse

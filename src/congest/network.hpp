@@ -12,13 +12,19 @@
 // O(log n)-bit space (adversarial-ish ids are exercised by seeding the
 // permutation); programs must only rely on ids, their ports, and n.
 //
-// Message payloads are C++ values (std::any) with a *declared* bit size;
-// the declared size is what the bandwidth accounting uses. This is the
-// standard simulation compromise: semantics by value, costs by declaration,
-// with the declaration rules documented per protocol.
+// Message payloads are C++ values (congest::Payload, payload.hpp) with a
+// *declared* bit size; the declared size is what the bandwidth accounting
+// uses. This is the standard simulation compromise: semantics by value,
+// costs by declaration, with the declaration rules documented per protocol.
+// One-word payloads (ids, flood / report / adopt messages, class ids,
+// verdicts) ride inline in the Message, so the per-message path neither
+// allocates nor makes an indirect call.
+//
+// The simulator steps nodes serially. A round of the protocols in scope is
+// about a millisecond of work, so a per-round fork/join costs more than it
+// saves (docs/PERFORMANCE.md §2).
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -28,6 +34,7 @@
 #include <vector>
 
 #include "congest/faults.hpp"
+#include "congest/payload.hpp"
 #include "graph/graph.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
@@ -46,12 +53,14 @@ struct NetMetrics;    // net_metrics.hpp: resolved metric handles of a network
 }
 
 struct Message {
-  std::any value;
+  Payload value;
   int bits = 0;
 
   Message() = default;
-  Message(std::any v, int b) : value(std::move(v)), bits(b) {}
+  Message(Payload v, int b) : value(std::move(v)), bits(b) {}
 };
+
+static_assert(sizeof(Message) == 24, "one-word messages stay three words");
 
 /// Declared bit sizes used across the protocols.
 int id_bits(int n);                    // one node identifier
@@ -121,12 +130,9 @@ struct NetworkConfig {
   /// byte the legacy behavior on every path. The dmc-mc explorer
   /// (src/mc/) is the only intended installer.
   SchedulerHook* scheduler = nullptr;
-  /// Worker threads for per-node stepping inside each simulated round
-  /// (rounds are simultaneous in the model, so stepping is embarrassingly
-  /// parallel; see docs/PERFORMANCE.md for the determinism argument).
-  /// 1 (the default) is the exact legacy serial path; 0 = hardware
-  /// concurrency. Audit mode, fault injection, and serial sections
-  /// (Network::SerialSection) force serial stepping regardless.
+  /// Read by nothing: the simulator steps serially. Kept only because the
+  /// perfbench adapters assign it; it goes with them (ROADMAP "Fold
+  /// follow-ups").
   int threads = 1;
   /// Sparse event-driven rounds (docs/PERFORMANCE.md, "Sparse stepping and
   /// the active set"). A node is stepped in a round only if it (a) received
@@ -360,8 +366,7 @@ class Network {
   /// order (prefer the PhaseScope RAII helper). phase_end closes any open
   /// NodeCtx annotation first, so annotations never leak across phases.
   bool traced() const { return cfg_.sink != nullptr; }
-  /// The configuration this network was built with (threads resolved at
-  /// run time, not here).
+  /// The configuration this network was built with.
   const NetworkConfig& config() const { return cfg_; }
   /// The always-on ring of recent events (rounds, faults, phases,
   /// quiescent skips). Tools dump it when a run ends degraded; see
@@ -372,27 +377,6 @@ class Network {
   void phase_end();
   void annotate(std::string_view name);
 
-  /// While at least one SerialSection is alive, run() steps nodes
-  /// serially even when cfg.threads > 1. Drivers wrap protocol stages
-  /// whose *declared message sizes* measure schedule-dependent values
-  /// (every dist::solve: class messages are as wide as the universe at
-  /// send time, tables varuint-encode interned class ids, and parallel
-  /// folding permutes id values), so their declared-bits traces stay
-  /// deterministic. See docs/PERFORMANCE.md.
-  class SerialSection {
-   public:
-    explicit SerialSection(Network& net) : net_(net) {
-      ++net_.serial_section_depth_;
-      net_.note_serial_section();
-    }
-    ~SerialSection() { --net_.serial_section_depth_; }
-    SerialSection(const SerialSection&) = delete;
-    SerialSection& operator=(const SerialSection&) = delete;
-
-   private:
-    Network& net_;
-  };
-
  private:
   friend class NodeCtx;
   friend struct detail::FaultRuntime;
@@ -401,28 +385,23 @@ class Network {
   /// kept branch- and allocation-free when untraced.
   RunOutcome run_perfect(std::vector<std::unique_ptr<NodeProgram>>& programs);
 
-  /// Step-loop parallelism for this run: cfg_.threads resolved against
-  /// hardware concurrency, forced to 1 by audit mode and serial sections.
-  int effective_step_threads() const;
-  /// Steps all programs once in cfg_.step_order with `threads` workers.
-  /// When traced, NodeCtx annotations are buffered per vertex during the
-  /// parallel step and replayed in step order after the join, so the
-  /// trace-event sequence is identical to a serial step.
-  void step_programs(std::vector<std::unique_ptr<NodeProgram>>& programs,
-                     int threads);
-  /// Steps exactly the vertices in active_ (pre-sorted ascending; kReverse
-  /// iterates it backwards), same annotation-buffering contract.
-  void step_active(std::vector<std::unique_ptr<NodeProgram>>& programs,
-                   int threads);
+  /// Steps all programs once in cfg_.step_order.
+  void step_programs(std::vector<std::unique_ptr<NodeProgram>>& programs);
+  /// Steps exactly the vertices in active_ (ascending; kReverse iterates it
+  /// backwards).
+  void step_active(std::vector<std::unique_ptr<NodeProgram>>& programs);
 
   // --- active-set scheduler (cfg_.sparse_stepping) -------------------------
   // A vertex is *restless* while it has neither finished nor asked to
   // sleep: restless vertices step every round, exactly like dense stepping.
   // Everything else steps only on a trigger: delivered traffic, a send it
-  // made last round, or a due wake_at(). All bookkeeping runs serially
-  // between the parallel step join and delivery.
+  // made last round, or a due wake_at(). All bookkeeping runs between the
+  // step and delivery.
   void sched_reset();
-  void sched_build_active();          // restless + due wakes + pending triggers
+  /// Active set of the round: restless + due wakes + pending triggers, in
+  /// ascending vertex order. A dense set (k * log2(k) > n for k vertices)
+  /// is collected by scanning the stamp array, a sparse one is sorted.
+  void sched_build_active();
   void sched_note_stepped(int v, bool done_now);  // consume wake request
   void sched_activate(int v);         // queue a trigger for the next round
   void sched_request(int v, int round);  // NodeCtx::wake_at / sleep backend
@@ -439,11 +418,10 @@ class Network {
 
   void close_annotation();
   /// Metrics hooks, all no-ops when metrics_ is null. note_send_metrics
-  /// accumulates per-message counters and per-link round loads (atomic:
-  /// sends race under parallel stepping); metrics_round_end folds the
-  /// round's link loads into the congestion histograms, refreshes the
-  /// utilization / max-loaded-link gauges, and drives the periodic
-  /// flush. note_serial_section counts SerialSection entries.
+  /// accumulates per-message counters and per-link round loads;
+  /// metrics_round_end folds the round's link loads into the congestion
+  /// histograms, refreshes the utilization / max-loaded-link gauges, and
+  /// drives the periodic flush.
   void note_send_metrics(int vertex, int port, int bits);
   void metrics_round_end();
   /// Bulk metrics fold for a fast-forwarded quiescent stretch: `skip`
@@ -452,7 +430,6 @@ class Network {
   /// denominator, and every crossed metrics_interval flush boundary) at
   /// O(flush boundaries) cost instead of O(skip * links).
   void metrics_skip_rounds(long skip);
-  void note_serial_section();
   /// Audit-mode conformance check of one outgoing message (wire.hpp);
   /// throws std::invalid_argument with sender/port/round context on any
   /// violation and folds the message into the round digest accumulator.
@@ -466,10 +443,6 @@ class Network {
   NetworkStats stats_;
   int round_ = 0;
   int round_max_message_bits_ = 0;  // reset per round while traced
-  int serial_section_depth_ = 0;
-  // Parallel-step annotation buffering (traced runs only).
-  bool stepping_parallel_ = false;
-  std::vector<std::vector<std::string>> pending_annotations_;
   // Audit digest state (see audit_digest()); touched only when cfg_.audit.
   std::uint64_t audit_digest_ = 0;
   std::uint64_t audit_round_acc_ = 0;
@@ -484,7 +457,7 @@ class Network {
   std::vector<int> peer_link_;           // directed link -> reverse link
   std::vector<int> link_src_;            // directed link -> source vertex
   std::vector<int> sent_links_;          // links sent on this round (dense cap L)
-  int sent_count_ = 0;                   // atomic cursor into sent_links_
+  int sent_count_ = 0;                   // cursor into sent_links_
   std::vector<int> inbox_links_;         // engaged inbox slots to clear next round
   // --- active-set scheduler state (see sched_* above) ----------------------
   std::vector<char> sched_done_;     // last observed done() per vertex
@@ -493,7 +466,7 @@ class Network {
   std::vector<std::pair<int, int>> wake_heap_;  // (round, vertex) min-heap
   std::vector<int> restless_;        // compact list: !done && !asleep
   std::vector<int> restless_pos_;    // vertex -> index in restless_ (-1 absent)
-  std::vector<int> active_;          // this round's step list, sorted
+  std::vector<int> active_;          // this round's step list, ascending
   std::vector<int> pending_active_;  // traffic/sent triggers for next round
   std::vector<int> active_mark_;     // dedup stamps for active_ building
   int active_stamp_ = 0;

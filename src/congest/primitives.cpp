@@ -34,7 +34,7 @@ class LeaderProgram : public NodeProgram {
     }
     for (int p = 0; p < ctx.degree(); ++p) {
       const auto& msg = ctx.recv(p);
-      if (msg) known = std::min(known, std::any_cast<VertexId>(msg->value));
+      if (msg) known = std::min(known, msg->value.get<VertexId>());
     }
     if (ctx.round() - start_ < budget_)
       ctx.send_all(Message(known, id_bits(ctx.n())));
@@ -69,7 +69,7 @@ class BfsProgram : public NodeProgram {
     for (int p = 0; p < ctx.degree(); ++p) {
       const auto& msg = ctx.recv(p);
       if (!msg) continue;
-      const auto bm = std::any_cast<BfsMsg>(msg->value);
+      const auto bm = msg->value.get<BfsMsg>();
       if (bm.root < root || (bm.root == root && bm.dist + 1 < dist)) {
         root = bm.root;
         dist = bm.dist + 1;
@@ -113,7 +113,7 @@ class DownProgram : public NodeProgram {
     if (pport < 0) return;
     const auto& msg = ctx.recv(pport);
     if (msg) {
-      received = std::any_cast<std::int64_t>(msg->value);
+      received = msg->value.get<std::int64_t>();
       have = true;
       forward(ctx);
     }
@@ -158,12 +158,12 @@ class UpDownProgram : public NodeProgram {
     for (int p = 0; p < ctx.degree(); ++p) {
       const auto& msg = ctx.recv(p);
       if (!msg) continue;
-      if (const auto* um = std::any_cast<UpMsg>(&msg->value)) {
+      if (const auto* um = msg->value.get_if<UpMsg>()) {
         sum_ += um->sum;
         max_ = std::max(max_, um->max);
         --pending_;
-      } else if (const auto* res = std::any_cast<std::pair<std::int64_t, std::int64_t>>(
-                     &msg->value)) {
+      } else if (const auto* res = msg->value.get_if<
+                     std::pair<std::int64_t, std::int64_t>>()) {
         if (!have_result) {
           result_sum = res->first;
           result_max = res->second;

@@ -769,8 +769,8 @@ RunOutcome FaultRuntime::run_raw(
           if (crashed_[L.v]) return;
           if (copy.corrupt)
             // Detectably garbled: the payload arrives as a CorruptedPayload
-            // marker of the same declared size; std::any_cast to the real
-            // type fails and robust receivers ignore it.
+            // marker of the same declared size; a cast to the real type
+            // fails and robust receivers ignore it.
             net_.in_slot(L.v, L.vport) =
                 Message(CorruptedPayload{}, copy.payload.bits);
           else

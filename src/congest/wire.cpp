@@ -131,7 +131,7 @@ const WireCodec* find_codec(std::type_index type) {
   return it == map.end() ? nullptr : &it->second;
 }
 
-const WireCodec* find_codec(const std::any& value) {
+const WireCodec* find_codec(const Payload& value) {
   return find_codec(std::type_index(value.type()));
 }
 
@@ -146,12 +146,12 @@ std::vector<std::string> registered_codec_names() {
   return names;
 }
 
-std::string payload_type_name(const std::any& value) {
+std::string payload_type_name(const Payload& value) {
   if (const WireCodec* codec = find_codec(value)) return codec->name;
   return demangle(value.type().name());
 }
 
-long measured_bits(const std::any& value, const WireContext& ctx) {
+long measured_bits(const Payload& value, const WireContext& ctx) {
   const WireCodec* codec = find_codec(value);
   if (codec == nullptr)
     throw WireError("measured_bits: no wire codec registered for payload "
@@ -182,7 +182,7 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
 
 namespace {
 
-AuditOutcome audit_through_codec(const WireCodec& codec, const std::any& value,
+AuditOutcome audit_through_codec(const WireCodec& codec, const Payload& value,
                                  long declared_bits, const WireContext& ctx) {
   BitWriter writer;
   codec.encode(value, ctx, writer);
@@ -197,7 +197,7 @@ AuditOutcome audit_through_codec(const WireCodec& codec, const std::any& value,
     throw WireError(msg.str());
   }
   BitReader reader(writer.bytes(), encoded);
-  std::any decoded;
+  Payload decoded;
   try {
     decoded = codec.decode(ctx, reader);
   } catch (const std::exception& e) {
@@ -219,13 +219,13 @@ AuditOutcome audit_through_codec(const WireCodec& codec, const std::any& value,
 
 }  // namespace
 
-AuditOutcome audit_payload(const std::any& value, long declared_bits,
+AuditOutcome audit_payload(const Payload& value, long declared_bits,
                            const WireContext& ctx) {
   // Fragment chunks are envelopes: an empty chunk is pure budgeted
   // bandwidth (one flag bit of content), the final chunk carries the whole
   // logical payload, whose true size must fit the *logical* declaration
   // that the chunk stream was budgeted from.
-  if (const auto* frag = std::any_cast<congest::Fragment>(&value)) {
+  if (const auto* frag = value.get_if<congest::Fragment>()) {
     if (!frag->value.has_value()) {
       AuditOutcome out;
       out.encoded_bits = 1;

@@ -1,8 +1,8 @@
 // dmc::audit — wire-format codecs for CONGEST message payloads.
 //
-// The simulator transfers C++ values (std::any) whose bandwidth cost is a
-// *declared* bit count (network.hpp: "semantics by value, costs by
-// declaration"). That compromise is only honest if the declarations are
+// The simulator transfers C++ values (congest::Payload) whose bandwidth
+// cost is a *declared* bit count (network.hpp: "semantics by value, costs
+// by declaration"). That compromise is only honest if the declarations are
 // achievable by a real encoding. This header supplies the machinery to
 // prove it:
 //
@@ -26,7 +26,6 @@
 // varuint/varint (8-bit groups, 7 data bits each) or explicit width fields.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -34,7 +33,11 @@
 #include <typeindex>
 #include <vector>
 
+#include "congest/payload.hpp"
+
 namespace dmc::audit {
+
+using congest::Payload;
 
 /// Minimal width of v in bits (>= 1); equals congest::count_bits(v).
 int uint_bits(std::uint64_t v);
@@ -98,23 +101,23 @@ struct WireContext {
 /// budget is the *logical* payload declaration, not the chunk's).
 struct WireCodec {
   std::string name;
-  std::function<void(const std::any&, const WireContext&, BitWriter&)> encode;
-  std::function<std::any(const WireContext&, BitReader&)> decode;
-  std::function<bool(const std::any&, const std::any&)> equal;
-  std::function<long(const std::any&, long declared)> budget;
+  std::function<void(const Payload&, const WireContext&, BitWriter&)> encode;
+  std::function<Payload(const WireContext&, BitReader&)> decode;
+  std::function<bool(const Payload&, const Payload&)> equal;
+  std::function<long(const Payload&, long declared)> budget;
 };
 
 /// Registry lookups. Registration normally happens during static
 /// initialization of the protocol translation units; lookups return
 /// nullptr for unregistered types.
 const WireCodec* find_codec(std::type_index type);
-const WireCodec* find_codec(const std::any& value);
+const WireCodec* find_codec(const Payload& value);
 void register_codec_erased(std::type_index type, WireCodec codec);
 /// Sorted names of all registered codecs (diagnostics, dmc --audit).
 std::vector<std::string> registered_codec_names();
 /// Human-readable name for a payload type: the codec name if registered,
 /// else the (demangled when possible) C++ type name.
-std::string payload_type_name(const std::any& value);
+std::string payload_type_name(const Payload& value);
 
 /// Typed registration helper; `Enc`/`Dec`/`Eq` are any callables with
 /// signatures void(const T&, const WireContext&, BitWriter&),
@@ -123,13 +126,13 @@ template <typename T, typename Enc, typename Dec, typename Eq>
 void register_codec(std::string name, Enc enc, Dec dec, Eq eq) {
   WireCodec codec;
   codec.name = std::move(name);
-  codec.encode = [enc](const std::any& v, const WireContext& ctx,
-                       BitWriter& w) { enc(std::any_cast<const T&>(v), ctx, w); };
+  codec.encode = [enc](const Payload& v, const WireContext& ctx,
+                       BitWriter& w) { enc(v.get<T>(), ctx, w); };
   codec.decode = [dec](const WireContext& ctx, BitReader& r) {
-    return std::any(dec(ctx, r));
+    return Payload(dec(ctx, r));
   };
-  codec.equal = [eq](const std::any& a, const std::any& b) {
-    return eq(std::any_cast<const T&>(a), std::any_cast<const T&>(b));
+  codec.equal = [eq](const Payload& a, const Payload& b) {
+    return eq(a.get<T>(), b.get<T>());
   };
   register_codec_erased(std::type_index(typeid(T)), std::move(codec));
 }
@@ -137,11 +140,11 @@ void register_codec(std::string name, Enc enc, Dec dec, Eq eq) {
 /// True encoded size of a value through its registered codec; throws
 /// WireError when the type has no codec. Protocols with composite payloads
 /// (tables, bags, edge lists) declare exactly this — measured, not guessed.
-long measured_bits(const std::any& value, const WireContext& ctx);
+long measured_bits(const Payload& value, const WireContext& ctx);
 
 template <typename T>
 long measured_bits(const T& value, const WireContext& ctx) {
-  return measured_bits(std::any(value), ctx);
+  return measured_bits(Payload(value), ctx);
 }
 
 /// Conformance failure (unregistered payload, under-declared size, or
@@ -163,7 +166,7 @@ struct AuditOutcome {
 /// WireError on any violation. Fragment chunks (fragment.hpp) are handled
 /// structurally: empty chunks cost their flag bit, final chunks audit the
 /// carried logical payload against Fragment::logical_bits.
-AuditOutcome audit_payload(const std::any& value, long declared_bits,
+AuditOutcome audit_payload(const Payload& value, long declared_bits,
                            const WireContext& ctx);
 
 /// FNV-1a over a byte range, and a 64-bit mixer for chaining digests.

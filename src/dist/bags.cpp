@@ -105,7 +105,7 @@ class BagsProgram : public congest::NodeProgram {
       } else {
         const int pport = ctx.port_of(parent_id_);
         if (auto payload = reasm_.poll(ctx, pport)) {
-          const LocalBag parent_bag = std::any_cast<LocalBag>(*payload);
+          const LocalBag parent_bag = payload->get<LocalBag>();
           extend_from(parent_bag, ctx);
           adopt_bag(ctx);
         }

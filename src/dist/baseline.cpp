@@ -120,7 +120,7 @@ class GatherProgram : public congest::NodeProgram {
       for (int p = 0; p < ctx.degree(); ++p) {
         const auto& msg = ctx.recv(p);
         if (!msg) continue;
-        const auto* bm = std::any_cast<BfsMsg>(&msg->value);
+        const auto* bm = msg->value.get_if<BfsMsg>();
         if (!bm) continue;
         if (bm->root < root_ || (bm->root == root_ && bm->dist + 1 < dist_)) {
           root_ = bm->root;
@@ -138,7 +138,7 @@ class GatherProgram : public congest::NodeProgram {
         for (int p = 0; p < ctx.degree(); ++p) {
           const auto& msg = ctx.recv(p);
           if (!msg) continue;
-          const auto* bm = std::any_cast<BfsMsg>(&msg->value);
+          const auto* bm = msg->value.get_if<BfsMsg>();
           if (bm && bm->parent == ctx.id())
             children_.push_back(ctx.neighbor_id(p));
         }
@@ -154,7 +154,7 @@ class GatherProgram : public congest::NodeProgram {
     // Convergecast of edge lists.
     for (int p = 0; p < ctx.degree(); ++p) {
       if (auto payload = reasm_.poll(ctx, p)) {
-        const auto& el = std::any_cast<const EdgeListPayload&>(*payload);
+        const auto& el = payload->get<EdgeListPayload>();
         gathered_.edges.insert(gathered_.edges.end(), el.edges.begin(),
                                el.edges.end());
         --expected_payloads_;
@@ -162,7 +162,7 @@ class GatherProgram : public congest::NodeProgram {
       }
       const auto& msg = ctx.recv(p);
       if (msg) {
-        if (const auto* vm = std::any_cast<VerdictMsg>(&msg->value)) {
+        if (const auto* vm = msg->value.get_if<VerdictMsg>()) {
           if (!verdict_known_) {
             verdict_known_ = true;
             verdict_ = vm->holds;

@@ -171,7 +171,7 @@ class ElimTreeProgram : public congest::NodeProgram {
       for (int p = 0; p < ctx.degree(); ++p) {
         const auto& msg = ctx.recv(p);
         if (!msg) continue;
-        const auto* rm = std::any_cast<ReportMsg>(&msg->value);
+        const auto* rm = msg->value.get_if<ReportMsg>();
         if (!rm) continue;
         auto it = best.find(rm->leader);
         if (it == best.end() || rm->reporter < it->second.first)
@@ -214,7 +214,7 @@ class ElimTreeProgram : public congest::NodeProgram {
     for (int p = 0; p < ctx.degree(); ++p) {
       const auto& msg = ctx.recv(p);
       if (!msg) continue;
-      const auto* fm = std::any_cast<FloodMsg>(&msg->value);
+      const auto* fm = msg->value.get_if<FloodMsg>();
       if (fm && !fm->marked) cur_min_ = std::min(cur_min_, fm->min_id);
     }
   }
@@ -223,7 +223,7 @@ class ElimTreeProgram : public congest::NodeProgram {
     for (int p = 0; p < ctx.degree(); ++p) {
       const auto& msg = ctx.recv(p);
       if (!msg) continue;
-      const auto* am = std::any_cast<AdoptMsg>(&msg->value);
+      const auto* am = msg->value.get_if<AdoptMsg>();
       if (am) {
         parent_ = am->parent;
         depth_ = depth;

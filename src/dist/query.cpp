@@ -24,6 +24,7 @@ namespace {
 
 using congest::Message;
 using congest::NodeCtx;
+using congest::Payload;
 
 constexpr const char* kMarkLabel = "marked";
 
@@ -209,7 +210,7 @@ long measured_bits(const T& payload, const NodeCtx& ctx) {
 /// FragmentSender chunks (ceil(k / (B - header)) rounds for k bits).
 class Link {
  public:
-  void send(NodeCtx& ctx, int port, std::any value, long bits, bool table) {
+  void send(NodeCtx& ctx, int port, Payload value, long bits, bool table) {
     if (!table && bits <= ctx.bandwidth())
       ctx.send(port, Message(std::move(value), static_cast<int>(bits)));
     else
@@ -217,7 +218,7 @@ class Link {
   }
 
   /// A fragmented payload completed on `port` this round, if any.
-  std::optional<std::any> reassemble(NodeCtx& ctx, int port) {
+  std::optional<Payload> reassemble(NodeCtx& ctx, int port) {
     return reasm_.poll(ctx, port);
   }
 
@@ -290,8 +291,7 @@ class FoldProgram final : public congest::NodeProgram {
     for (int p = 0, degree = ctx.degree(); p < degree; ++p) {
       // A port carries at most one logical message each way, so a payload
       // can only complete in a round that delivers to it. A single message
-      // is tried as the expected type first: a matching std::any_cast is a
-      // pointer compare, a failing one a name compare.
+      // is tried as the expected type first (a pointer compare either way).
       const Message* msg = ctx.recv(p);
       if (msg == nullptr || receive(ctx, p, msg->value)) continue;
       if (const auto value = link_.reassemble(ctx, p))
@@ -325,14 +325,14 @@ class FoldProgram final : public congest::NodeProgram {
  private:
   /// Takes `value` from port `port` as the parent's answer or a child's
   /// table; false when it is neither (e.g. a fragment chunk).
-  bool receive(NodeCtx& ctx, int port, const std::any& value) {
+  bool receive(NodeCtx& ctx, int port, const Payload& value) {
     const VertexId from = ctx.neighbor_id(port);
     if (from == parent_) {
       std::optional<Down> d = A::template from_wire<Down>(value);
       if (d && !down_) answer(ctx, std::move(*d));
       return d.has_value();
     }
-    const Up* t = std::any_cast<Up>(&value);
+    const Up* t = value.get_if<Up>();
     if (t == nullptr) return false;
     const int slot = child_slots_.slot(from);
     if (slot >= 0) {
@@ -395,12 +395,12 @@ struct AlgebraBase {
     return d;  // every child gets the node's own answer
   }
   template <class Down>
-  static std::any to_wire(Down d) {
+  static Payload to_wire(Down d) {
     return d;
   }
   template <class Down>
-  static std::optional<Down> from_wire(const std::any& value) {
-    const Down* d = std::any_cast<Down>(&value);
+  static std::optional<Down> from_wire(const Payload& value) {
+    const Down* d = value.get_if<Down>();
     return d != nullptr ? std::optional<Down>(*d) : std::nullopt;
   }
 };
@@ -565,14 +565,14 @@ struct OptimizeAlgebra : AlgebraBase {
     return d.type == bpt::kInvalidType ? 1 : class_bits(engine);
   }
   // Infeasibility travels as its own one-bit message.
-  static std::any to_wire(Down d) {
+  static Payload to_wire(Down d) {
     if (d.type == bpt::kInvalidType) return InfeasibleMsg{};
     return d;
   }
   template <class>
-  static std::optional<Down> from_wire(const std::any& value) {
+  static std::optional<Down> from_wire(const Payload& value) {
     if (auto d = AlgebraBase::from_wire<Down>(value)) return d;
-    if (std::any_cast<InfeasibleMsg>(&value) != nullptr) return Down{};
+    if (value.get_if<InfeasibleMsg>() != nullptr) return Down{};
     return std::nullopt;
   }
 
@@ -700,9 +700,8 @@ struct OptMarkedAlgebra : AlgebraBase {
   }
 };
 
-/// Builds one FoldProgram per vertex, runs the fold serially (table and
-/// class-id declarations measure interned ids, whose values depend on the
-/// interning schedule), and collects the answer.
+/// Builds one FoldProgram per vertex, runs the fold, and collects the
+/// answer.
 template <class A>
 void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
               const std::vector<LocalBag>& bags,
@@ -716,7 +715,7 @@ void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
       cache->tables.size() == static_cast<std::size_t>(n);
   auto cached = [&](int v) -> const typename A::Up* {
     if (v < 0 || !incremental || cache->refold[v]) return nullptr;
-    return std::any_cast<typename A::Up>(&cache->tables[v]);
+    return cache->tables[v].template get_if<typename A::Up>();
   };
   std::vector<std::unique_ptr<congest::NodeProgram>> programs;
   std::vector<FoldProgram<A>*> nodes;
@@ -736,10 +735,7 @@ void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
     nodes.push_back(p.get());
     programs.push_back(std::move(p));
   }
-  {
-    congest::Network::SerialSection serial(net);
-    out.run = net.run_outcome(programs);
-  }
+  out.run = net.run_outcome(programs);
   out.rounds_solve = out.run.rounds;
   out.num_classes = algebra.engine.num_types();
   if (!out.run.ok()) return;  // degraded: answer untrusted
@@ -747,7 +743,7 @@ void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
   if constexpr (A::kCached) {
     for (const auto* p : nodes) out.folds += p->folded() ? 1 : 0;
     if (cache != nullptr) {
-      cache->tables.assign(n, std::any());
+      cache->tables.assign(n, Payload());
       for (int v = 0; v < n; ++v) cache->tables[v] = nodes[v]->up();
       cache->refold.assign(n, 0);
     }
@@ -822,13 +818,13 @@ int Outcome::exit_code() const {
 }
 
 void FoldCache::reset(int n) {
-  tables.assign(n, std::any());
+  tables.assign(n, congest::Payload());
   refold.assign(n, 1);
 }
 
 void FoldCache::remap(const std::vector<VertexId>& old_to_new, int new_n) {
   const std::size_t old_n = old_to_new.size();
-  std::vector<std::any> t(new_n);
+  std::vector<congest::Payload> t(new_n);
   std::vector<char> r(new_n, 1);  // new vertices always refold
   if (tables.size() == old_n && refold.size() == old_n) {
     for (std::size_t ov = 0; ov < old_n; ++ov) {

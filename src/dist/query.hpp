@@ -26,7 +26,6 @@
 // compare as strings.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -105,7 +104,7 @@ struct Outcome {
 /// optimize and optmarked re-derive ARGOPT choices top-down, which needs
 /// every node's fresh solver.
 struct FoldCache {
-  std::vector<std::any> tables;  // by graph vertex; empty = none
+  std::vector<congest::Payload> tables;  // by graph vertex; empty = none
   std::vector<char> refold;      // by graph vertex; set = must fold
 
   /// Forgets every table: all n vertices fold.

@@ -1,6 +1,5 @@
 #include "mc/congest_system.hpp"
 
-#include <any>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -50,7 +49,7 @@ class PairReceiver : public congest::NodeProgram {
   void on_round(congest::NodeCtx& ctx) override {
     const auto* msg = ctx.recv(0);
     if (msg == nullptr) return;
-    if (const auto* v = std::any_cast<std::int64_t>(&msg->value)) {
+    if (const auto* v = msg->value.get_if<std::int64_t>()) {
       value = *v;
       receives += 1;
     }
@@ -96,7 +95,7 @@ class FragRelay : public congest::NodeProgram {
     if (auto v = rx_.poll(ctx, ctx.port_of(from_))) {
       commits += 1;
       if (commits == 1) {
-        value = std::any_cast<std::int64_t>(*v);
+        value = v->get<std::int64_t>();
         tx_.enqueue(ctx.port_of(to_), value + 1, 100);
       }
     }
@@ -122,7 +121,7 @@ class FragSink : public congest::NodeProgram {
   void on_round(congest::NodeCtx& ctx) override {
     if (auto v = rx_.poll(ctx, ctx.port_of(from_))) {
       commits += 1;
-      value = std::any_cast<std::int64_t>(*v);
+      value = v->get<std::int64_t>();
     }
   }
   bool done(const congest::NodeCtx&) const override { return commits > 0; }

@@ -1,6 +1,7 @@
 #include "par/pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>

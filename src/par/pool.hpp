@@ -16,7 +16,6 @@
 // thread once all participants have drained.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 
@@ -34,32 +33,5 @@ bool in_parallel_region();
 /// exact serial path. Blocks until every index has run.
 void parallel_for(int threads, std::size_t n,
                   const std::function<void(std::size_t)>& body);
-
-/// Lock-free max-accumulate into a plain variable shared across a
-/// parallel_for body. Requires value's storage to outlive the loop.
-template <typename T>
-void atomic_fetch_max(T& target, T value) {
-  std::atomic_ref<T> ref(target);
-  T cur = ref.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !ref.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-/// Lock-free add-accumulate into a plain variable shared across a
-/// parallel_for body.
-template <typename T>
-void atomic_fetch_add(T& target, T value) {
-  std::atomic_ref<T>(target).fetch_add(value, std::memory_order_relaxed);
-}
-
-/// Atomically claims the next slot from a plain shared cursor: fetch-add
-/// returning the pre-increment value. Serial callers pay an uncontended
-/// atomic and get the obvious counter semantics.
-template <typename T>
-T atomic_claim(T& counter, T delta = T{1}) {
-  return std::atomic_ref<T>(counter).fetch_add(delta,
-                                               std::memory_order_relaxed);
-}
 
 }  // namespace dmc::par

@@ -118,10 +118,6 @@ std::optional<Prepared> prepare(const Query& q, std::string& error) {
 QueryResult execute(const Prepared& p, bpt::Engine* engine) {
   try {
     congest::NetworkConfig cfg;
-    // One worker per query: parallelism in the daemon comes from the
-    // scheduler running independent queries concurrently, and serial
-    // stepping keeps every digest bit-equal to the legacy CLI path.
-    cfg.threads = 1;
     if (p.q.max_rounds > 0)
       cfg.max_rounds = static_cast<int>(p.q.max_rounds);
     const std::optional<dist::Kind> kind = kind_of(p.q.verb);

@@ -469,7 +469,7 @@ class OrderLeakProgram : public congest::NodeProgram {
   explicit OrderLeakProgram(int* shared) : shared_(shared) {}
   void on_round(NodeCtx& ctx) override {
     if (const auto& got = ctx.recv(0)) {
-      received_ = std::any_cast<std::int64_t>(got->value);
+      received_ = got->value.get<std::int64_t>();
       finished_ = true;
       return;
     }

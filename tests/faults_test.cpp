@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <any>
 #include <optional>
 #include <string>
 #include <vector>
@@ -449,7 +448,7 @@ TEST(BestEffort, SendUnreliableIsLossyButNeverStallsTheRound) {
     int received = 0;
     void on_round(congest::NodeCtx& ctx) override {
       const auto& msg = ctx.recv(0);
-      if (msg && std::any_cast<int>(&msg->value) != nullptr) ++received;
+      if (msg && msg->value.get_if<int>() != nullptr) ++received;
       ++round;
     }
     bool done(const congest::NodeCtx&) const override { return round >= 41; }
@@ -500,7 +499,7 @@ TEST(FragmentReassembly, DupAndReorderDeliverEachMessageOnceInOrder) {
     int idle_rounds = 0;
     void on_round(congest::NodeCtx& ctx) override {
       if (auto payload = reasm.poll(ctx, 0))
-        got.push_back(std::any_cast<int>(*payload));
+        got.push_back(payload->get<int>());
       idle_rounds = got.size() >= 3 ? idle_rounds + 1 : 0;
     }
     bool done(const congest::NodeCtx&) const override {

@@ -18,7 +18,7 @@ void fan_out() {
 }
 
 // std::thread::hardware_concurrency is still a raw-thread mention: callers
-// should use par::hardware_threads() so the --threads=0 default is uniform.
+// should use par::hardware_threads() so the threads=0 default is uniform.
 unsigned probe() {
   return std::thread::hardware_concurrency();  // lint-expect: raw-thread
 }

@@ -31,32 +31,7 @@
 #include "mso/formulas.hpp"
 #include "par/pool.hpp"
 
-// Global allocation counter for the disabled-path test (same trick as
-// tests/obs_trace_test.cpp). Counting is always on; tests read the counter
-// around the region of interest.
-namespace {
-std::atomic<long> g_allocations{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
+#include "counting_new.hpp"
 
 namespace dmc {
 namespace {

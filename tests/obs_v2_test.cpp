@@ -214,14 +214,13 @@ struct CoalescedRun {
   bool holds = false;
 };
 
-CoalescedRun run_deeppath(bool sparse, int threads) {
+CoalescedRun run_deeppath(bool sparse) {
   CoalescedRun out;
   const Graph g = gen::deeppath(400, 4);
   congest::NetworkConfig cfg;
   cfg.id_seed = 7;
   cfg.sink = &out.buffer;
   cfg.sparse_stepping = sparse;
-  cfg.threads = threads;
   congest::Network net(g, cfg);
   // Change-only flooding on in BOTH runs: it is what quiets the election
   // enough to fast-forward, and it alters the message stream (that is its
@@ -238,18 +237,18 @@ CoalescedRun run_deeppath(bool sparse, int threads) {
 }
 
 TEST(ObsCoalescing, SparseTraceCoalescesAndExpandsToDenseTotals) {
-  const CoalescedRun dense = run_deeppath(/*sparse=*/false, /*threads=*/1);
+  const CoalescedRun dense = run_deeppath(/*sparse=*/false);
   EXPECT_TRUE(dense.buffer.quiescents().empty())
       << "dense stepping must emit every round";
 
-  for (int threads : {1, 4}) {
-    const CoalescedRun sparse = run_deeppath(/*sparse=*/true, threads);
+  {
+    const CoalescedRun sparse = run_deeppath(/*sparse=*/true);
     EXPECT_EQ(sparse.holds, dense.holds);
     EXPECT_EQ(sparse.stats.rounds, dense.stats.rounds);
 
     // The fast-forward guard must stay engaged with a sink attached: the
     // quiet stretches arrive coalesced, not one RoundEvent each.
-    EXPECT_FALSE(sparse.buffer.quiescents().empty()) << "threads=" << threads;
+    EXPECT_FALSE(sparse.buffer.quiescents().empty());
     long expanded = static_cast<long>(sparse.buffer.rounds().size());
     for (const auto& q : sparse.buffer.quiescents()) {
       EXPECT_GE(q.skipped_rounds, 1);
@@ -278,9 +277,9 @@ TEST(ObsCoalescing, SparseTraceCoalescesAndExpandsToDenseTotals) {
     for (const std::string& phase : phases) {
       const obs::PhaseTotals d = ds.aggregate(phase);
       const obs::PhaseTotals s = ss.aggregate(phase);
-      EXPECT_EQ(s.rounds, d.rounds) << phase << " threads=" << threads;
-      EXPECT_EQ(s.messages, d.messages) << phase << " threads=" << threads;
-      EXPECT_EQ(s.bits, d.bits) << phase << " threads=" << threads;
+      EXPECT_EQ(s.rounds, d.rounds) << phase;
+      EXPECT_EQ(s.messages, d.messages) << phase;
+      EXPECT_EQ(s.bits, d.bits) << phase;
     }
   }
 }

@@ -1,8 +1,8 @@
-// Determinism of the parallel engine (src/par + the threaded fold and
-// simulator paths): verdicts AND round-digest streams must be identical
-// across --threads 1/2/8 for all four pipelines, and the pool itself must
-// survive exceptions, nesting, and uneven workloads. These tests carry the
-// `par` ctest label so CI can run them standalone under TSan (-L par).
+// Determinism of the parallel engine (src/par + the threaded fold and the
+// H-freeness sweep): folded classes and sweep verdicts must match the
+// serial path, and the pool itself must survive exceptions, nesting, and
+// uneven workloads. These tests carry the `par` ctest label so CI can run
+// them standalone under TSan (-L par).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,10 +13,8 @@
 #include "bpt/engine.hpp"
 #include "bpt/plan.hpp"
 #include "bpt/tables.hpp"
-#include "congest/conformance.hpp"
 #include "congest/network.hpp"
 #include "dist/hfreeness.hpp"
-#include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 #include "mso/lower.hpp"
@@ -28,7 +26,6 @@ namespace dmc {
 namespace {
 
 namespace lib = mso::lib;
-using mso::Sort;
 
 // --- the pool ----------------------------------------------------------------
 
@@ -67,17 +64,6 @@ TEST(ParPool, NestedParallelForRunsInline) {
   EXPECT_FALSE(par::in_parallel_region());
 }
 
-TEST(ParPool, AtomicMaxAndAdd) {
-  int max_val = 0;
-  long long sum = 0;
-  par::parallel_for(8, 100, [&](std::size_t i) {
-    par::atomic_fetch_max(max_val, static_cast<int>(i));
-    par::atomic_fetch_add(sum, 1LL);
-  });
-  EXPECT_EQ(max_val, 99);
-  EXPECT_EQ(sum, 100);
-}
-
 TEST(ParChunkedVector, PushAndReadAcrossChunkBoundaries) {
   par::ChunkedVector<int> v;
   const std::size_t n = 20000;  // spans multiple 8192-element chunks
@@ -89,93 +75,11 @@ TEST(ParChunkedVector, PushAndReadAcrossChunkBoundaries) {
   EXPECT_EQ(copy[n - 1], static_cast<int>(n - 1));
 }
 
-// --- pipeline determinism across thread counts -------------------------------
+// --- fold and sweep determinism across thread counts ----------------------------
 
 Graph btd_graph(unsigned seed, int n = 24, int d = 3) {
   gen::Rng rng(seed);
   return gen::random_bounded_treedepth(n, d, 0.4, rng);
-}
-
-struct DigestRun {
-  std::vector<std::uint64_t> digests;
-  std::string verdict;
-};
-
-template <typename Fn>
-DigestRun digest_run(const Graph& g, int threads, Fn&& protocol) {
-  audit::RoundDigestSink sink;
-  congest::NetworkConfig cfg;
-  cfg.sink = &sink;
-  cfg.threads = threads;
-  congest::Network net(g, cfg);
-  DigestRun out;
-  out.verdict = protocol(net);
-  out.digests = sink.digests();
-  return out;
-}
-
-template <typename Fn>
-void expect_thread_invariant(const Graph& g, Fn&& protocol) {
-  const DigestRun serial = digest_run(g, 1, protocol);
-  for (int threads : {2, 8}) {
-    const DigestRun run = digest_run(g, threads, protocol);
-    EXPECT_EQ(run.verdict, serial.verdict) << "threads=" << threads;
-    EXPECT_EQ(run.digests, serial.digests) << "threads=" << threads;
-  }
-}
-
-TEST(ParDeterminism, DecisionDigestsThreadInvariant) {
-  for (unsigned seed = 0; seed < 3; ++seed) {
-    expect_thread_invariant(btd_graph(seed), [](congest::Network& net) {
-      const auto out =
-          dist::run(net, {dist::Kind::kDecision, lib::triangle_free()}, 3);
-      return std::string(out.holds ? "holds" : "fails");
-    });
-  }
-}
-
-TEST(ParDeterminism, OptimizationDigestsThreadInvariant) {
-  expect_thread_invariant(btd_graph(1), [](congest::Network& net) {
-    const auto out =
-        dist::run(net,
-                  {dist::Kind::kMinimize, lib::dominating_set(),
-                   {{"S", Sort::VertexSet}}}, 3);
-    if (!out.best_weight) return std::string("infeasible");
-    return "optimum=" + std::to_string(*out.best_weight);
-  });
-}
-
-TEST(ParDeterminism, CountingDigestsThreadInvariant) {
-  expect_thread_invariant(btd_graph(2, 16), [](congest::Network& net) {
-    const auto out =
-        dist::run(net,
-                  {dist::Kind::kCount, lib::independent_set(),
-                   {{"S", Sort::VertexSet}}}, 3);
-    return "count=" + std::to_string(out.count);
-  });
-}
-
-TEST(ParDeterminism, HFreenessStepDigestsThreadInvariant) {
-  // Within-run stepping parallelism (NetworkConfig::threads) must keep the
-  // sweep's digest stream identical; one shared sink spans all runs.
-  const Graph g = gen::grid(5, 5);
-  const Graph triangle = gen::clique(3);
-  std::vector<std::uint64_t> serial;
-  bool serial_free = false;
-  for (int threads : {1, 2, 8}) {
-    audit::RoundDigestSink sink;
-    congest::NetworkConfig cfg;
-    cfg.sink = &sink;
-    cfg.threads = threads;
-    const auto out = dist::run_h_freeness_grid(g, 5, 5, triangle, 4, cfg);
-    if (threads == 1) {
-      serial = sink.digests();
-      serial_free = out.h_free;
-    } else {
-      EXPECT_EQ(sink.digests(), serial) << "threads=" << threads;
-      EXPECT_EQ(out.h_free, serial_free);
-    }
-  }
 }
 
 TEST(ParDeterminism, HFreenessSweepVerdictMatchesSerial) {

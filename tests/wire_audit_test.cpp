@@ -6,7 +6,6 @@
 // caught with an actionable diagnostic.
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cstdint>
 #include <stdexcept>
 
@@ -322,7 +321,7 @@ class FragmentReceiver : public congest::NodeProgram {
  public:
   void on_round(NodeCtx& ctx) override {
     if (auto payload = congest::poll_fragment(ctx, 0))
-      received_ = std::any_cast<std::int64_t>(*payload);
+      received_ = payload->get<std::int64_t>();
   }
   bool done(const NodeCtx&) const override { return received_ != 0; }
   std::int64_t received_ = 0;

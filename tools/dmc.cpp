@@ -28,9 +28,6 @@
 // says transport=raw. Degraded endings are structured, never silently
 // wrong: exit 6 = round budget exhausted (diagnostic names the stalled
 // phase), exit 7 = crash-stop faults occurred. See docs/ROBUSTNESS.md.
-// --threads N (needs --dist) sets the simulator/engine worker count
-// (default: hardware concurrency; 1 = the exact legacy serial path);
-// verdicts and traces are thread-count-invariant, see docs/PERFORMANCE.md.
 // --universe-cache DIR (needs --dist) persists the type universe under
 // DIR ("auto" = $DMC_CACHE_DIR / $XDG_CACHE_HOME/dmc / ~/.cache/dmc) so
 // repeated runs of the same formula skip universe construction.
@@ -59,7 +56,7 @@
 // additionally rewrites FILE every R simulated rounds, the
 // textfile-collector pattern for watching long runs. Composes with
 // --faults, --audit (snapshot only: the conformance battery runs several
-// networks, so per-network reconciliation is skipped), and --threads.
+// networks, so per-network reconciliation is skipped).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -102,7 +99,7 @@ namespace {
                "           [--dist D] [--trace FILE[:jsonl|chrome]] [--audit]\n"
                "           [--faults drop=P,dup=P,corrupt=P,reorder=P,"
                "crash=ID@rR,seed=N[,transport=raw]]\n"
-               "           [--threads N] [--universe-cache DIR|auto]\n"
+               "           [--universe-cache DIR|auto]\n"
                "           [--sparse-flood]\n"
                "           [--metrics FILE|-] [--metrics-interval R]\n"
                "           [--flight-record DIR]\n"
@@ -187,7 +184,6 @@ std::optional<int> dist_budget(const Args& args) {
     if (args.has("trace")) usage("--trace requires --dist");
     if (args.has("audit")) usage("--audit requires --dist");
     if (args.has("faults")) usage("--faults requires --dist");
-    if (args.has("threads")) usage("--threads requires --dist");
     if (args.has("universe-cache")) usage("--universe-cache requires --dist");
     if (args.has("metrics")) usage("--metrics requires --dist");
     if (args.has("churn")) usage("--churn requires --dist");
@@ -228,12 +224,6 @@ dist::ElimTreeOptions tree_options(const Args& args) {
   dist::ElimTreeOptions opts;
   opts.sparse_flood = args.has("sparse-flood");
   return opts;
-}
-
-/// --threads: worker count for the simulated rounds and engine folds.
-/// Omitted = 0 = hardware concurrency; 1 = the exact legacy serial path.
-int thread_count(const Args& args) {
-  return args.has("threads") ? parse_int(args.get("threads"), "--threads") : 0;
 }
 
 /// --universe-cache wiring. When active, owns the engine the distributed
@@ -511,7 +501,6 @@ int run_churn(const Args& args, Graph g, const dist::Query& query, int d) {
   churn::Options opts;
   opts.d = d;
   opts.verify = script.verify;
-  opts.net.threads = thread_count(args);
   apply_fault_options(args, opts.net);
   churn::ChurnEngine engine(std::move(g), query, opts);
   const std::vector<churn::StepOutcome> outs = engine.run(script);
@@ -610,7 +599,6 @@ int cmd_query(const Args& args, dist::Kind kind) {
   auto cache = make_universe_cache(args, q);
   congest::NetworkConfig cfg;
   cfg.sink = trace->sink();
-  cfg.threads = thread_count(args);
   apply_fault_options(args, cfg);
   apply_metrics_options(ms.get(), cfg);
   congest::Network net(g, cfg);

@@ -35,9 +35,8 @@
 //                         "dmc-lint: allow(raw-send)".
 //   raw-thread            std::thread / std::jthread / std::async outside
 //                         src/par. Ad-hoc threads bypass the shared pool's
-//                         nesting guard and exception funnel and are
-//                         invisible to the --threads=1 exact-legacy
-//                         switch; use par::parallel_for (src/par/pool.hpp)
+//                         nesting guard, exception funnel and threads=1
+//                         serial path; use par::parallel_for (src/par/pool.hpp)
 //                         or move the code under src/par.
 //   raw-io                global-namespace blocking I/O calls — ::socket,
 //                         ::bind, ::accept, ::connect, ::recv, ::send,
@@ -64,8 +63,8 @@
 //                         counters are invisible to the metrics registry,
 //                         so their totals can never be reconciled against
 //                         NetworkStats or the obs trace; count through
-//                         dmc::metrics (src/metrics/metrics.hpp) or the
-//                         par:: atomic helpers. src/metrics and src/par
+//                         dmc::metrics (src/metrics/metrics.hpp) or plain
+//                         serial counters. src/metrics and src/par
 //                         themselves are exempt (they implement the
 //                         sanctioned primitives); deliberate low-level
 //                         atomics are marked "dmc-lint: allow(raw-metric)".
@@ -360,8 +359,8 @@ void lint_file(const FileText& f, const std::set<std::string>& registered,
                       "outside dmc::metrics can never be reconciled against "
                       "NetworkStats or the obs trace; use "
                       "metrics::Counter/Gauge/Histogram "
-                      "(src/metrics/metrics.hpp) or the par:: atomic "
-                      "helpers, or mark a deliberate low-level atomic with "
+                      "(src/metrics/metrics.hpp) or a plain serial counter, "
+                      "or mark a deliberate low-level atomic with "
                       "dmc-lint: allow(raw-metric)");
 
     if (!in_serve_io(f.path) && std::regex_search(line, m, kRawIo))
@@ -385,8 +384,8 @@ void lint_file(const FileText& f, const std::set<std::string>& registered,
       add_finding(out, f, i, "raw-thread",
                   "raw '" + m[0].str() +
                       "' outside src/par — ad-hoc threads bypass the shared "
-                      "pool's nesting guard, exception funnel, and the "
-                      "--threads=1 exact-legacy switch; use "
+                      "pool's nesting guard, exception funnel, and "
+                      "threads=1 serial path; use "
                       "par::parallel_for (src/par/pool.hpp)");
 
     for (std::sregex_iterator it(line.begin(), line.end(), kPayloadSend), end;
