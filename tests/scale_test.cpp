@@ -2,10 +2,11 @@
 // stepping and the active set"): the event-driven round scheduler
 // (NetworkConfig::sparse_stepping) must be *observationally identical* to
 // dense stepping — same verdicts, same per-round trace digests, same round
-// counts — across all four pipelines, while stepping strictly fewer nodes. Same contract for the elimination tree's
-// change-only flooding (ElimTreeOptions::sparse_flood): identical tree and
-// rounds, strictly fewer messages. These tests carry the `scale` ctest
-// label so CI can run them standalone: ctest -L scale.
+// counts — across all four pipelines, while stepping strictly fewer nodes.
+// Same contract for the elimination tree's change-only flooding
+// (ElimTreeOptions::sparse_flood): identical tree and rounds, strictly fewer
+// messages. These tests carry the `scale` ctest label so CI can run them
+// standalone: ctest -L scale.
 #include <gtest/gtest.h>
 
 #include <cstdint>
