@@ -31,11 +31,14 @@ std::uint64_t digest_of(const dist::Outcome& out) {
 std::vector<dist::LocalBag> bags_for_tree(
     const congest::Network& net, const dist::ElimTreeResult& tree,
     const std::vector<std::string>& vlabel_names,
-    const std::vector<std::string>& elabel_names) {
+    const std::vector<std::string>& elabel_names,
+    const std::vector<char>* mask) {
   if (!tree.success)
     throw std::invalid_argument("churn::bags_for_tree: tree invalid");
   const Graph& g = net.graph();
   const int n = g.num_vertices();
+  if (mask != nullptr && mask->size() != static_cast<std::size_t>(n))
+    throw std::invalid_argument("churn::bags_for_tree: mask size != n");
   auto vbits = [&](VertexId v) {
     std::uint32_t bits = 0;
     for (std::size_t i = 0; i < vlabel_names.size(); ++i)
@@ -51,6 +54,7 @@ std::vector<dist::LocalBag> bags_for_tree(
   std::vector<dist::LocalBag> bags(n);
   std::vector<int> path;
   for (int v = 0; v < n; ++v) {
+    if (mask != nullptr && !(*mask)[v]) continue;
     path.clear();
     for (int x = v; x >= 0; x = tree.parent[x]) path.push_back(x);
     std::sort(path.begin(), path.end(), [&](int a, int b) {
@@ -226,11 +230,23 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
   bump(opts_.net, "churn.steps");
   std::vector<VertexId> old_to_new;
   Graph next = apply_batch(graph_, batch, &old_to_new);  // throws: unchanged
+  const Graph old_g = std::exchange(graph_, std::move(next));
+  try {
+    return resolve(old_g, old_to_new);
+  } catch (...) {
+    // The graph is already the new one: a tree or cache of the old graph
+    // must not reach the next epoch, which then recomputes from scratch.
+    tree_.reset();
+    invalidate_caches();
+    throw;
+  }
+}
 
+StepOutcome ChurnEngine::resolve(const Graph& old_g,
+                                 const std::vector<VertexId>& old_to_new) {
   if (!tree_.has_value()) {
     // Previous epoch left no tree (degraded or budget-exceeded): nothing
     // to repair against; full recompute on the mutated graph.
-    graph_ = std::move(next);
     StepOutcome out = full_compute(solve_config());
     out.note = "no tree from previous epoch: full recompute";
     if (!out.ok()) bump(opts_.net, "churn.degraded");
@@ -238,10 +254,7 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
     return out;
   }
 
-  const Graph old_g = std::move(graph_);
-  graph_ = std::move(next);
-  const TreePatch patch =
-      repair_tree(old_g, *tree_, graph_, old_to_new, opts_.d);
+  TreePatch patch = repair_tree(old_g, *tree_, graph_, old_to_new, opts_.d);
 
   StepOutcome out;
   if (patch.kind == RepairKind::kFailed) {
@@ -283,8 +296,9 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
     out.refold_count =
         static_cast<int>(std::count(refold.begin(), refold.end(), 1));
 
+    // A replaying vertex never reads its bag: build the refold set's only.
     const std::vector<dist::LocalBag> bags =
-        bags_for_tree(net, patch.tree, vlabels_, elabels_);
+        bags_for_tree(net, patch.tree, vlabels_, elabels_, &refold);
     StepOutcome solved = solve(net, patch.tree, bags);
     solved.refold_count = out.refold_count;
     solved.repair = patch.kind;
@@ -293,7 +307,7 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
     if (out.run.ok()) {
       out.status = patch.kind == RepairKind::kRefold ? StepStatus::kRefolded
                                                      : StepStatus::kRebuilt;
-      tree_ = patch.tree;
+      tree_ = std::move(patch.tree);
       bump(opts_.net, out.status == StepStatus::kRefolded ? "churn.refolds"
                                                           : "churn.rebuilds");
     } else if (opts_.fallback_full) {
@@ -307,12 +321,13 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
       full.fallback_used = true;
       full.rounds += incremental_rounds;  // the failed attempt still cost
       out = std::move(full);
-      if (!out.ok()) tree_ = patch.tree;  // still valid for the new graph
+      // The repaired tree is still valid for the new graph.
+      if (!out.ok()) tree_ = std::move(patch.tree);
     } else {
       // Structured degraded outcome; the repaired tree stays (it is valid
       // for the new graph) and the stale refold flags persist, so the next
       // epoch re-folds everything this one failed to refresh.
-      tree_ = patch.tree;
+      tree_ = std::move(patch.tree);
     }
   }
   if (!out.ok()) bump(opts_.net, "churn.degraded");

@@ -368,25 +368,35 @@ TreePatch repair_tree(const Graph& old_g,
   // Dirty set: fold contexts that changed. Rule 1 — children arity/identity
   // (the plan's Input slots); rule 2 — the bag itself (root path, including
   // departed members); rule 3 — bag-induced edges (the deeper endpoint's
-  // subtree sees the change in its local graph, Lemma 2.4).
+  // subtree sees the change in its local graph, Lemma 2.4). Rules 1 and 2
+  // run in one top-down pass: v keeps its root path iff it and its old
+  // vertex are both roots, or its old parent survives as its new parent
+  // and that parent kept its root path; v keeps its children iff it has as
+  // many as before and each new child's old parent is v's old vertex.
   patch.dirty.assign(n_new, 0);
-  for (VertexId nv = 0; nv < n_new; ++nv) {
+  std::vector<char> same_path(n_new, 0);
+  std::vector<VertexId> order;
+  order.reserve(n_new);
+  for (VertexId v = 0; v < n_new; ++v)
+    if (parent[v] < 0) order.push_back(v);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const VertexId nv = order[i];
+    const auto& kids = patch.tree.children[nv];
+    order.insert(order.end(), kids.begin(), kids.end());
     const VertexId ov = new_to_old[nv];
     if (ov < 0) {
       patch.dirty[nv] = 1;  // fresh vertex: everything about it is new
       continue;
     }
-    std::vector<VertexId> old_kids;
-    for (int c : old_tree.children[ov]) old_kids.push_back(old_to_new[c]);
-    std::sort(old_kids.begin(), old_kids.end());
-    std::vector<VertexId> new_kids = patch.tree.children[nv];
-    std::sort(new_kids.begin(), new_kids.end());
-    if (old_kids != new_kids) patch.dirty[nv] = 1;
-    std::vector<VertexId> old_path, new_path;
-    for (VertexId x = ov; x >= 0; x = old_tree.parent[x])
-      old_path.push_back(old_to_new[x]);
-    for (VertexId x = nv; x >= 0; x = patch.tree.parent[x]) new_path.push_back(x);
-    if (old_path != new_path) patch.dirty[nv] = 1;
+    const VertexId op = old_tree.parent[ov], np = parent[nv];
+    same_path[nv] = np < 0 ? op < 0
+                           : op >= 0 && old_to_new[op] == np && same_path[np];
+    bool same_kids = kids.size() == old_tree.children[ov].size();
+    for (std::size_t k = 0; same_kids && k < kids.size(); ++k) {
+      const VertexId oc = new_to_old[kids[k]];
+      same_kids = oc >= 0 && old_tree.parent[oc] == ov;
+    }
+    if (!same_path[nv] || !same_kids) patch.dirty[nv] = 1;
   }
   for (const Edge& e : old_g.edges()) {
     const VertexId na = old_to_new[e.u], nb = old_to_new[e.v];

@@ -121,7 +121,7 @@ struct NetworkConfig {
   /// is invoked every metrics_interval simulated rounds — the periodic
   /// snapshot dump of `dmc --metrics-interval R` for long runs.
   int metrics_interval = 0;
-  std::function<void(long rounds)> metrics_flush;
+  std::function<void(long rounds)> metrics_flush = {};
   /// Schedule-exploration seam (sched_hook.hpp; not owned, must outlive
   /// the network). Only honored on the reliable-transport fault path:
   /// when non-null, frame deliveries, defers, adversarial retransmit-timer

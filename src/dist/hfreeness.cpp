@@ -67,7 +67,7 @@ struct SubsetResult {
   congest::RunOutcome run;  // first degraded component's outcome
 };
 
-SubsetResult run_subset(const Graph& g, const Graph& h, int p, int td_budget,
+SubsetResult run_subset(const Graph& g, int p, int td_budget,
                         const congest::NetworkConfig& base_cfg,
                         const LowTdDecomposition& decomp,
                         const std::vector<int>& subset, int subset_index,
@@ -163,7 +163,7 @@ HFreenessOutcome run_h_freeness_grid(const Graph& g, int rows, int cols,
     // Serial sweep: tasks share one growing universe (memo hits carry
     // across subsets) and stop at the first degraded component.
     for (std::size_t s = 0; s < subsets.size(); ++s) {
-      results[s] = run_subset(g, h, p, td_budget, base_cfg, decomp, subsets[s],
+      results[s] = run_subset(g, p, td_budget, base_cfg, decomp, subsets[s],
                               static_cast<int>(s), formula, engine);
       if (!results[s].run.ok() || results[s].td_exceeded) {
         results.resize(s + 1);
@@ -175,7 +175,7 @@ HFreenessOutcome run_h_freeness_grid(const Graph& g, int rows, int cols,
     // (class ids may differ per task; verdicts cannot — Theorem 4.2).
     par::parallel_for(sweep_threads, subsets.size(), [&](std::size_t s) {
       bpt::Engine task_engine(engine);
-      results[s] = run_subset(g, h, p, td_budget, base_cfg, decomp, subsets[s],
+      results[s] = run_subset(g, p, td_budget, base_cfg, decomp, subsets[s],
                               static_cast<int>(s), formula, task_engine);
     });
   }

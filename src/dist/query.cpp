@@ -255,8 +255,11 @@ class FoldProgram final : public congest::NodeProgram {
   using Down = typename A::Down;
   using Input = decltype(A::input(std::declval<Up>()));
 
-  FoldProgram(A& algebra, LocalContext local, VertexId self, VertexId parent,
-              std::vector<VertexId> children)
+  /// `local` is disengaged exactly for a node that will replay(): its
+  /// table depends only on its subtree (Lemma 4.3), so it never reads its
+  /// bag graph.
+  FoldProgram(A& algebra, std::optional<LocalContext> local, VertexId self,
+              VertexId parent, std::vector<VertexId> children)
       : algebra_(algebra),
         local_(std::move(local)),
         self_(self),
@@ -275,7 +278,11 @@ class FoldProgram final : public congest::NodeProgram {
     send_up_ = send_up;
   }
 
-  const LocalContext& local() const { return local_; }
+  const LocalContext& local() const {
+    if (!local_)
+      throw std::logic_error("fold: replaying node has no local context");
+    return *local_;
+  }
   VertexId self() const { return self_; }
   std::vector<Input>& inputs() { return inputs_; }
   const Up& up() const { return up_; }
@@ -357,7 +364,7 @@ class FoldProgram final : public congest::NodeProgram {
   }
 
   A& algebra_;
-  LocalContext local_;
+  std::optional<LocalContext> local_;
   VertexId self_;
   VertexId parent_;
   std::vector<VertexId> children_;
@@ -701,7 +708,9 @@ struct OptMarkedAlgebra : AlgebraBase {
 };
 
 /// Builds one FoldProgram per vertex, runs the fold, and collects the
-/// answer.
+/// answer. Only a vertex that folds gets a bag graph and plan; a replaying
+/// vertex reads neither, so an incremental epoch builds contexts for its
+/// refold closure alone.
 template <class A>
 void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
               const std::vector<LocalBag>& bags,
@@ -724,13 +733,21 @@ void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
   for (int v = 0; v < n; ++v) {
     std::vector<VertexId> children;
     for (int c : tree.children[v]) children.push_back(net.id_of_vertex(c));
-    LocalContext lctx = make_local_context(bags[v], children, vlabels, elabels);
-    algebra.localize(lctx);
     const int parent = tree.parent[v];
+    const auto* table = cached(v);
+    std::optional<LocalContext> lctx;
+    if (table == nullptr) {
+      // A bag always holds its own vertex; an empty one was never built.
+      if (bags[v].bag.empty())
+        throw std::logic_error("fold: vertex " + std::to_string(v) +
+                               " must fold but has no bag");
+      lctx = make_local_context(bags[v], children, vlabels, elabels);
+      algebra.localize(*lctx);
+    }
     auto p = std::make_unique<FoldProgram<A>>(
         algebra, std::move(lctx), net.id_of_vertex(v),
         parent < 0 ? -1 : net.id_of_vertex(parent), std::move(children));
-    if (const auto* table = cached(v))
+    if (table != nullptr)
       p->replay(*table, parent >= 0 && cached(parent) == nullptr);
     nodes.push_back(p.get());
     programs.push_back(std::move(p));

@@ -103,6 +103,13 @@ struct Outcome {
 /// one shared engine. Only decide and count read and refresh the cache:
 /// optimize and optmarked re-derive ARGOPT choices top-down, which needs
 /// every node's fresh solver.
+///
+/// A replaying vertex needs no bag: solve() builds a fold context only for
+/// the vertices that fold, so a caller may leave every other bag empty
+/// (the churn engine builds bags for `refold` alone). The flags then also
+/// decide which bags exist, which stays right for every kind because
+/// solve() clears them only for the cacheable ones: under optimize and
+/// optmarked they stay all-set from reset(), so every vertex gets its bag.
 struct FoldCache {
   std::vector<congest::Payload> tables;  // by graph vertex; empty = none
   std::vector<char> refold;      // by graph vertex; set = must fold
@@ -134,7 +141,9 @@ Outcome run(congest::Network& net, const Query& query, int d,
 /// (bags[v] for graph vertex v, carrying bag_labels(query, ...)). When
 /// `cache` is non-null a cacheable kind takes its refold plan from it and,
 /// on a completed run, refreshes it with every vertex's table (refold
-/// flags cleared).
+/// flags cleared). bags[v] may be empty for a vertex that replays its
+/// cached table; a vertex that must fold with an empty bag throws
+/// std::logic_error.
 Outcome solve(congest::Network& net, const Query& query,
               const ElimTreeResult& tree, const std::vector<LocalBag>& bags,
               bpt::Engine* engine = nullptr, FoldCache* cache = nullptr);

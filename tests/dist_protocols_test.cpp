@@ -3,6 +3,8 @@
 // against the sequential reference / exact oracles.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "congest/network.hpp"
 #include "dist/bags.hpp"
 #include "dist/baseline.hpp"
@@ -360,6 +362,57 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, SolveSeam,
                          [](const ::testing::TestParamInfo<Kind>& info) {
                            return std::string(phase_name(info.param));
                          });
+
+// A replaying vertex reads neither its bag nor its bag graph (Lemma 4.3):
+// with a FoldCache, bags left empty off the refold set answer exactly like
+// the full bag set, and a vertex that must fold without a bag is a logic
+// error, never a fold of the wrong graph.
+TEST(SolveCache, ReplayingVerticesNeedNoBag) {
+  for (const Kind kind : {Kind::kDecision, Kind::kCount}) {
+    const Query q =
+        kind == Kind::kDecision
+            ? Query{kind, lib::triangle_free()}
+            : Query{kind, lib::independent_set_indicator(),
+                    {{"S", Sort::VertexSet}}};
+    const Graph g = btd_graph(93, 14, 3, 0.4);
+    congest::Network net(g, {.id_seed = 5});
+    const auto tree = run_elim_tree(net, 3);
+    ASSERT_TRUE(tree.success);
+    bpt::Engine engine(engine_config(q));  // cached class ids need one engine
+    const auto [vlabels, elabels] = bag_labels(q, engine.config());
+    const std::vector<LocalBag> bags =
+        run_bags(net, tree, vlabels, elabels).bags;
+    FoldCache warm;
+    warm.reset(g.num_vertices());
+    const Outcome first = solve(net, q, tree, bags, &engine, &warm);
+    ASSERT_TRUE(first.run.ok());
+
+    // Refold one leaf's root path; every other vertex replays.
+    int leaf = 0;
+    while (!tree.children[leaf].empty()) ++leaf;
+    FoldCache with_all = warm, with_few = warm;
+    std::vector<LocalBag> few(bags.size());
+    for (int x = leaf; x >= 0; x = tree.parent[x]) {
+      with_all.refold[x] = with_few.refold[x] = 1;
+      few[x] = bags[x];
+    }
+    const Outcome all = solve(net, q, tree, bags, &engine, &with_all);
+    const Outcome masked = solve(net, q, tree, few, &engine, &with_few);
+    ASSERT_TRUE(all.run.ok());
+    ASSERT_TRUE(masked.run.ok());
+    EXPECT_EQ(masked.digest, all.digest) << phase_name(kind);
+    EXPECT_EQ(masked.digest, first.digest) << phase_name(kind);
+    EXPECT_EQ(masked.folds, all.folds) << phase_name(kind);
+    EXPECT_LT(masked.folds, g.num_vertices()) << phase_name(kind);
+
+    int bagless = 0;
+    while (!few[bagless].bag.empty()) ++bagless;
+    FoldCache stale = warm;
+    stale.refold[bagless] = 1;
+    EXPECT_THROW(solve(net, q, tree, few, &engine, &stale), std::logic_error)
+        << phase_name(kind);
+  }
+}
 
 // --- optmarked (Section 6) -------------------------------------------------------
 
