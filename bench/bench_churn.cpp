@@ -40,9 +40,10 @@ int main() {
                   "oracle", "epoch_ms"});
   // n = 16..128 share one graph seed; n = 5000 is perfbench's churn-edges
   // graph, where a refold closure is a sliver of n and epoch_ms shows
-  // what an epoch costs the coordinator beyond its closure.
+  // what an epoch costs the coordinator beyond its closure; n = 50000 (same
+  // generator and seed) shows how that cost grows with n.
   const std::pair<int, unsigned> points[] = {
-      {16, 23}, {32, 23}, {64, 23}, {128, 23}, {5000, 5000}};
+      {16, 23}, {32, 23}, {64, 23}, {128, 23}, {5000, 5000}, {50000, 5000}};
   for (const auto& [n, seed] : points) {
     gen::Rng rng(seed);
     const Graph g = gen::random_bounded_treedepth(n, 3, 0.25, rng);

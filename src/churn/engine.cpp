@@ -83,17 +83,15 @@ std::vector<dist::LocalBag> bags_for_tree(
 }
 
 ChurnEngine::ChurnEngine(Graph g, dist::Query query, Options opts)
-    : graph_(std::move(g)),
-      query_(std::move(query)),
+    : query_(std::move(query)),
       opts_(std::move(opts)),
-      engine_(dist::engine_config(query_)) {
+      engine_(dist::engine_config(query_)),
+      net_(std::move(g), opts_.net) {
   std::tie(vlabels_, elabels_) = dist::bag_labels(query_, engine_.config());
   invalidate_caches();
 }
 
 ChurnEngine::~ChurnEngine() = default;
-
-congest::NetworkConfig ChurnEngine::solve_config() const { return opts_.net; }
 
 namespace {
 metrics::Registry* registry_of(const congest::NetworkConfig& cfg) {
@@ -102,43 +100,59 @@ metrics::Registry* registry_of(const congest::NetworkConfig& cfg) {
 void bump(const congest::NetworkConfig& cfg, const char* name) {
   if (metrics::Registry* r = registry_of(cfg)) r->counter(name).add(1);
 }
+/// Appends `more` to a one-line note ("a; b").
+void add_note(std::string& note, const std::string& more) {
+  if (more.empty()) return;
+  note = note.empty() ? more : note + "; " + more;
+}
+/// Why the fold engine cannot fold `tree` (the bag of a vertex at depth k
+/// has k terminals), or "" when it can.
+std::string too_deep(const dist::ElimTreeResult& tree) {
+  const int depth =
+      tree.depth.empty()
+          ? 0
+          : *std::max_element(tree.depth.begin(), tree.depth.end());
+  if (depth <= bpt::kMaxTerminals) return "";
+  return "tree depth " + std::to_string(depth) +
+         " exceeds the fold engine's " +
+         std::to_string(bpt::kMaxTerminals) + "-terminal limit";
+}
 }  // namespace
 
 void ChurnEngine::invalidate_caches() {
-  cache_.reset(graph_.num_vertices());
-  net_ids_.assign(graph_.num_vertices(), -1);
+  cache_.reset(net_.n());
+  net_ids_.assign(net_.n(), -1);
 }
 
-StepOutcome ChurnEngine::solve(congest::Network& net,
-                               const dist::ElimTreeResult& tree,
+StepOutcome ChurnEngine::solve(const dist::ElimTreeResult& tree,
                                const std::vector<dist::LocalBag>& bags) {
   StepOutcome out;
-  out.verdict = dist::solve(net, query_, tree, bags, &engine_, &cache_);
+  out.verdict = dist::solve(net_, query_, tree, bags, &engine_, &cache_);
   out.run = out.verdict.run;
   out.folds = out.verdict.folds;
   out.rounds = out.run.rounds;
   out.status =
       out.run.ok() ? StepStatus::kRecomputed : StepStatus::kDegraded;
-  if (!out.run.ok()) out.flight = net.flight_recorder().dump_string();
+  if (!out.run.ok()) out.flight = net_.flight_recorder().dump_string();
   out.digest = digest_of(out.verdict);
   if (out.run.ok()) {
     // The refreshed cache is positional over bags ordered by these ids.
-    net_ids_.assign(net.n(), -1);
-    for (int v = 0; v < net.n(); ++v) net_ids_[v] = net.id_of_vertex(v);
+    net_ids_.assign(net_.n(), -1);
+    for (int v = 0; v < net_.n(); ++v) net_ids_[v] = net_.id_of_vertex(v);
   }
   return out;
 }
 
-StepOutcome ChurnEngine::full_compute(const congest::NetworkConfig& cfg) {
+StepOutcome ChurnEngine::full_compute() {
   bump(opts_.net, "churn.full_recomputes");
   StepOutcome out;
-  congest::Network net(graph_, cfg);
-  const dist::ElimTreeResult tree = dist::run_elim_tree(net, opts_.d);
+  net_.reset();
+  const dist::ElimTreeResult tree = dist::run_elim_tree(net_, opts_.d);
   out.run = tree.run;
   out.rounds = tree.rounds;
   if (!tree.run.ok()) {
     out.status = StepStatus::kDegraded;
-    out.flight = net.flight_recorder().dump_string();
+    out.flight = net_.flight_recorder().dump_string();
     tree_.reset();
     invalidate_caches();
     return out;
@@ -153,18 +167,35 @@ StepOutcome ChurnEngine::full_compute(const congest::NetworkConfig& cfg) {
     invalidate_caches();
     return out;
   }
-  const dist::BagsResult bags = dist::run_bags(net, tree, vlabels_, elabels_);
+  // Algorithm 2's tree is certified only when td(G) <= d: above that an
+  // accepted tree can be invalid, and a valid one can be deeper (up to
+  // 2^d - 1, Lemma 2.5) than the fold engine packs. Neither is folded (nor
+  // kept to repair from): a structured degradation, never a wrong verdict
+  // or a throw from the fold.
+  std::string why = tree_defect(graph(), tree.parent, opts_.d);
+  if (!why.empty())
+    why = "elimination tree rejected: " + why;
+  else
+    why = too_deep(tree);
+  if (!why.empty()) {
+    out.status = StepStatus::kDegraded;
+    out.note = std::move(why);
+    tree_.reset();
+    invalidate_caches();
+    return out;
+  }
+  const dist::BagsResult bags = dist::run_bags(net_, tree, vlabels_, elabels_);
   out.run = bags.run;
   out.rounds += bags.rounds;
   if (!bags.run.ok()) {
     out.status = StepStatus::kDegraded;
-    out.flight = net.flight_recorder().dump_string();
+    out.flight = net_.flight_recorder().dump_string();
     tree_.reset();
     invalidate_caches();
     return out;
   }
   invalidate_caches();  // fold-all: the seams refresh the caches on success
-  StepOutcome solved = solve(net, tree, bags.bags);
+  StepOutcome solved = solve(tree, bags.bags);
   solved.rounds += out.rounds;
   if (!solved.run.ok()) {
     tree_.reset();
@@ -172,7 +203,7 @@ StepOutcome ChurnEngine::full_compute(const congest::NetworkConfig& cfg) {
   }
   tree_ = tree;
   solved.status = StepStatus::kRecomputed;
-  solved.refold_count = graph_.num_vertices();
+  solved.refold_count = net_.n();
   return solved;
 }
 
@@ -190,7 +221,7 @@ void ChurnEngine::verify_step(StepOutcome& out) {
     clean.id_seed = opts_.net.id_seed;
     dist::Outcome oracle;
     try {
-      congest::Network net(graph_, clean);
+      congest::Network net(graph(), clean);
       oracle = dist::run(net, query_, budget);
     } catch (const std::exception&) {
       // A larger budget can yield trees deeper than the packed atomic
@@ -220,7 +251,7 @@ void ChurnEngine::verify_step(StepOutcome& out) {
 }
 
 StepOutcome ChurnEngine::init() {
-  StepOutcome out = full_compute(solve_config());
+  StepOutcome out = full_compute();
   if (!out.ok()) bump(opts_.net, "churn.degraded");
   verify_step(out);
   return out;
@@ -229,10 +260,12 @@ StepOutcome ChurnEngine::init() {
 StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
   bump(opts_.net, "churn.steps");
   std::vector<VertexId> old_to_new;
-  Graph next = apply_batch(graph_, batch, &old_to_new);  // throws: unchanged
-  const Graph old_g = std::exchange(graph_, std::move(next));
+  EdgeDelta delta;
+  // Throws on an invalid batch with the network's graph unchanged.
+  Graph next = apply_batch(graph(), batch, &old_to_new, &delta);
   try {
-    return resolve(old_g, old_to_new);
+    net_.reset(std::move(next));
+    return resolve(old_to_new, delta);
   } catch (...) {
     // The graph is already the new one: a tree or cache of the old graph
     // must not reach the next epoch, which then recomputes from scratch.
@@ -242,29 +275,39 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
   }
 }
 
-StepOutcome ChurnEngine::resolve(const Graph& old_g,
-                                 const std::vector<VertexId>& old_to_new) {
+StepOutcome ChurnEngine::resolve(const std::vector<VertexId>& old_to_new,
+                                 const EdgeDelta& delta) {
   if (!tree_.has_value()) {
     // Previous epoch left no tree (degraded or budget-exceeded): nothing
     // to repair against; full recompute on the mutated graph.
-    StepOutcome out = full_compute(solve_config());
-    out.note = "no tree from previous epoch: full recompute";
+    StepOutcome out = full_compute();
+    std::string note = "no tree from previous epoch: full recompute";
+    add_note(note, out.note);
+    out.note = std::move(note);
     if (!out.ok()) bump(opts_.net, "churn.degraded");
     verify_step(out);
     return out;
   }
 
-  TreePatch patch = repair_tree(old_g, *tree_, graph_, old_to_new, opts_.d);
+  TreePatch patch = repair_tree(*tree_, graph(), old_to_new, delta, opts_.d);
+  if (patch.kind != RepairKind::kFailed) {
+    if (std::string why = too_deep(patch.tree); !why.empty()) {
+      patch.kind = RepairKind::kFailed;
+      patch.reason = "repaired " + why;
+    }
+  }
 
   StepOutcome out;
   if (patch.kind == RepairKind::kFailed) {
     bump(opts_.net, "churn.repair_failures");
-    out = full_compute(solve_config());
+    out = full_compute();
     out.repair = RepairKind::kFailed;
     out.repair_failed = true;
-    out.note = patch.reason;
+    std::string note = patch.reason;
+    add_note(note, out.note);
+    out.note = std::move(note);
   } else {
-    const int n = graph_.num_vertices();
+    const int n = net_.n();
     cache_.remap(old_to_new, n);
     std::vector<int> ids(n, -1);
     for (std::size_t ov = 0; ov < old_to_new.size(); ++ov)
@@ -283,13 +326,12 @@ StepOutcome ChurnEngine::resolve(const Graph& old_g,
         marked[x] = refold[x] = 1;
     }
 
-    congest::Network net(graph_, solve_config());
     // Cached tables are positional over bags ordered by network id; if the
     // id assignment moved for any surviving vertex (it is a permutation of
     // [0, n), so vertex churn reshuffles it wholesale), every cached table
     // is suspect — refold the lot.
     for (int v = 0; v < n; ++v)
-      if (net_ids_[v] >= 0 && net_ids_[v] != net.id_of_vertex(v)) {
+      if (net_ids_[v] >= 0 && net_ids_[v] != net_.id_of_vertex(v)) {
         std::fill(refold.begin(), refold.end(), 1);
         break;
       }
@@ -298,8 +340,8 @@ StepOutcome ChurnEngine::resolve(const Graph& old_g,
 
     // A replaying vertex never reads its bag: build the refold set's only.
     const std::vector<dist::LocalBag> bags =
-        bags_for_tree(net, patch.tree, vlabels_, elabels_, &refold);
-    StepOutcome solved = solve(net, patch.tree, bags);
+        bags_for_tree(net_, patch.tree, vlabels_, elabels_, &refold);
+    StepOutcome solved = solve(patch.tree, bags);
     solved.refold_count = out.refold_count;
     solved.repair = patch.kind;
     solved.region = patch.region;
@@ -315,7 +357,7 @@ StepOutcome ChurnEngine::resolve(const Graph& old_g,
       // distributed recompute under the same fault plan.
       bump(opts_.net, "churn.fallbacks");
       const long incremental_rounds = out.rounds;
-      StepOutcome full = full_compute(solve_config());
+      StepOutcome full = full_compute();
       full.repair = patch.kind;
       full.region = patch.region;
       full.fallback_used = true;
@@ -340,7 +382,7 @@ std::vector<StepOutcome> ChurnEngine::run(const ChurnScript& script) {
   outs.push_back(init());
   for (const auto& batch : script.batches) outs.push_back(step(batch));
   for (int i = 0; i < script.random_events; ++i) {
-    const ChurnEvent e = random_event(graph_, script.seed, random_cursor_++);
+    const ChurnEvent e = random_event(graph(), script.seed, random_cursor_++);
     outs.push_back(step({e}));
   }
   return outs;

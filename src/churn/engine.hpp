@@ -1,27 +1,42 @@
 // Churn engine: epochs of graph mutation + incremental re-solving.
 //
 // Each step applies one churn batch, repairs the previous epoch's
-// elimination tree coordinator-side (repair.hpp), rebuilds the canonical
-// bags sequentially (Lemma 2.4: the bags are determined by the tree, so a
-// repaired epoch spends zero distributed rounds on the prologue), and
-// re-runs only the solve phase of the requested pipeline over a fresh
-// network — with the dirty set's ancestor closure re-folded and every
-// clean vertex replaying its cached table (dist::solve with a
+// elimination tree coordinator-side from the batch's edge delta
+// (repair.hpp), rebuilds the canonical bags sequentially (Lemma 2.4: the
+// bags are determined by the tree, so a repaired epoch spends zero
+// distributed rounds on the prologue), and re-runs only the solve phase of
+// the requested pipeline — with the dirty set's ancestor closure re-folded
+// and every clean vertex replaying its cached table (dist::solve with a
 // dist::FoldCache).
+//
+// The engine keeps one congest::Network for its whole life, and graph()
+// is that network's graph. A batch is applied to a copy of it
+// (apply_batch), which the network then takes by move and re-derives its
+// per-graph state from (Network::reset): each epoch runs on a network
+// that behaves exactly like a freshly built one, without the graph copy
+// and allocations of building one. Full recomputes and the fault fallback
+// re-derive the same network too; only the verification oracle builds its
+// own.
 //
 // The coordinator-side work of an epoch follows the refold closure too. A
 // replaying vertex's table depends only on its subtree (Lemma 4.3, Thm
 // 6.1), so it needs neither its bag nor its local bag graph: the engine
 // builds bags, and dist::solve builds fold contexts, for the refold flags
-// alone. What still costs O(n) per epoch is the repair's passes over the
-// graph and tree and the fresh Network.
+// alone. What still costs O(n) per epoch is tight array passes: the graph
+// copy, the network's re-derived tables, the repair's parent and depth
+// arrays, and the fold's verdict broadcast to every vertex.
 //
-// Fault composition: the solve network inherits the caller's
-// NetworkConfig, so the PR-3 fault plans (and the dmc-mc SchedulerHook)
-// apply to every incremental epoch. A degraded incremental solve falls
-// back to a full distributed recompute under the same faults; if that
-// degrades too the step reports StepStatus::kDegraded — a structured
-// outcome mirroring congest::RunOutcome, never a silently wrong verdict.
+// A tree deeper than the fold engine's terminal limit (bpt::kMaxTerminals)
+// is never folded: a repaired one counts as a failed repair, and if the
+// full recompute's tree is too deep as well the epoch ends kDegraded with
+// a note naming the depth and the limit.
+//
+// Fault composition: the network carries the caller's NetworkConfig, so
+// fault plans (congest/faults.hpp) and the dmc-mc SchedulerHook apply to
+// every incremental epoch. A degraded incremental solve falls back to a full
+// distributed recompute under the same faults; if that degrades too the
+// step reports StepStatus::kDegraded — a structured outcome mirroring
+// congest::RunOutcome, never a silently wrong verdict.
 //
 // Verification: with Options::verify each completed step re-solves from
 // scratch on a clean (fault-free, serial) network with a fresh class
@@ -103,11 +118,11 @@ struct StepOutcome {
 };
 
 struct Options {
-  /// Template for every solve network of the engine: fault plans, the
-  /// dmc-mc SchedulerHook, trace sinks, metrics, and id_seed all carry
-  /// over. Each epoch gets a *fresh* network (crash-stop state does not
-  /// persist across epochs; fault plans are counter-based, so an epoch's
-  /// faults are a pure function of its own rounds).
+  /// Configuration of the engine's network: fault plans, the dmc-mc
+  /// SchedulerHook, trace sinks, metrics, and id_seed. Every epoch starts
+  /// from a re-derived network (crash-stop state does not persist across
+  /// epochs; fault plans are counter-based, so an epoch's faults are a
+  /// pure function of its own rounds).
   congest::NetworkConfig net;
   int d = 3;  // treedepth budget (repair budget is 2^d - 1, as Alg. 2)
   bool verify = true;         // clean from-scratch oracle per step
@@ -138,40 +153,39 @@ class ChurnEngine {
   /// Applies one churn batch and re-solves incrementally. Throws
   /// std::invalid_argument on semantically invalid events (disconnecting
   /// deletions, out-of-range vertices) — the graph is left unchanged. Any
-  /// later throw (e.g. a tree too deep for the fold engine) leaves the
-  /// new graph with no tree and no cache, so the next step recomputes it
-  /// from scratch.
+  /// later throw (e.g. a count that overflows 64 bits) leaves the new
+  /// graph with no tree and no cache, so the next step recomputes it from
+  /// scratch.
   StepOutcome step(const std::vector<ChurnEvent>& batch);
 
   /// init() + every scripted batch + `random_events` seeded single-event
   /// batches. Returns one outcome per epoch (index 0 = init).
   std::vector<StepOutcome> run(const ChurnScript& script);
 
-  const Graph& graph() const { return graph_; }
+  const Graph& graph() const { return net_.graph(); }
   /// Current elimination tree; engaged only after a completed epoch.
   const std::optional<dist::ElimTreeResult>& tree() const { return tree_; }
   const dist::Query& query() const { return query_; }
 
  private:
-  congest::NetworkConfig solve_config() const;
   void invalidate_caches();
-  /// Full distributed recompute on the current graph under `cfg`; refreshes
-  /// tree_ and the cache on success.
-  StepOutcome full_compute(const congest::NetworkConfig& cfg);
-  /// The epoch after graph_ moved from `old_g` to the new graph: repair
-  /// the tree and refold, or recompute in full.
-  StepOutcome resolve(const Graph& old_g,
-                      const std::vector<VertexId>& old_to_new);
-  /// Solve phase over (tree, bags) on `net` (the cache is always supplied;
-  /// a full recompute simply has every refold flag set).
-  StepOutcome solve(congest::Network& net, const dist::ElimTreeResult& tree,
+  /// Full distributed recompute on the current graph over a re-derived
+  /// network; refreshes tree_ and the cache on success.
+  StepOutcome full_compute();
+  /// The epoch after the network moved to the batch's graph: repair the
+  /// tree from the delta and refold, or recompute in full.
+  StepOutcome resolve(const std::vector<VertexId>& old_to_new,
+                      const EdgeDelta& delta);
+  /// Solve phase over (tree, bags) on the network (the cache is always
+  /// supplied; a full recompute simply has every refold flag set).
+  StepOutcome solve(const dist::ElimTreeResult& tree,
                     const std::vector<dist::LocalBag>& bags);
   void verify_step(StepOutcome& out);
 
-  Graph graph_;
   dist::Query query_;
   Options opts_;
   bpt::Engine engine_;  // warm universe shared by every epoch
+  congest::Network net_;
   std::vector<std::string> vlabels_, elabels_;
   std::optional<dist::ElimTreeResult> tree_;
   dist::FoldCache cache_;

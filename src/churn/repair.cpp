@@ -1,9 +1,6 @@
 #include "churn/repair.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "td/elimination_forest.hpp"
 
 namespace dmc::churn {
 
@@ -47,73 +44,123 @@ VertexId lca(const std::vector<VertexId>& parent, const std::vector<int>& depth,
   return a;
 }
 
-/// Connected components of new_g restricted to `members` (a bitmap).
-std::vector<std::vector<VertexId>> components_of(
-    const Graph& g, const std::vector<char>& members) {
-  const int n = g.num_vertices();
-  std::vector<std::vector<VertexId>> comps;
-  std::vector<char> seen(n, 0);
-  for (VertexId s = 0; s < n; ++s) {
-    if (!members[s] || seen[s]) continue;
-    comps.emplace_back();
-    std::vector<VertexId> stack{s};
-    seen[s] = 1;
-    while (!stack.empty()) {
-      const VertexId v = stack.back();
-      stack.pop_back();
-      comps.back().push_back(v);
-      for (auto [w, e] : g.incident(v)) {
-        (void)e;
-        if (!members[w] || seen[w]) continue;
-        seen[w] = 1;
-        stack.push_back(w);
+/// Children of every vertex of a parent array, as one CSR: the children
+/// of v are kids[off[v] .. off[v + 1]), ascending. Entries with parent < 0
+/// (roots, unplaced) are nobody's child.
+struct Children {
+  std::vector<int> off, kids;
+
+  explicit Children(const std::vector<VertexId>& parent) {
+    const int n = static_cast<int>(parent.size());
+    off.assign(n + 1, 0);
+    for (VertexId v = 0; v < n; ++v)
+      if (parent[v] >= 0) ++off[parent[v] + 1];
+    for (int v = 0; v < n; ++v) off[v + 1] += off[v];
+    kids.resize(off[n]);
+    std::vector<int> cursor(off.begin(), off.end() - 1);
+    for (VertexId v = 0; v < n; ++v)
+      if (parent[v] >= 0) kids[cursor[parent[v]]++] = v;
+  }
+  const int* begin(VertexId v) const { return kids.data() + off[v]; }
+  const int* end(VertexId v) const { return kids.data() + off[v + 1]; }
+  int count(VertexId v) const { return off[v + 1] - off[v]; }
+};
+
+/// Re-eliminates a structural region. Region vertices are exactly the
+/// unplaced ones (parent == -2), so the components of a component minus a
+/// vertex are found by searching unplaced neighbors only, and one stamp
+/// array serves every search of the repair: a search costs its component,
+/// never n.
+class RegionBuilder {
+ public:
+  RegionBuilder(const Graph& g, long budget, std::vector<VertexId>& parent,
+                std::vector<int>& depth)
+      : g_(g), budget_(budget), parent_(parent), depth_(depth),
+        stamp_(parent.size(), 0) {}
+
+  /// Components of the unplaced vertices among `from` (ascending), other
+  /// than `skip`: ordered by their least vertex, each sorted.
+  std::vector<std::vector<VertexId>> components(
+      const std::vector<VertexId>& from, VertexId skip) {
+    std::vector<std::vector<VertexId>> comps;
+    const int mark = ++stamp_id_;
+    if (skip >= 0) stamp_[skip] = mark;
+    for (VertexId s : from) {
+      if (stamp_[s] == mark) continue;
+      comps.emplace_back();
+      search(s, mark, &comps.back());
+      std::sort(comps.back().begin(), comps.back().end());
+    }
+    return comps;
+  }
+
+  /// Recursively eliminates g[comp] (one component of the unplaced
+  /// vertices, ascending) under `attach` (a vertex outside the region, or
+  /// -1 for a root-level rebuild), writing parent/depth. The root of every
+  /// built subtree must be adjacent to its attachment point so tree edges
+  /// stay graph edges; among the eligible roots the one minimizing the
+  /// largest remaining component (ties: smaller id) is chosen — the same
+  /// balanced-separator heuristic as td::balanced_elimination_forest.
+  /// Returns false iff the depth budget cannot be met.
+  bool build(const std::vector<VertexId>& comp, VertexId attach,
+             int attach_depth) {
+    if (comp.empty()) return true;
+    if (attach_depth + 1 > budget_) return false;
+    VertexId best = -1;
+    std::size_t best_score = 0;
+    for (VertexId r : comp) {
+      if (attach >= 0 && !g_.has_edge(r, attach)) continue;
+      const int mark = ++stamp_id_;
+      stamp_[r] = mark;
+      std::size_t largest = 0;
+      for (VertexId s : comp)
+        if (stamp_[s] != mark) largest = std::max(largest, search(s, mark));
+      if (best < 0 || largest < best_score) {
+        best = r;
+        best_score = largest;
       }
     }
-    std::sort(comps.back().begin(), comps.back().end());
+    if (best < 0) return false;  // no root adjacent to the attachment point
+    parent_[best] = attach;
+    depth_[best] = attach_depth + 1;
+    for (const auto& sub : components(comp, best))
+      if (!build(sub, best, attach_depth + 1)) return false;
+    return true;
   }
-  return comps;
-}
 
-/// Recursively eliminates new_g[comp] under `attach` (a vertex outside the
-/// region, or -1 for a root-level rebuild), writing parent/depth. The root
-/// of every built subtree must be adjacent to its attachment point so tree
-/// edges stay graph edges; among the eligible roots the one minimizing the
-/// largest remaining component (ties: smaller id) is chosen — the same
-/// balanced-separator heuristic as td::balanced_elimination_forest.
-/// Returns false iff the depth budget cannot be met.
-bool build_region(const Graph& g, const std::vector<VertexId>& comp,
-                  VertexId attach, int attach_depth, long budget,
-                  std::vector<VertexId>& parent, std::vector<int>& depth) {
-  if (comp.empty()) return true;
-  if (attach_depth + 1 > budget) return false;
-  std::vector<char> members(g.num_vertices(), 0);
-  for (VertexId v : comp) members[v] = 1;
-  VertexId best = -1;
-  std::size_t best_score = 0;
-  for (VertexId r : comp) {
-    if (attach >= 0 && !g.has_edge(r, attach)) continue;
-    members[r] = 0;
-    std::size_t largest = 0;
-    for (const auto& c : components_of(g, members))
-      largest = std::max(largest, c.size());
-    members[r] = 1;
-    if (best < 0 || largest < best_score) {
-      best = r;
-      best_score = largest;
+ private:
+  /// Stamps the unplaced component of `s` with `mark`; returns its size
+  /// and, with `out`, lists it.
+  std::size_t search(VertexId s, int mark,
+                     std::vector<VertexId>* out = nullptr) {
+    stack_.assign(1, s);
+    stamp_[s] = mark;
+    std::size_t size = 0;
+    while (!stack_.empty()) {
+      const VertexId v = stack_.back();
+      stack_.pop_back();
+      ++size;
+      if (out != nullptr) out->push_back(v);
+      for (VertexId w : g_.neighbors(v)) {
+        if (parent_[w] != -2 || stamp_[w] == mark) continue;
+        stamp_[w] = mark;
+        stack_.push_back(w);
+      }
     }
+    return size;
   }
-  if (best < 0) return false;  // no root adjacent to the attachment point
-  parent[best] = attach;
-  depth[best] = attach_depth + 1;
-  members[best] = 0;
-  for (const auto& sub : components_of(g, members))
-    if (!build_region(g, sub, best, attach_depth + 1, budget, parent, depth))
-      return false;
-  return true;
-}
+
+  const Graph& g_;
+  long budget_;
+  std::vector<VertexId>& parent_;
+  std::vector<int>& depth_;
+  std::vector<int> stamp_;
+  int stamp_id_ = 0;
+  std::vector<VertexId> stack_;
+};
 
 /// Marks the old-tree subtree of `root` (old-graph vertices), mapped into
-/// the new graph, as dirty; `include_root` excludes a deleted root itself.
+/// the new graph, as dirty; deleted vertices are skipped.
 void mark_old_subtree(const dist::ElimTreeResult& old_tree,
                       const std::vector<VertexId>& old_to_new, VertexId root,
                       std::vector<char>& dirty) {
@@ -126,15 +173,73 @@ void mark_old_subtree(const dist::ElimTreeResult& old_tree,
   }
 }
 
-void mark_new_subtree(const std::vector<std::vector<int>>& children,
-                      VertexId root, std::vector<char>& dirty) {
+void mark_new_subtree(const Children& children, VertexId root,
+                      std::vector<char>& dirty) {
   std::vector<VertexId> stack{root};
   while (!stack.empty()) {
     const VertexId v = stack.back();
     stack.pop_back();
     dirty[v] = 1;
-    for (int c : children[v]) stack.push_back(c);
+    stack.insert(stack.end(), children.begin(v), children.end(v));
   }
+}
+
+enum class Defect { kNone, kCycle, kRoots, kEdges, kDepth };
+
+/// Whether `parent` is a single elimination tree of `g` within `budget`
+/// that is also a subgraph of g. Fills `depth`. One depth-first pass
+/// numbers the tree (entry/exit times), then one pass over the edge list
+/// tests ancestry and finds every tree edge among the edges.
+Defect validate(const Graph& g, const std::vector<VertexId>& parent,
+                const Children& children, long budget,
+                std::vector<int>& depth) {
+  const int n = static_cast<int>(parent.size());
+  std::vector<int> tin(n, -1), tout(n, -1);
+  std::vector<VertexId> stack;
+  int clock = 0, roots = 0, max_depth = 0;
+  for (VertexId r = 0; r < n; ++r) {
+    if (parent[r] < -1) return Defect::kCycle;
+    if (parent[r] != -1) continue;
+    ++roots;
+    depth[r] = 1;
+    tin[r] = clock++;
+    stack.assign(1, r);
+    // Iterative DFS: a vertex is on the stack until its children are done.
+    std::vector<const int*> next{children.begin(r)};
+    while (!stack.empty()) {
+      const VertexId v = stack.back();
+      const int*& it = next.back();
+      if (it == children.end(v)) {
+        tout[v] = clock++;
+        stack.pop_back();
+        next.pop_back();
+        continue;
+      }
+      const VertexId c = *it++;
+      depth[c] = depth[v] + 1;
+      max_depth = std::max(max_depth, depth[c]);
+      tin[c] = clock++;
+      stack.push_back(c);
+      next.push_back(children.begin(c));
+    }
+    max_depth = std::max(max_depth, 1);
+  }
+  // A vertex no root reaches sits on a parent cycle.
+  if (clock != 2 * n) return Defect::kCycle;
+  if (roots != 1) return Defect::kRoots;
+  std::vector<char> tree_edge(n, 0);
+  auto below = [&](VertexId anc, VertexId v) {
+    return tin[anc] <= tin[v] && tout[v] <= tout[anc];
+  };
+  for (const Edge& e : g.edges()) {
+    if (!below(e.u, e.v) && !below(e.v, e.u)) return Defect::kEdges;
+    if (parent[e.u] == e.v) tree_edge[e.u] = 1;
+    if (parent[e.v] == e.u) tree_edge[e.v] = 1;
+  }
+  for (VertexId v = 0; v < n; ++v)
+    if (parent[v] >= 0 && !tree_edge[v]) return Defect::kEdges;
+  if (max_depth > budget) return Defect::kDepth;
+  return Defect::kNone;
 }
 
 }  // namespace
@@ -148,12 +253,11 @@ const char* to_string(RepairKind kind) {
   return "?";
 }
 
-TreePatch repair_tree(const Graph& old_g,
-                      const dist::ElimTreeResult& old_tree,
-                      const Graph& new_g,
-                      const std::vector<VertexId>& old_to_new, int d) {
+TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
+                      const std::vector<VertexId>& old_to_new,
+                      const EdgeDelta& delta, int d) {
   TreePatch patch;
-  const int n_old = old_g.num_vertices();
+  const int n_old = static_cast<int>(old_to_new.size());
   const int n_new = new_g.num_vertices();
   const long budget = (1L << d) - 1;  // Algorithm 2's depth bound (Lemma 2.5)
   if (!old_tree.success || n_new == 0) {
@@ -167,44 +271,51 @@ TreePatch repair_tree(const Graph& old_g,
 
   // Candidate tree: the old tree with deleted vertices spliced out
   // (children adopt the nearest surviving ancestor); fresh vertices are
-  // unplaced (-2).
+  // unplaced (-2). Splicing keeps every surviving ancestor pair, so the
+  // old tree's validity carries over to every unchanged edge.
   std::vector<VertexId> parent(n_new, -2);
+  std::vector<VertexId> unplaced, spliced;
+  int roots = 0;
   for (VertexId nv = 0; nv < n_new; ++nv) {
     const VertexId ov = new_to_old[nv];
-    if (ov < 0) continue;
+    if (ov < 0) {
+      unplaced.push_back(nv);
+      continue;
+    }
     VertexId op = old_tree.parent[ov];
-    while (op >= 0 && old_to_new[op] < 0) op = old_tree.parent[op];
+    if (op >= 0 && old_to_new[op] < 0) {
+      spliced.push_back(nv);
+      while (op >= 0 && old_to_new[op] < 0) op = old_tree.parent[op];
+    }
     parent[nv] = op < 0 ? -1 : old_to_new[op];
+    roots += parent[nv] == -1;
   }
   std::vector<int> depth = depths_of(parent);
   auto placed = [&](VertexId v) { return parent[v] != -2; };
 
-  // Violations: graph edges not ancestor-related, tree edges no longer in
-  // the graph, a spliced-apart root set, and unplaced fresh vertices.
+  // Violations: tree edges no longer in the graph (a deleted pair, or a
+  // spliced child and its adopted parent), inserted edges that are not
+  // ancestor-related, a spliced-apart root set, and unplaced fresh
+  // vertices. Every other edge and tree edge was valid in the old tree.
   std::vector<char> relevant(n_new, 0);
-  std::vector<VertexId> unplaced;
-  int roots = 0;
-  for (VertexId v = 0; v < n_new; ++v) {
-    if (!placed(v)) {
-      unplaced.push_back(v);
-      continue;
-    }
-    if (parent[v] == -1) ++roots;
-    if (parent[v] >= 0 && !new_g.has_edge(v, parent[v]))
-      relevant[v] = relevant[parent[v]] = 1;
+  bool has_violation = false;
+  auto flag = [&](VertexId a, VertexId b) {
+    relevant[a] = relevant[b] = 1;
+    has_violation = true;
+  };
+  for (const auto& [a, b] : delta.deleted)
+    if (parent[a] == b || parent[b] == a) flag(a, b);
+  for (VertexId v : spliced)
+    if (parent[v] >= 0 && !new_g.has_edge(v, parent[v])) flag(v, parent[v]);
+  for (const auto& [a, b] : delta.inserted) {
+    if (!placed(a) || !placed(b)) continue;
+    const VertexId up = depth[a] <= depth[b] ? a : b;
+    const VertexId dn = depth[a] <= depth[b] ? b : a;
+    if (!is_ancestor_or_self(parent, depth, up, dn)) flag(a, b);
   }
-  bool edge_violation = false;
-  for (const Edge& e : new_g.edges()) {
-    if (!placed(e.u) || !placed(e.v)) continue;
-    const VertexId up = depth[e.u] <= depth[e.v] ? e.u : e.v;
-    const VertexId dn = depth[e.u] <= depth[e.v] ? e.v : e.u;
-    if (!is_ancestor_or_self(parent, depth, up, dn))
-      relevant[e.u] = relevant[e.v] = edge_violation = true;
-  }
-  const bool multi_root = roots != 1 && n_new > static_cast<int>(unplaced.size());
-  bool has_violation = multi_root || edge_violation;
-  for (VertexId v = 0; v < n_new && !has_violation; ++v)
-    has_violation = relevant[v] != 0;
+  const bool multi_root =
+      roots != 1 && n_new > static_cast<int>(unplaced.size());
+  has_violation = has_violation || multi_root;
 
   bool structural = false;
   if (!has_violation && !unplaced.empty()) {
@@ -267,10 +378,11 @@ TreePatch repair_tree(const Graph& old_g,
     structural = true;
     // Region: the subtrees under the violations' LCA (or everything when
     // the root set itself broke), re-eliminated and re-anchored.
-    std::vector<char> in_region(n_new, 0);
+    std::vector<VertexId> region;
     VertexId anchor = -1;
     if (multi_root) {
-      for (VertexId v = 0; v < n_new; ++v) in_region[v] = 1;
+      region.resize(n_new);
+      for (VertexId v = 0; v < n_new; ++v) region[v] = v;
     } else {
       for (VertexId w : unplaced)
         for (VertexId nb : new_g.neighbors(w))
@@ -283,35 +395,35 @@ TreePatch repair_tree(const Graph& old_g,
         patch.reason = "no anchored violation";  // defensive: disconnected?
         return patch;
       }
-      // Subtrees of the anchor's children that contain a violation.
+      // Subtrees of the anchor's children that contain a violation,
+      // collected down the candidate tree's children lists.
+      const Children children(parent);
+      std::vector<char> in_region(n_new, 0);
       for (VertexId v = 0; v < n_new; ++v) {
         if (!relevant[v] || v == anchor || !placed(v)) continue;
         VertexId x = v;
         while (parent[x] != anchor) x = parent[x];
         if (in_region[x]) continue;
-        std::vector<VertexId> stack{x};
+        const std::size_t first = region.size();
+        region.push_back(x);
         in_region[x] = 1;
-        while (!stack.empty()) {
-          const VertexId y = stack.back();
-          stack.pop_back();
-          for (VertexId c = 0; c < n_new; ++c)
-            if (placed(c) && parent[c] == y && !in_region[c]) {
-              in_region[c] = 1;
-              stack.push_back(c);
-            }
-        }
+        for (std::size_t i = first; i < region.size(); ++i)
+          for (const int* c = children.begin(region[i]);
+               c != children.end(region[i]); ++c) {
+            in_region[*c] = 1;
+            region.push_back(*c);
+          }
       }
-      for (VertexId w : unplaced) in_region[w] = 1;
+      region.insert(region.end(), unplaced.begin(), unplaced.end());
+      std::sort(region.begin(), region.end());
     }
-    for (VertexId v = 0; v < n_new; ++v)
-      if (in_region[v]) {
-        parent[v] = -2;
-        patch.region++;
-      }
+    for (VertexId v : region) parent[v] = -2;
+    patch.region = static_cast<int>(region.size());
     // Ancestors of the anchor, deepest first, as re-attachment candidates.
     std::vector<VertexId> anchor_path;
     for (VertexId x = anchor; x >= 0; x = parent[x]) anchor_path.push_back(x);
-    for (const auto& comp : components_of(new_g, in_region)) {
+    RegionBuilder builder(new_g, budget, parent, depth);
+    for (const auto& comp : builder.components(region, -1)) {
       VertexId attach = -1;
       for (VertexId cand : anchor_path) {
         bool adjacent = false;
@@ -326,44 +438,40 @@ TreePatch repair_tree(const Graph& old_g,
         return patch;
       }
       const int attach_depth = attach < 0 ? 0 : depth[attach];
-      if (!build_region(new_g, comp, attach, attach_depth, budget, parent,
-                        depth)) {
+      if (!builder.build(comp, attach, attach_depth)) {
         patch.reason = "depth budget exceeded";
         return patch;
       }
     }
-    depth = depths_of(parent);
   }
 
   // Defensive validation: the repaired tree must be exactly what Algorithm 2
-  // could have produced — valid, a subgraph of the new graph, within the
-  // depth bound, and a single tree.
-  try {
-    EliminationForest forest(parent);
-    if (forest.roots().size() != 1) {
+  // could have produced — a single tree, valid for and a subgraph of the
+  // new graph, within the depth bound. It also settles the final depths.
+  const Children children(parent);
+  switch (validate(new_g, parent, children, budget, depth)) {
+    case Defect::kNone: break;
+    case Defect::kCycle:
+      patch.reason = "repair produced a cyclic parent map";
+      return patch;
+    case Defect::kRoots:
       patch.reason = "repair left multiple roots";
       return patch;
-    }
-    if (!forest.valid_for(new_g) || !forest.is_subgraph_of(new_g)) {
+    case Defect::kEdges:
       patch.reason = "repaired tree invalid";
       return patch;
-    }
-    if (forest.depth() > budget) {
+    case Defect::kDepth:
       patch.reason = "depth budget exceeded";
       return patch;
-    }
-  } catch (const std::exception&) {
-    patch.reason = "repair produced a cyclic parent map";
-    return patch;
   }
 
   patch.kind = structural ? RepairKind::kStructural : RepairKind::kRefold;
   patch.tree.success = true;
-  patch.tree.parent.assign(parent.begin(), parent.end());
+  patch.tree.parent = parent;
   patch.tree.depth = depth;
-  patch.tree.children.assign(n_new, {});
+  patch.tree.children.resize(n_new);
   for (VertexId v = 0; v < n_new; ++v)
-    if (parent[v] >= 0) patch.tree.children[parent[v]].push_back(v);
+    patch.tree.children[v].assign(children.begin(v), children.end(v));
 
   // Dirty set: fold contexts that changed. Rule 1 — children arity/identity
   // (the plan's Input slots); rule 2 — the bag itself (root path, including
@@ -381,8 +489,7 @@ TreePatch repair_tree(const Graph& old_g,
     if (parent[v] < 0) order.push_back(v);
   for (std::size_t i = 0; i < order.size(); ++i) {
     const VertexId nv = order[i];
-    const auto& kids = patch.tree.children[nv];
-    order.insert(order.end(), kids.begin(), kids.end());
+    order.insert(order.end(), children.begin(nv), children.end(nv));
     const VertexId ov = new_to_old[nv];
     if (ov < 0) {
       patch.dirty[nv] = 1;  // fresh vertex: everything about it is new
@@ -391,28 +498,51 @@ TreePatch repair_tree(const Graph& old_g,
     const VertexId op = old_tree.parent[ov], np = parent[nv];
     same_path[nv] = np < 0 ? op < 0
                            : op >= 0 && old_to_new[op] == np && same_path[np];
-    bool same_kids = kids.size() == old_tree.children[ov].size();
-    for (std::size_t k = 0; same_kids && k < kids.size(); ++k) {
-      const VertexId oc = new_to_old[kids[k]];
+    bool same_kids = children.count(nv) ==
+                     static_cast<int>(old_tree.children[ov].size());
+    for (const int* c = children.begin(nv); same_kids && c != children.end(nv);
+         ++c) {
+      const VertexId oc = new_to_old[*c];
       same_kids = oc >= 0 && old_tree.parent[oc] == ov;
     }
     if (!same_path[nv] || !same_kids) patch.dirty[nv] = 1;
   }
-  for (const Edge& e : old_g.edges()) {
-    const VertexId na = old_to_new[e.u], nb = old_to_new[e.v];
-    if (na < 0 || nb < 0) continue;  // died with a vertex: rule 2 covers it
-    if (new_g.has_edge(na, nb)) continue;
-    const VertexId deeper =
-        old_tree.depth[e.u] >= old_tree.depth[e.v] ? e.u : e.v;
-    mark_old_subtree(old_tree, old_to_new, deeper, patch.dirty);
+  // Rule 3 from the delta: a deleted pair dirties the old subtree of its
+  // deeper endpoint, an inserted pair the new one.
+  for (const auto& [a, b] : delta.deleted) {
+    const VertexId oa = new_to_old[a], ob = new_to_old[b];
+    mark_old_subtree(old_tree, old_to_new,
+                     old_tree.depth[oa] >= old_tree.depth[ob] ? oa : ob,
+                     patch.dirty);
   }
-  for (const Edge& e : new_g.edges()) {
-    const VertexId oa = new_to_old[e.u], ob = new_to_old[e.v];
-    if (oa >= 0 && ob >= 0 && old_g.has_edge(oa, ob)) continue;
-    const VertexId deeper = depth[e.u] >= depth[e.v] ? e.u : e.v;
-    mark_new_subtree(patch.tree.children, deeper, patch.dirty);
-  }
+  for (const auto& [a, b] : delta.inserted)
+    mark_new_subtree(children, depth[a] >= depth[b] ? a : b, patch.dirty);
   return patch;
+}
+
+std::string tree_defect(const Graph& g, const std::vector<VertexId>& parent,
+                        int d) {
+  if (static_cast<int>(parent.size()) != g.num_vertices())
+    return "tree size differs from the graph";
+  for (VertexId p : parent)
+    if (p < -1 || p >= g.num_vertices()) return "parent id out of range";
+  std::vector<int> depth(parent.size(), 0);
+  switch (validate(g, parent, Children(parent), (1L << d) - 1, depth)) {
+    case Defect::kNone: return "";
+    case Defect::kCycle: return "parent map has a cycle";
+    case Defect::kRoots: return "more than one root";
+    case Defect::kEdges:
+      return "not an elimination tree whose edges are graph edges";
+    case Defect::kDepth: return "deeper than 2^d - 1";
+  }
+  return "";
+}
+
+TreePatch repair_tree(const Graph& old_g, const dist::ElimTreeResult& old_tree,
+                      const Graph& new_g,
+                      const std::vector<VertexId>& old_to_new, int d) {
+  return repair_tree(old_tree, new_g, old_to_new,
+                     edge_delta(old_g, new_g, old_to_new), d);
 }
 
 }  // namespace dmc::churn

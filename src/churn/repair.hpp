@@ -14,6 +14,16 @@
 // every tree edge stays a graph edge — the invariant the bags protocol's
 // parent->child pipeline and the convergecasts rely on).
 //
+// The repair is driven by the batch's edge delta (churn::EdgeDelta, as
+// apply_batch reports it): the old tree is valid for every unchanged edge,
+// so only inserted edges, tree edges whose graph edge was deleted and the
+// children of deleted vertices are checked, and the dirty set's edge rule
+// marks subtrees from the delta. A structural rebuild costs its region
+// times its degree (region searches share one stamp array). What remains
+// O(n + m) is a handful of array passes: the spliced parent array, the
+// depths, and the final check that the result is a single tree of the new
+// graph within the budget.
+//
 // The patch also reports exactly which vertices' *fold contexts* changed —
 // bag (root path) membership, bag-induced edges, or children arity — so
 // the engine re-folds only the dirty set plus its root-path closure, as
@@ -26,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "churn/script.hpp"
 #include "dist/elim_tree.hpp"
 #include "graph/graph.hpp"
 
@@ -52,10 +63,25 @@ struct TreePatch {
   int region = 0;  // vertices re-placed by the structural rebuild
 };
 
-/// Repairs `old_tree` (valid for `old_g`) into a tree for `new_g`, where
-/// `old_to_new` maps old vertices to new ids (-1 = deleted) — exactly the
-/// mapping produced by churn::apply_batch. Requires new_g connected and
-/// old_tree.success.
+/// Repairs `old_tree` into a tree for `new_g`, where `old_to_new` maps old
+/// vertices to new ids (-1 = deleted) and `delta` is the batch's net edge
+/// change — exactly what churn::apply_batch produces. Requires new_g
+/// connected and `old_tree` valid for the old graph with every tree edge a
+/// graph edge (Algorithm 2's trees and this function's own results).
+TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
+                      const std::vector<VertexId>& old_to_new,
+                      const EdgeDelta& delta, int d);
+
+/// Why `parent` is not a single elimination tree of `g` with every tree
+/// edge a graph edge and depth at most 2^d - 1, or "" when it is one — the
+/// check every repaired tree passes, in O(n + m). Algorithm 2 certifies
+/// its tree only when td(G) <= d; above that its leader floods may not
+/// converge, so a tree it accepts can still fail this check.
+std::string tree_defect(const Graph& g, const std::vector<VertexId>& parent,
+                        int d);
+
+/// The same repair for a caller that holds both graphs: diffs them into
+/// the delta (churn::edge_delta, O(n + m)) and calls the function above.
 TreePatch repair_tree(const Graph& old_g,
                       const dist::ElimTreeResult& old_tree,
                       const Graph& new_g,

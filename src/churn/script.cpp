@@ -1,7 +1,9 @@
 #include "churn/script.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 
 #include "congest/wire.hpp"
@@ -46,14 +48,11 @@ std::pair<VertexId, VertexId> parse_pair(std::string_view spec,
 }
 
 /// True iff the graph stays connected (over >= 1 vertex) when `skip_vertex`
-/// (or `skip_edge`) is removed; pass -1 to skip nothing.
-bool connected_without(const Graph& g, VertexId skip_vertex,
-                       EdgeId skip_edge) {
+/// is removed.
+bool connected_without_vertex(const Graph& g, VertexId skip_vertex) {
   const int n = g.num_vertices();
-  const int live = skip_vertex >= 0 ? n - 1 : n;
-  if (live <= 0) return false;
-  VertexId start = 0;
-  while (start == skip_vertex) ++start;
+  if (n <= 1) return false;
+  const VertexId start = skip_vertex == 0 ? 1 : 0;
   std::vector<char> seen(n, 0);
   std::vector<VertexId> stack{start};
   seen[start] = 1;
@@ -61,14 +60,33 @@ bool connected_without(const Graph& g, VertexId skip_vertex,
   while (!stack.empty()) {
     const VertexId v = stack.back();
     stack.pop_back();
-    for (auto [w, e] : g.incident(v)) {
-      if (w == skip_vertex || e == skip_edge || seen[w]) continue;
+    for (VertexId w : g.neighbors(v)) {
+      if (w == skip_vertex || seen[w]) continue;
       seen[w] = 1;
       ++reached;
       stack.push_back(w);
     }
   }
-  return reached == live;
+  return reached == n - 1;
+}
+
+/// True iff the (connected) graph stays connected without edge `skip`,
+/// i.e. its endpoints still reach each other. The breadth-first search
+/// stops at the other endpoint, so a chord costs its neighborhood, not n.
+bool connected_without_edge(const Graph& g, EdgeId skip) {
+  const Edge ends = g.edge(skip);
+  std::vector<char> seen(g.num_vertices(), 0);
+  std::vector<VertexId> queue{ends.u};
+  seen[ends.u] = 1;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (auto [w, e] : g.incident(queue[head])) {
+      if (e == skip || seen[w]) continue;
+      if (w == ends.v) return true;
+      seen[w] = 1;
+      queue.push_back(w);
+    }
+  }
+  return false;
 }
 
 [[noreturn]] void bad_event(const ChurnEvent& event, const std::string& why) {
@@ -76,30 +94,14 @@ bool connected_without(const Graph& g, VertexId skip_vertex,
                               why);
 }
 
-/// Copy of `g` without edge `skip` (Graph has no edge removal; labels and
-/// weights are carried over, edge ids above `skip` shift down by one).
-Graph without_edge(const Graph& g, EdgeId skip) {
-  Graph out(g.num_vertices());
-  const auto vlabels = g.vertex_label_names();
-  const auto elabels = g.edge_label_names();
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    out.set_vertex_weight(v, g.vertex_weight(v));
-    for (const auto& name : vlabels)
-      if (g.vertex_has_label(name, v)) out.set_vertex_label(name, v);
-  }
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (e == skip) continue;
-    const Edge& edge = g.edge(e);
-    const EdgeId ne = out.add_edge(edge.u, edge.v);
-    out.set_edge_weight(ne, g.edge_weight(e));
-    for (const auto& name : elabels)
-      if (g.edge_has_label(name, e)) out.set_edge_label(name, ne);
-  }
-  return out;
-}
+using Pair = std::pair<VertexId, VertexId>;
 
+/// Applies one event to `g`. `old_to_new` composes the batch's vertex
+/// mapping through deletions; `touched` collects, in current ids, every
+/// pair whose edge the event adds or deletes.
 void apply_event(Graph& g, const ChurnEvent& event,
-                 std::vector<VertexId>& old_to_new) {
+                 std::vector<VertexId>& old_to_new,
+                 std::vector<Pair>& touched) {
   const int n = g.num_vertices();
   auto check_vertex = [&](VertexId v) {
     if (v < 0 || v >= n) bad_event(event, "no such vertex");
@@ -111,6 +113,7 @@ void apply_event(Graph& g, const ChurnEvent& event,
       if (event.u == event.v) bad_event(event, "self-loop");
       if (g.has_edge(event.u, event.v)) bad_event(event, "edge exists");
       g.add_edge(event.u, event.v);
+      touched.emplace_back(event.u, event.v);
       break;
     }
     case ChurnEvent::Kind::kDelEdge: {
@@ -118,9 +121,10 @@ void apply_event(Graph& g, const ChurnEvent& event,
       check_vertex(event.v);
       const EdgeId e = g.edge_id(event.u, event.v);
       if (e < 0) bad_event(event, "no such edge");
-      if (!connected_without(g, -1, e))
+      if (!connected_without_edge(g, e))
         bad_event(event, "would disconnect the graph");
-      g = without_edge(g, e);
+      g.remove_edge(e);
+      touched.emplace_back(event.u, event.v);
       break;
     }
     case ChurnEvent::Kind::kAddVertex: {
@@ -131,6 +135,7 @@ void apply_event(Graph& g, const ChurnEvent& event,
       for (VertexId nb : event.neighbors) {
         if (g.has_edge(w, nb)) bad_event(event, "duplicate neighbor");
         g.add_edge(w, nb);
+        touched.emplace_back(w, nb);
       }
       old_to_new.push_back(-1);  // padding: the new vertex has no old id
       break;
@@ -138,7 +143,7 @@ void apply_event(Graph& g, const ChurnEvent& event,
     case ChurnEvent::Kind::kDelVertex: {
       check_vertex(event.u);
       if (n <= 2) bad_event(event, "graph too small");
-      if (!connected_without(g, event.u, -1))
+      if (!connected_without_vertex(g, event.u))
         bad_event(event, "would disconnect the graph");
       std::vector<VertexId> keep;
       for (VertexId v = 0; v < n; ++v)
@@ -149,6 +154,10 @@ void apply_event(Graph& g, const ChurnEvent& event,
       // renumbered by earlier deletions in this batch).
       for (VertexId& m : old_to_new)
         if (m >= 0) m = map[m];
+      std::erase_if(touched, [&](Pair& p) {
+        p = {map[p.first], map[p.second]};
+        return p.first < 0 || p.second < 0;
+      });
       break;
     }
   }
@@ -298,19 +307,73 @@ std::string format_churn_script(const ChurnScript& script) {
   return out;
 }
 
+namespace {
+
+/// new -> old vertex ids (-1 for fresh vertices) of an old_to_new mapping.
+std::vector<VertexId> invert(const std::vector<VertexId>& old_to_new,
+                             int n_new) {
+  std::vector<VertexId> new_to_old(n_new, -1);
+  for (VertexId v = 0; v < static_cast<VertexId>(old_to_new.size()); ++v)
+    if (old_to_new[v] >= 0) new_to_old[old_to_new[v]] = v;
+  return new_to_old;
+}
+
+void sort_pairs(std::vector<Pair>& pairs) {
+  for (Pair& p : pairs)
+    if (p.first > p.second) std::swap(p.first, p.second);
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+}
+
+}  // namespace
+
 Graph apply_batch(const Graph& g, const std::vector<ChurnEvent>& batch,
-                  std::vector<VertexId>* old_to_new) {
+                  std::vector<VertexId>* old_to_new, EdgeDelta* delta) {
   Graph out = g;
-  std::vector<VertexId> map(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) map[v] = v;
-  // apply_event pads `map` for added vertices (kept -1: a fresh vertex has
+  std::vector<VertexId> work(g.num_vertices());
+  std::iota(work.begin(), work.end(), 0);
+  // apply_event pads `work` for added vertices (kept -1: a fresh vertex has
   // no old-graph id); entries for the original vertices stay composed
   // through deletions' renumbering.
-  std::vector<VertexId> work = map;
-  for (const ChurnEvent& event : batch) apply_event(out, event, work);
+  std::vector<Pair> touched;
+  for (const ChurnEvent& event : batch)
+    apply_event(out, event, work, touched);
   work.resize(g.num_vertices());  // drop padding for added vertices
+  if (delta != nullptr) {
+    // Only touched pairs can differ; classify each by both graphs.
+    sort_pairs(touched);
+    const std::vector<VertexId> new_to_old = invert(work, out.num_vertices());
+    *delta = {};
+    for (const auto& [a, b] : touched) {
+      const VertexId oa = new_to_old[a], ob = new_to_old[b];
+      const bool before = oa >= 0 && ob >= 0 && g.has_edge(oa, ob);
+      const bool after = out.has_edge(a, b);
+      if (after && !before) delta->inserted.emplace_back(a, b);
+      if (before && !after) delta->deleted.emplace_back(a, b);
+    }
+  }
   if (old_to_new != nullptr) *old_to_new = std::move(work);
   return out;
+}
+
+EdgeDelta edge_delta(const Graph& old_g, const Graph& new_g,
+                     const std::vector<VertexId>& old_to_new) {
+  const std::vector<VertexId> new_to_old =
+      invert(old_to_new, new_g.num_vertices());
+  EdgeDelta delta;
+  for (const Edge& e : old_g.edges()) {
+    const VertexId a = old_to_new[e.u], b = old_to_new[e.v];
+    if (a >= 0 && b >= 0 && !new_g.has_edge(a, b))
+      delta.deleted.emplace_back(a, b);
+  }
+  for (const Edge& e : new_g.edges()) {
+    const VertexId oa = new_to_old[e.u], ob = new_to_old[e.v];
+    if (oa < 0 || ob < 0 || !old_g.has_edge(oa, ob))
+      delta.inserted.emplace_back(e.u, e.v);
+  }
+  sort_pairs(delta.inserted);
+  sort_pairs(delta.deleted);
+  return delta;
 }
 
 ChurnEvent random_event(const Graph& g, std::uint64_t seed, int index) {
@@ -335,7 +398,7 @@ ChurnEvent random_event(const Graph& g, std::uint64_t seed, int index) {
       const std::uint64_t h =
           mix(seed, static_cast<std::uint64_t>(index), attempt, 3);
       const EdgeId edge = static_cast<EdgeId>(h % g.num_edges());
-      if (!connected_without(g, -1, edge)) continue;
+      if (!connected_without_edge(g, edge)) continue;
       e.kind = ChurnEvent::Kind::kDelEdge;
       e.u = g.edge(edge).u;
       e.v = g.edge(edge).v;
@@ -362,7 +425,7 @@ ChurnEvent random_event(const Graph& g, std::uint64_t seed, int index) {
     const std::uint64_t h =
         mix(seed, static_cast<std::uint64_t>(index), attempt, 6);
     const auto w = static_cast<VertexId>(h % n);
-    if (!connected_without(g, w, -1)) continue;
+    if (!connected_without_vertex(g, w)) continue;
     e.kind = ChurnEvent::Kind::kDelVertex;
     e.u = w;
     return e;

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -62,14 +63,36 @@ const char* to_string(ChurnEvent::Kind kind);
 /// One-line human rendering of an event, e.g. "add=3-7" or "addv=1+4".
 std::string format_event(const ChurnEvent& event);
 
-/// Applies one batch of events to `g`, returning the mutated graph and the
-/// old->new vertex mapping (-1 for deleted vertices; identity when no
-/// vertex is deleted). Events apply in order against the evolving graph.
+/// Net edge change of one batch, as pairs {u, v} with u < v in new-graph
+/// vertex ids, each list sorted. `inserted`: pairs that are edges after the
+/// batch and were not before (every edge of a fresh vertex included).
+/// `deleted`: pairs of vertices that survive the batch that were edges
+/// before and are not after (edges that died with a vertex are not listed).
+/// Adding and then deleting a pair in one batch, or the reverse, cancels.
+struct EdgeDelta {
+  std::vector<std::pair<VertexId, VertexId>> inserted;
+  std::vector<std::pair<VertexId, VertexId>> deleted;
+
+  bool operator==(const EdgeDelta&) const = default;
+};
+
+/// Applies one batch of events to a copy of `g`, returning the mutated
+/// graph and the old->new vertex mapping (-1 for deleted vertices; identity
+/// when no vertex is deleted) and, with a non-null `delta`, the batch's net
+/// edge delta. Events apply in order against the evolving graph; a deleted
+/// edge leaves the other edges' ids and ports in order (Graph::remove_edge).
 /// Throws std::invalid_argument on semantically invalid events (unknown
 /// vertices, duplicate/missing edges, self-loops) and on any event that
-/// disconnects the graph (the CONGEST simulator requires connectivity).
+/// disconnects the graph (the CONGEST simulator requires connectivity);
+/// `g` is never modified.
 Graph apply_batch(const Graph& g, const std::vector<ChurnEvent>& batch,
-                  std::vector<VertexId>* old_to_new);
+                  std::vector<VertexId>* old_to_new,
+                  EdgeDelta* delta = nullptr);
+
+/// The edge delta between two graphs related by `old_to_new` (as
+/// apply_batch reports it), found by diffing both edge lists: O(n + m).
+EdgeDelta edge_delta(const Graph& old_g, const Graph& new_g,
+                     const std::vector<VertexId>& old_to_new);
 
 /// Generates the `index`-th seeded random event for the current graph — a
 /// pure function of (seed, index) and the graph, independent of any global

@@ -149,68 +149,111 @@ void Network::audit_send(int vertex, int port, const Message& msg) {
   audit_round_acc_ += h;
 }
 
-Network::Network(const Graph& g, NetworkConfig cfg)
-    : graph_(g), cfg_(cfg), flight_(cfg.flight_capacity) {
-  if (g.num_vertices() == 0)
-    throw std::invalid_argument("Network: empty graph");
-  if (!is_connected(g))
+Network::Network(Graph g, NetworkConfig cfg)
+    : graph_(std::move(g)),
+      cfg_(std::move(cfg)),
+      flight_(cfg_.flight_capacity) {
+  derive();
+}
+
+void Network::reset(Graph g) {
+  graph_ = std::move(g);
+  derive();
+}
+
+void Network::derive() {
+  const int n_ = graph_.num_vertices();
+  if (n_ == 0) throw std::invalid_argument("Network: empty graph");
+  if (!is_connected(graph_))
     throw std::invalid_argument("Network: CONGEST networks are connected");
   bandwidth_ = std::max(cfg_.min_bandwidth,
-                        cfg_.bandwidth_multiplier * id_bits(g.num_vertices()));
-  ids_.resize(g.num_vertices());
+                        cfg_.bandwidth_multiplier * id_bits(n_));
+  ids_.resize(n_);
   std::iota(ids_.begin(), ids_.end(), 0);
   if (cfg_.id_seed != 0) {
     std::mt19937_64 rng(cfg_.id_seed);
     std::shuffle(ids_.begin(), ids_.end(), rng);
   }
-  vertex_of_id_.resize(g.num_vertices());
-  for (int v = 0; v < g.num_vertices(); ++v) vertex_of_id_[ids_[v]] = v;
+  vertex_of_id_.resize(n_);
+  for (int v = 0; v < n_; ++v) vertex_of_id_[ids_[v]] = v;
+  stats_.reset();
+  round_ = 0;
+  round_max_message_bits_ = 0;
+  audit_digest_ = 0;
+  audit_round_acc_ = 0;
   // Our private copy of the graph serves every per-round incidence query;
   // finalize its CSR arena now so run() never hits the lazy rebuild (the
   // per-round path stays allocation-free).
   graph_.finalize();
-  const int n_ = graph_.num_vertices();
-  link_offset_.resize(n_ + 1, 0);
+  link_offset_.resize(n_ + 1);
+  link_offset_[0] = 0;
   for (int v = 0; v < n_; ++v)
     link_offset_[v + 1] = link_offset_[v] + graph_.degree(v);
   const int links = link_offset_.back();
-  inbox_.resize(links);
-  outbox_.resize(links);
-  peer_link_.resize(links, -1);
-  link_src_.resize(links, -1);
+  inbox_.assign(links, Message{});
+  outbox_.assign(links, Message{});
+  peer_link_.resize(links);
+  link_src_.resize(links);
+  // Each edge shows up as exactly two directed links; pair them by edge id
+  // (no endpoint lookups).
+  std::vector<int> link_of_edge(graph_.num_edges(), -1);
   for (int v = 0; v < n_; ++v) {
     const auto& inc = graph_.incident(v);
     for (int port = 0; port < static_cast<int>(inc.size()); ++port) {
       const int l = link_of(v, port);
       link_src_[l] = v;
-      const VertexId w = inc[port].first;
-      peer_link_[l] = link_of(w, graph_.port_of(w, v));
+      int& other = link_of_edge[inc[port].second];
+      if (other < 0) {
+        other = l;
+      } else {
+        peer_link_[l] = other;
+        peer_link_[other] = l;
+      }
     }
   }
   // Pre-size every per-round buffer to its worst case so run() performs no
   // allocation on the perfect path (the obs/metrics zero-allocation tests
   // pin this down).
   sent_links_.resize(links);
+  sent_count_ = 0;
+  inbox_links_.clear();
   inbox_links_.reserve(links);
-  sched_done_.resize(n_, 0);
-  sched_asleep_.resize(n_, 0);
-  wake_request_.resize(n_, kNoWake);
+  sched_done_.assign(n_, 0);
+  sched_asleep_.assign(n_, 0);
+  wake_request_.assign(n_, kNoWake);
+  wake_heap_.clear();
   wake_heap_.reserve(n_);
+  restless_.clear();
   restless_.reserve(n_);
-  restless_pos_.resize(n_, -1);
+  restless_pos_.assign(n_, -1);
+  active_.clear();
   active_.reserve(n_);
+  pending_active_.clear();
   pending_active_.reserve(2 * static_cast<std::size_t>(links));
-  active_mark_.resize(n_, 0);
-  if (cfg_.metrics == nullptr) cfg_.metrics = metrics::global();
-  if (cfg_.metrics != nullptr) {
+  active_mark_.assign(n_, 0);
+  active_stamp_ = 0;
+  sched_done_count_ = 0;
+  span_stack_.clear();
+  annotation_.clear();
+  metrics::Registry* registry =
+      cfg_.metrics != nullptr ? cfg_.metrics : metrics::global();
+  metrics_.reset();
+  link_round_bits_.clear();
+  link_round_msgs_.clear();
+  link_total_bits_.clear();
+  if (registry != nullptr) {
     metrics_ = std::make_unique<detail::NetMetrics>();
-    metrics_->resolve(*cfg_.metrics);
+    metrics_->resolve(*registry);
     // Per-link round accumulators exist only while metrics are on; the
     // disabled path allocates nothing beyond the fixed tables above.
     link_round_bits_.assign(links, 0);
     link_round_msgs_.assign(links, 0);
     link_total_bits_.assign(links, 0);
   }
+  flight_.clear();
+  flight_prev_bits_ = 0;
+  flight_prev_messages_ = 0;
+  fault_rt_.reset();
   if (cfg_.faults.has_value())
     fault_rt_ = std::make_unique<detail::FaultRuntime>(*this, *cfg_.faults);
 }

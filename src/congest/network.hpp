@@ -318,8 +318,22 @@ class NodeProgram {
 
 class Network {
  public:
-  Network(const Graph& g, NetworkConfig cfg = {});
+  /// Takes its own copy of the graph (pass an rvalue to move it in).
+  /// Throws std::invalid_argument on an empty or disconnected graph.
+  Network(Graph g, NetworkConfig cfg = {});
   ~Network();  // out of line: detail::FaultRuntime is incomplete here
+
+  /// Moves to graph `g`: every piece of per-graph state (ids, link tables,
+  /// mailboxes, scheduler arrays, metrics handles, fault runtime, flight
+  /// ring, round and stats counters) is re-derived by the routine the
+  /// constructor runs, reusing this network's buffers, so the result
+  /// behaves exactly like Network(std::move(g), config()). Same throws as
+  /// the constructor; after a throw the network must be reset with a valid
+  /// graph before it runs again.
+  void reset(Graph g);
+  /// Re-derives on the current graph: a network that has run behaves like
+  /// a freshly constructed one again.
+  void reset() { derive(); }
 
   int n() const { return graph_.num_vertices(); }
   int bandwidth() const { return bandwidth_; }
@@ -366,7 +380,8 @@ class Network {
   /// order (prefer the PhaseScope RAII helper). phase_end closes any open
   /// NodeCtx annotation first, so annotations never leak across phases.
   bool traced() const { return cfg_.sink != nullptr; }
-  /// The configuration this network was built with.
+  /// The configuration this network was built with (`metrics` as given:
+  /// null still means metrics::global(), resolved at each (re)build).
   const NetworkConfig& config() const { return cfg_; }
   /// The always-on ring of recent events (rounds, faults, phases,
   /// quiescent skips). Tools dump it when a run ends degraded; see
@@ -380,6 +395,10 @@ class Network {
  private:
   friend class NodeCtx;
   friend struct detail::FaultRuntime;
+
+  /// Derives all per-graph state from graph_ and cfg_ (constructor and
+  /// reset()).
+  void derive();
 
   /// The perfect (fault-free) delivery loop — the original simulator path,
   /// kept branch- and allocation-free when untraced.

@@ -97,6 +97,26 @@ EdgeId Graph::index_find(std::uint64_t key) const {
   return -1;
 }
 
+void Graph::index_erase(std::uint64_t key) {
+  const std::uint64_t mask = index_keys_.size() - 1;
+  std::uint64_t hole = hash_key(key) & mask;
+  while (index_keys_[hole] != key) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home slot lies cyclically in (hole, slot].
+  for (std::uint64_t slot = (hole + 1) & mask; index_keys_[slot] != kEmptyKey;
+       slot = (slot + 1) & mask) {
+    const std::uint64_t home = hash_key(index_keys_[slot]) & mask;
+    const bool stays = hole <= slot ? hole < home && home <= slot
+                                    : hole < home || home <= slot;
+    if (stays) continue;
+    index_keys_[hole] = index_keys_[slot];
+    index_vals_[hole] = index_vals_[slot];
+    hole = slot;
+  }
+  index_keys_[hole] = kEmptyKey;
+  index_vals_[hole] = -1;
+}
+
 void Graph::rebuild_csr() const {
   const int n = num_vertices();
   csr_off_.assign(n + 1, 0);
@@ -140,6 +160,21 @@ EdgeId Graph::add_edge(VertexId u, VertexId v) {
   edge_weights_.push_back(1);
   for (auto& [name, bits] : edge_labels_) bits.push_back(false);
   return e;
+}
+
+void Graph::remove_edge(EdgeId e) {
+  check_edge(e);
+  const Edge ed = edges_[e];
+  index_erase(pack_key(ed.u, ed.v));
+  for (EdgeId& val : index_vals_)
+    if (val > e) --val;
+  edges_.erase(edges_.begin() + e);
+  edge_weights_.erase(edge_weights_.begin() + e);
+  for (auto& [name, bits] : edge_labels_)
+    if (e < static_cast<EdgeId>(bits.size())) bits.erase(bits.begin() + e);
+  --deg_[ed.u];
+  --deg_[ed.v];
+  csr_dirty_ = true;
 }
 
 EdgeId Graph::ensure_edge(VertexId u, VertexId v) {

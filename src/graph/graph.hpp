@@ -9,11 +9,12 @@
 //
 // Storage is CSR (compressed sparse row): the edge list is the source of
 // truth and the per-vertex incidence lists live in one prefix-summed arena
-// that is rebuilt lazily (O(n + m)) after mutations. incident() and
-// neighbors() return non-allocating views into that arena, and the
-// {u,v} -> edge-id index is an open-addressing flat hash, so building a
-// graph of n vertices and m edges is O(n + m) total — the property the
-// million-vertex families in gen::family rely on (docs/PERFORMANCE.md).
+// that is rebuilt lazily (O(n + m)) after mutations (edge insertion and
+// removal). incident() and neighbors() return non-allocating views into
+// that arena, and the {u,v} -> edge-id index is an open-addressing flat
+// hash, so building a graph of n vertices and m edges is O(n + m) total —
+// the property the million-vertex families in gen::family rely on
+// (docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstdint>
@@ -119,6 +120,12 @@ class Graph {
   /// Adds edge {u, v} if absent; returns the edge id either way.
   EdgeId ensure_edge(VertexId u, VertexId v);
 
+  /// Removes edge `e` with its weight and labels. Edge ids above `e` shift
+  /// down by one, so every other endpoint's incidence order (its ports) is
+  /// unchanged. O(m) array shifts; the hash index is patched in place and
+  /// the CSR arena rebuilds lazily. Throws std::out_of_range on a bad id.
+  void remove_edge(EdgeId e);
+
   bool has_edge(VertexId u, VertexId v) const;
   /// Edge id of {u, v}, or -1 if absent.
   EdgeId edge_id(VertexId u, VertexId v) const;
@@ -137,9 +144,9 @@ class Graph {
 
   /// Incident (neighbor, edge-id) pairs of v, in insertion order. The view
   /// aliases the CSR arena: it costs nothing to produce, and is invalidated
-  /// by the next add_edge/add_vertices. The first call after a mutation
-  /// rebuilds the arena (O(n + m)); callers stepping vertices in parallel
-  /// must finalize() (or query once) before forking.
+  /// by the next add_edge/remove_edge/add_vertices. The first call after a
+  /// mutation rebuilds the arena (O(n + m)); callers stepping vertices in
+  /// parallel must finalize() (or query once) before forking.
   IncidenceView incident(VertexId v) const {
     check_vertex(v);
     if (csr_dirty_) rebuild_csr();
@@ -213,6 +220,7 @@ class Graph {
   }
   void index_insert(std::uint64_t key, EdgeId e);
   EdgeId index_find(std::uint64_t key) const;
+  void index_erase(std::uint64_t key);
   void index_grow(std::size_t min_slots);
 
   std::vector<Edge> edges_;      // source of truth, in edge-id order
@@ -223,7 +231,8 @@ class Graph {
   LabelColumns edge_labels_;
 
   // Open-addressing {u,v} -> edge id hash (linear probing, power-of-two
-  // capacity, <= 70% load; edges are never removed so no tombstones).
+  // capacity, <= 70% load; removal shifts the probe run back, so there are
+  // no tombstones).
   std::vector<std::uint64_t> index_keys_;
   std::vector<EdgeId> index_vals_;
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};

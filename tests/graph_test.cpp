@@ -128,5 +128,60 @@ TEST(Graph, Neighbors) {
   EXPECT_EQ(nb.size(), 3u);
 }
 
+/// A copy of `g` rebuilt edge by edge without edge `skip`: the order
+/// remove_edge must reproduce.
+Graph rebuilt_without(const Graph& g, EdgeId skip) {
+  Graph out(g.num_vertices());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (e == skip) continue;
+    const EdgeId ne = out.add_edge(g.edge(e).u, g.edge(e).v);
+    out.set_edge_weight(ne, g.edge_weight(e));
+    if (g.edge_has_label("mark", e)) out.set_edge_label("mark", ne);
+  }
+  return out;
+}
+
+TEST(Graph, RemoveEdgeMatchesARebuiltCopy) {
+  // A dense graph drives long probe runs in the hash index, so the
+  // backward-shift deletion is exercised across wrapped runs too.
+  Graph g(40);
+  for (int u = 0; u < 40; ++u)
+    for (int v = u + 1; v < 40; ++v)
+      if ((u * 7 + v * 13) % 3 != 0) {
+        const EdgeId e = g.add_edge(u, v);
+        g.set_edge_weight(e, u * 100 + v);
+        if ((u + v) % 4 == 0) g.set_edge_label("mark", e);
+      }
+  unsigned x = 12345;
+  while (g.num_edges() > 0) {
+    x = x * 1103515245u + 12345u;
+    const EdgeId skip = static_cast<EdgeId>((x >> 8) % g.num_edges());
+    const Graph want = rebuilt_without(g, skip);
+    const Edge gone = g.edge(skip);
+    g.remove_edge(skip);
+    ASSERT_EQ(g.num_edges(), want.num_edges());
+    EXPECT_FALSE(g.has_edge(gone.u, gone.v));
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      ASSERT_EQ(g.edge(e).u, want.edge(e).u);
+      ASSERT_EQ(g.edge(e).v, want.edge(e).v);
+      ASSERT_EQ(g.edge_id(g.edge(e).u, g.edge(e).v), e);
+      ASSERT_EQ(g.edge_weight(e), want.edge_weight(e));
+      ASSERT_EQ(g.edge_has_label("mark", e), want.edge_has_label("mark", e));
+    }
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(g.degree(v), want.degree(v));
+      const auto got = g.incident(v), exp = want.incident(v);
+      for (std::size_t p = 0; p < got.size(); ++p) {
+        ASSERT_EQ(got[p], exp[p]);
+        ASSERT_EQ(g.port_of(v, got[p].first), static_cast<int>(p));
+      }
+    }
+  }
+  EXPECT_THROW(g.remove_edge(0), std::out_of_range);
+  // Removed pairs can be added again.
+  EXPECT_EQ(g.add_edge(3, 4), 0);
+  EXPECT_TRUE(g.has_edge(4, 3));
+}
+
 }  // namespace
 }  // namespace dmc
