@@ -172,7 +172,7 @@ StepOutcome ChurnEngine::full_compute() {
   // 2^d - 1, Lemma 2.5) than the fold engine packs. Neither is folded (nor
   // kept to repair from): a structured degradation, never a wrong verdict
   // or a throw from the fold.
-  std::string why = tree_defect(graph(), tree.parent, opts_.d);
+  std::string why = dist::tree_defect(graph(), tree.parent, opts_.d);
   if (!why.empty())
     why = "elimination tree rejected: " + why;
   else

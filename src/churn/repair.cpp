@@ -44,28 +44,6 @@ VertexId lca(const std::vector<VertexId>& parent, const std::vector<int>& depth,
   return a;
 }
 
-/// Children of every vertex of a parent array, as one CSR: the children
-/// of v are kids[off[v] .. off[v + 1]), ascending. Entries with parent < 0
-/// (roots, unplaced) are nobody's child.
-struct Children {
-  std::vector<int> off, kids;
-
-  explicit Children(const std::vector<VertexId>& parent) {
-    const int n = static_cast<int>(parent.size());
-    off.assign(n + 1, 0);
-    for (VertexId v = 0; v < n; ++v)
-      if (parent[v] >= 0) ++off[parent[v] + 1];
-    for (int v = 0; v < n; ++v) off[v + 1] += off[v];
-    kids.resize(off[n]);
-    std::vector<int> cursor(off.begin(), off.end() - 1);
-    for (VertexId v = 0; v < n; ++v)
-      if (parent[v] >= 0) kids[cursor[parent[v]]++] = v;
-  }
-  const int* begin(VertexId v) const { return kids.data() + off[v]; }
-  const int* end(VertexId v) const { return kids.data() + off[v + 1]; }
-  int count(VertexId v) const { return off[v + 1] - off[v]; }
-};
-
 /// Re-eliminates a structural region. Region vertices are exactly the
 /// unplaced ones (parent == -2), so the components of a component minus a
 /// vertex are found by searching unplaced neighbors only, and one stamp
@@ -173,7 +151,7 @@ void mark_old_subtree(const dist::ElimTreeResult& old_tree,
   }
 }
 
-void mark_new_subtree(const Children& children, VertexId root,
+void mark_new_subtree(const dist::TreeChildren& children, VertexId root,
                       std::vector<char>& dirty) {
   std::vector<VertexId> stack{root};
   while (!stack.empty()) {
@@ -182,64 +160,6 @@ void mark_new_subtree(const Children& children, VertexId root,
     dirty[v] = 1;
     stack.insert(stack.end(), children.begin(v), children.end(v));
   }
-}
-
-enum class Defect { kNone, kCycle, kRoots, kEdges, kDepth };
-
-/// Whether `parent` is a single elimination tree of `g` within `budget`
-/// that is also a subgraph of g. Fills `depth`. One depth-first pass
-/// numbers the tree (entry/exit times), then one pass over the edge list
-/// tests ancestry and finds every tree edge among the edges.
-Defect validate(const Graph& g, const std::vector<VertexId>& parent,
-                const Children& children, long budget,
-                std::vector<int>& depth) {
-  const int n = static_cast<int>(parent.size());
-  std::vector<int> tin(n, -1), tout(n, -1);
-  std::vector<VertexId> stack;
-  int clock = 0, roots = 0, max_depth = 0;
-  for (VertexId r = 0; r < n; ++r) {
-    if (parent[r] < -1) return Defect::kCycle;
-    if (parent[r] != -1) continue;
-    ++roots;
-    depth[r] = 1;
-    tin[r] = clock++;
-    stack.assign(1, r);
-    // Iterative DFS: a vertex is on the stack until its children are done.
-    std::vector<const int*> next{children.begin(r)};
-    while (!stack.empty()) {
-      const VertexId v = stack.back();
-      const int*& it = next.back();
-      if (it == children.end(v)) {
-        tout[v] = clock++;
-        stack.pop_back();
-        next.pop_back();
-        continue;
-      }
-      const VertexId c = *it++;
-      depth[c] = depth[v] + 1;
-      max_depth = std::max(max_depth, depth[c]);
-      tin[c] = clock++;
-      stack.push_back(c);
-      next.push_back(children.begin(c));
-    }
-    max_depth = std::max(max_depth, 1);
-  }
-  // A vertex no root reaches sits on a parent cycle.
-  if (clock != 2 * n) return Defect::kCycle;
-  if (roots != 1) return Defect::kRoots;
-  std::vector<char> tree_edge(n, 0);
-  auto below = [&](VertexId anc, VertexId v) {
-    return tin[anc] <= tin[v] && tout[v] <= tout[anc];
-  };
-  for (const Edge& e : g.edges()) {
-    if (!below(e.u, e.v) && !below(e.v, e.u)) return Defect::kEdges;
-    if (parent[e.u] == e.v) tree_edge[e.u] = 1;
-    if (parent[e.v] == e.u) tree_edge[e.v] = 1;
-  }
-  for (VertexId v = 0; v < n; ++v)
-    if (parent[v] >= 0 && !tree_edge[v]) return Defect::kEdges;
-  if (max_depth > budget) return Defect::kDepth;
-  return Defect::kNone;
 }
 
 }  // namespace
@@ -397,7 +317,7 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
       }
       // Subtrees of the anchor's children that contain a violation,
       // collected down the candidate tree's children lists.
-      const Children children(parent);
+      const dist::TreeChildren children(parent);
       std::vector<char> in_region(n_new, 0);
       for (VertexId v = 0; v < n_new; ++v) {
         if (!relevant[v] || v == anchor || !placed(v)) continue;
@@ -448,19 +368,19 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
   // Defensive validation: the repaired tree must be exactly what Algorithm 2
   // could have produced — a single tree, valid for and a subgraph of the
   // new graph, within the depth bound. It also settles the final depths.
-  const Children children(parent);
-  switch (validate(new_g, parent, children, budget, depth)) {
-    case Defect::kNone: break;
-    case Defect::kCycle:
+  const dist::TreeChildren children(parent);
+  switch (dist::validate_tree(new_g, parent, children, budget, depth)) {
+    case dist::TreeDefect::kNone: break;
+    case dist::TreeDefect::kCycle:
       patch.reason = "repair produced a cyclic parent map";
       return patch;
-    case Defect::kRoots:
+    case dist::TreeDefect::kRoots:
       patch.reason = "repair left multiple roots";
       return patch;
-    case Defect::kEdges:
+    case dist::TreeDefect::kEdges:
       patch.reason = "repaired tree invalid";
       return patch;
-    case Defect::kDepth:
+    case dist::TreeDefect::kDepth:
       patch.reason = "depth budget exceeded";
       return patch;
   }
@@ -518,24 +438,6 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
   for (const auto& [a, b] : delta.inserted)
     mark_new_subtree(children, depth[a] >= depth[b] ? a : b, patch.dirty);
   return patch;
-}
-
-std::string tree_defect(const Graph& g, const std::vector<VertexId>& parent,
-                        int d) {
-  if (static_cast<int>(parent.size()) != g.num_vertices())
-    return "tree size differs from the graph";
-  for (VertexId p : parent)
-    if (p < -1 || p >= g.num_vertices()) return "parent id out of range";
-  std::vector<int> depth(parent.size(), 0);
-  switch (validate(g, parent, Children(parent), (1L << d) - 1, depth)) {
-    case Defect::kNone: return "";
-    case Defect::kCycle: return "parent map has a cycle";
-    case Defect::kRoots: return "more than one root";
-    case Defect::kEdges:
-      return "not an elimination tree whose edges are graph edges";
-    case Defect::kDepth: return "deeper than 2^d - 1";
-  }
-  return "";
 }
 
 TreePatch repair_tree(const Graph& old_g, const dist::ElimTreeResult& old_tree,

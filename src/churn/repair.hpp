@@ -72,14 +72,6 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
                       const std::vector<VertexId>& old_to_new,
                       const EdgeDelta& delta, int d);
 
-/// Why `parent` is not a single elimination tree of `g` with every tree
-/// edge a graph edge and depth at most 2^d - 1, or "" when it is one — the
-/// check every repaired tree passes, in O(n + m). Algorithm 2 certifies
-/// its tree only when td(G) <= d; above that its leader floods may not
-/// converge, so a tree it accepts can still fail this check.
-std::string tree_defect(const Graph& g, const std::vector<VertexId>& parent,
-                        int d);
-
 /// The same repair for a caller that holds both graphs: diffs them into
 /// the delta (churn::edge_delta, O(n + m)) and calls the function above.
 TreePatch repair_tree(const Graph& old_g,

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -52,5 +53,37 @@ struct ElimTreeOptions {
 /// Runs Algorithm 2 on the network. Stats accumulate in net.stats().
 ElimTreeResult run_elim_tree(congest::Network& net, int d,
                              const ElimTreeOptions& opts = {});
+
+/// Children of every vertex of a parent array, as one CSR: the children
+/// of v are kids[off[v] .. off[v + 1]), ascending. Entries with parent < 0
+/// (roots, unplaced) are nobody's child.
+struct TreeChildren {
+  std::vector<int> off, kids;
+
+  explicit TreeChildren(const std::vector<VertexId>& parent);
+  const int* begin(VertexId v) const { return kids.data() + off[v]; }
+  const int* end(VertexId v) const { return kids.data() + off[v + 1]; }
+  int count(VertexId v) const { return off[v + 1] - off[v]; }
+};
+
+enum class TreeDefect { kNone, kCycle, kRoots, kEdges, kDepth };
+
+/// Whether `parent` (per graph vertex, -1 for a root, every entry below
+/// n; an entry below -1 answers kCycle) is a single elimination tree of
+/// `g` within `budget` levels that is also a subgraph of g. Fills `depth`
+/// (sized n, 1-based). O(n + m): one depth-first pass numbers the tree
+/// (entry/exit times), then one pass over the edge list tests ancestry and
+/// finds every tree edge among the edges.
+TreeDefect validate_tree(const Graph& g, const std::vector<VertexId>& parent,
+                         const TreeChildren& children, long budget,
+                         std::vector<int>& depth);
+
+/// Why `parent` is not a single elimination tree of `g` with every tree
+/// edge a graph edge and depth at most 2^d - 1, or "" when it is one.
+/// Algorithm 2 certifies its tree only when td(G) <= d; above that its
+/// leader floods may not converge, so a tree it accepts can still fail
+/// this check. dist::run and the churn engine check every tree they get.
+std::string tree_defect(const Graph& g, const std::vector<VertexId>& parent,
+                        int d);
 
 }  // namespace dmc::dist

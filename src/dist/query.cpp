@@ -869,9 +869,14 @@ Outcome run(congest::Network& net, const Query& query, int d,
   const ElimTreeResult tree = run_elim_tree(net, d, tree_opts);
   out.rounds_elim = tree.rounds;
   out.run = tree.run;
-  // Degraded: not a treedepth verdict.
-  out.treedepth_exceeded = tree.run.ok() && !tree.success;
-  if (!tree.run.ok() || !tree.success) {
+  // Degraded: not a treedepth verdict. Algorithm 2 certifies its tree
+  // only when td(G) <= d; above that it can accept a tree that is not an
+  // elimination tree of G, whose fold would miss the edges no bag holds.
+  // Such a tree says the bound is exceeded.
+  out.treedepth_exceeded =
+      tree.run.ok() &&
+      (!tree.success || !tree_defect(net.graph(), tree.parent, d).empty());
+  if (!tree.run.ok() || out.treedepth_exceeded) {
     describe(out, d);
     return out;
   }

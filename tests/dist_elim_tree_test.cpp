@@ -115,5 +115,36 @@ TEST(DistElimTree, RejectsBadBudget) {
   EXPECT_THROW(run_elim_tree(net, 0), std::invalid_argument);
 }
 
+TEST(DistElimTree, TreeDefectNamesEachWayATreeFails) {
+  // P4 = 0-1-2-3 with root 1: a valid elimination tree of depth 3.
+  const Graph g = gen::path(4);
+  EXPECT_EQ(tree_defect(g, {1, -1, 1, 2}, 2), "");
+  EXPECT_EQ(tree_defect(g, {1, -1, 1}, 2), "tree size differs from the graph");
+  EXPECT_EQ(tree_defect(g, {1, -1, 1, 4}, 2), "parent id out of range");
+  EXPECT_EQ(tree_defect(g, {1, 2, 1, 2}, 2), "parent map has a cycle");
+  EXPECT_EQ(tree_defect(g, {1, -1, -1, 2}, 2), "more than one root");
+  // Edge 2-3 joins siblings under 1: not an elimination tree.
+  EXPECT_EQ(tree_defect(g, {1, -1, 1, 1}, 2),
+            "not an elimination tree whose edges are graph edges");
+  // 0 -> 2 is no graph edge.
+  EXPECT_EQ(tree_defect(g, {2, 0, -1, 2}, 2),
+            "not an elimination tree whose edges are graph edges");
+  // The chain 0-1-2-3 is valid but 4 levels deep; d = 2 allows 3.
+  EXPECT_EQ(tree_defect(g, {-1, 0, 1, 2}, 2), "deeper than 2^d - 1");
+  EXPECT_EQ(tree_defect(g, {-1, 0, 1, 2}, 3), "");
+}
+
+TEST(DistElimTree, AboveItsBudgetAcceptedTreesCanBeInvalid) {
+  // C12 has treedepth 5. At d = 3 every node is marked, but the 9-round
+  // floods do not converge, so the tree is no elimination tree of C12.
+  const Graph g = gen::cycle(12);
+  congest::Network net(g);
+  const auto result = run_elim_tree(net, 3);
+  ASSERT_TRUE(result.success);
+  EXPECT_FALSE(to_forest(result).valid_for(g));
+  EXPECT_EQ(tree_defect(g, result.parent, 3),
+            "not an elimination tree whose edges are graph edges");
+}
+
 }  // namespace
 }  // namespace dmc::dist

@@ -134,5 +134,52 @@ TEST(DistRobustness, SharedEngineAcrossInstances) {
   }
 }
 
+// Algorithm 2 floods for 2^d + 1 rounds per phase, which converges only
+// when td(G) <= d (Lemma 2.5). Above that it can mark every node and
+// accept a tree that is not an elimination tree of G: on the 12-cycle
+// (treedepth 5) at d = 3 one tree edge set misses a cycle edge, and on
+// the 13-path with id seed 2 phase 0 elects two roots. dist::run must
+// then report the bound as exceeded instead of folding the tree.
+TEST(DistRobustness, AcceptedInvalidTreesReportTheBoundExceeded) {
+  struct Case {
+    Graph g;
+    unsigned id_seed;
+  };
+  const Case cases[] = {{gen::cycle(12), 0}, {gen::path(13), 2}};
+  const std::vector<std::pair<std::string, Sort>> kS = {
+      {"S", Sort::VertexSet}};
+  const Query queries[] = {
+      {Kind::kDecision, lib::triangle_free()},
+      {Kind::kDecision, lib::connected()},
+      {Kind::kCount, lib::independent_set_indicator(), kS},
+      {Kind::kMaximize, lib::independent_set(), kS},
+      {Kind::kMinimize, lib::vertex_cover(), kS},
+      {Kind::kOptMarked, lib::independent_set(), kS},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.g.num_vertices()));
+    {
+      congest::Network net(c.g, {.id_seed = c.id_seed});
+      const ElimTreeResult tree = run_elim_tree(net, 3);
+      ASSERT_TRUE(tree.success);
+      ASSERT_NE(tree_defect(c.g, tree.parent, 3), "");
+    }
+    for (const Query& q : queries) {
+      SCOPED_TRACE(phase_name(q.kind));
+      congest::Network net(c.g, {.id_seed = c.id_seed});
+      const Outcome out = run(net, q, 3);
+      ASSERT_TRUE(out.run.ok());
+      if (out.treedepth_exceeded) {
+        EXPECT_EQ(out.result, "treedepth>3");
+        EXPECT_EQ(out.exit_code(), 3);
+        EXPECT_EQ(out.rounds_bags, 0);  // nothing past Algorithm 2 ran
+      } else {
+        ASSERT_NE(q.kind, Kind::kOptMarked);  // no sequential oracle
+        EXPECT_EQ(out.result, run_sequential(c.g, q).result);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dmc::dist

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -181,6 +183,85 @@ TEST(ReliableTransport, ZeroFaultPlanMatchesPerfectPathExactly) {
     EXPECT_EQ(net.stats().total_bits, perfect.stats().total_bits);
     EXPECT_EQ(net.stats().retransmissions, 0);
     EXPECT_EQ(net.stats().faults_dropped, 0);
+  }
+}
+
+// --- one mailbox layout on every path ----------------------------------------
+
+/// Sends, every round below `rounds_`, a message on every port whose payload
+/// and size name the sender, the receiver and the round, and checks that
+/// whatever arrives is exactly what that neighbor posted to this node.
+class TaggedExchange : public congest::NodeProgram {
+ public:
+  explicit TaggedExchange(int rounds) : rounds_(rounds) {}
+  int received = 0;
+  int mismatched = 0;
+
+  static std::uint64_t tag(VertexId from, VertexId to, int round) {
+    return (static_cast<std::uint64_t>(from) << 40) |
+           (static_cast<std::uint64_t>(to) << 20) |
+           static_cast<std::uint64_t>(round);
+  }
+  static int bits_of(VertexId from, VertexId to) {
+    return 1 + (from * 7 + to * 3) % 20;
+  }
+
+  void on_round(congest::NodeCtx& ctx) override {
+    const int r = ctx.round();
+    for (int p = 0; p < ctx.degree(); ++p) {
+      const congest::Message* m = ctx.recv(p);
+      if (m == nullptr) continue;
+      ++received;
+      const VertexId from = ctx.neighbor_id(p);
+      const auto* value = m->value.get_if<std::uint64_t>();
+      if (value == nullptr || *value != tag(from, ctx.id(), r - 1) ||
+          m->bits != bits_of(from, ctx.id()))
+        ++mismatched;
+    }
+    if (r >= rounds_) return;
+    for (int p = 0; p < ctx.degree(); ++p) {
+      const VertexId to = ctx.neighbor_id(p);
+      ctx.send(p,
+               congest::Message(tag(ctx.id(), to, r), bits_of(ctx.id(), to)));
+    }
+  }
+  bool done(const congest::NodeCtx& ctx) const override {
+    return ctx.round() > rounds_;
+  }
+
+ private:
+  int rounds_;
+};
+
+TEST(FaultMailboxes, DeliveredMessagesAreTheOnesPosted) {
+  const Graph g = btd_graph(4, 14, 3, 0.4);
+  const int rounds = 6;
+  for (const char* spec :
+       {"drop=0.2,dup=0.2,reorder=0.2", "drop=0.1,transport=raw"}) {
+    SCOPED_TRACE(spec);
+    congest::Network net(g, faulty_cfg(spec, 3));
+    std::vector<std::unique_ptr<congest::NodeProgram>> programs;
+    std::vector<TaggedExchange*> nodes;
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      auto p = std::make_unique<TaggedExchange>(rounds);
+      nodes.push_back(p.get());
+      programs.push_back(std::move(p));
+    }
+    const congest::RunOutcome outcome = net.run_outcome(programs);
+    ASSERT_TRUE(outcome.ok());
+    int received = 0;
+    for (const TaggedExchange* node : nodes) {
+      EXPECT_EQ(node->mismatched, 0);
+      received += node->received;
+    }
+    const int posted = 2 * g.num_edges() * rounds;
+    EXPECT_EQ(net.stats().messages, posted);
+    if (!net.config().faults->raw_transport) {
+      EXPECT_EQ(received, posted);  // the reliable transport loses nothing
+    } else {
+      EXPECT_GT(received, 0);
+      EXPECT_LT(received, posted);
+    }
   }
 }
 
