@@ -92,7 +92,12 @@ namespace {
   stats_.total_bits += msg.bits;
   stats_.max_message_bits = std::max(stats_.max_message_bits, msg.bits);
   round_max_message_bits_ = std::max(round_max_message_bits_, msg.bits);
-  if (metrics_ != nullptr) note_send_metrics(vertex, port, msg.bits);
+  if (metrics_ != nullptr) {
+    // The round-end fold visits only the links listed here.
+    const int link = link_of(vertex, port);
+    if (link_round_msgs_[link]++ == 0) touched_links_[touched_count_++] = link;
+    link_round_bits_[link] += msg.bits;
+  }
   out = std::move(msg);
   // Perfect-path delivery clears exactly the slots written this round; the
   // fault paths scan their channel tables instead and never drain the list.
@@ -122,7 +127,9 @@ void NodeCtx::wake_at(int round) {
 void NodeCtx::sleep() { net_.sched_request(vertex_, kSleepForever); }
 
 void NodeCtx::note_reassembly_depth(int depth) {
-  if (net_.metrics_ != nullptr) net_.metrics_->reassembly_depth->max_of(depth);
+  if (net_.metrics_ == nullptr) return;
+  long long& deepest = net_.metrics_->max_reassembly_depth;
+  deepest = std::max<long long>(deepest, depth);
 }
 
 void Network::audit_send(int vertex, int port, const Message& msg) {
@@ -242,6 +249,8 @@ void Network::derive() {
   link_round_bits_.clear();
   link_round_msgs_.clear();
   link_total_bits_.clear();
+  touched_links_.clear();
+  touched_count_ = 0;
   if (registry != nullptr) {
     metrics_ = std::make_unique<detail::NetMetrics>();
     metrics_->resolve(*registry);
@@ -250,6 +259,7 @@ void Network::derive() {
     link_round_bits_.assign(links, 0);
     link_round_msgs_.assign(links, 0);
     link_total_bits_.assign(links, 0);
+    touched_links_.resize(links);
   }
   flight_.clear();
   flight_prev_bits_ = 0;
@@ -274,7 +284,8 @@ std::size_t Network::memory_bytes() const {
   total += n_ * (sizeof(std::pair<int, int>) + sizeof(int));  // heap + active
   total += (link_round_bits_.size() + link_total_bits_.size()) *
                sizeof(long long) +
-           link_round_msgs_.size() * sizeof(long);
+           link_round_msgs_.size() * sizeof(long) +
+           touched_links_.size() * sizeof(int);
   return total;
 }
 
@@ -395,70 +406,43 @@ void Network::sched_note_stepped(int v, bool done_now) {
   }
 }
 
-void Network::note_send_metrics(int vertex, int port, int bits) {
-  metrics_->messages->add(1);
-  metrics_->bits->add(bits);
-  const int link = link_offset_[vertex] + port;
-  link_round_bits_[link] += bits;
-  link_round_msgs_[link] += 1;
+void Network::metrics_publish(long clock) {
+  metrics_->publish(stats_, clock, static_cast<long long>(inbox_.size()),
+                    bandwidth_);
 }
 
 void Network::metrics_skip_rounds(long skip) {
-  detail::NetMetrics& m = *metrics_;
-  auto refresh_utilization = [&] {
-    const long long links = static_cast<long long>(link_round_bits_.size());
-    if (links > 0 && bandwidth_ > 0)
-      m.utilization_permille->set(m.cum_bits * 1000 /
-                                  (links * bandwidth_ * m.metric_rounds));
-  };
-  if (cfg_.metrics_interval <= 0 || !cfg_.metrics_flush) {
-    m.rounds->add(skip);
-    m.metric_rounds += skip;
-    refresh_utilization();
-    return;
-  }
-  // Replay each crossed flush boundary with the round counters it would
-  // have seen, so periodic snapshots of a fast-forwarded run match the
+  if (cfg_.metrics_interval <= 0 || !cfg_.metrics_flush) return;
+  // Replay each crossed flush boundary with the round count it would have
+  // seen, so periodic snapshots of a fast-forwarded run match the
   // round-by-round execution snapshot for snapshot.
-  long remaining = skip;
-  while (remaining > 0) {
-    const long to_boundary =
-        cfg_.metrics_interval - (m.metric_rounds % cfg_.metrics_interval);
-    const long step = std::min(to_boundary, remaining);
-    m.rounds->add(step);
-    m.metric_rounds += step;
-    remaining -= step;
-    refresh_utilization();
-    if (m.metric_rounds % cfg_.metrics_interval == 0)
-      cfg_.metrics_flush(m.metric_rounds);
+  const long interval = cfg_.metrics_interval;
+  for (long r = (stats_.rounds - skip) / interval * interval + interval;
+       r <= stats_.rounds; r += interval) {
+    metrics_publish(r);
+    cfg_.metrics_flush(r);
   }
 }
 
 void Network::metrics_round_end() {
   detail::NetMetrics& m = *metrics_;
-  m.rounds->add(1);
-  m.metric_rounds += 1;
-  long long round_bits = 0;
-  const int links = static_cast<int>(link_round_bits_.size());
-  for (int l = 0; l < links; ++l) {
-    if (link_round_msgs_[l] == 0) continue;  // idle link: no sample
+  for (int i = 0; i < touched_count_; ++i) {
+    const int l = touched_links_[i];
     const long long b = link_round_bits_[l];
-    m.link_round_bits->record(b);
-    m.link_round_msgs->record(link_round_msgs_[l]);
-    round_bits += b;
+    m.round_bits.record(b);
+    m.round_msgs.record(link_round_msgs_[l]);
+    m.cum_bits += b;
     link_total_bits_[l] += b;
-    m.link_max_bits->max_of(link_total_bits_[l]);
+    m.hottest_link_bits = std::max(m.hottest_link_bits, link_total_bits_[l]);
     link_round_bits_[l] = 0;
     link_round_msgs_[l] = 0;
   }
-  m.cum_bits += round_bits;
-  if (links > 0 && bandwidth_ > 0)
-    m.utilization_permille->set(
-        m.cum_bits * 1000 /
-        (static_cast<long long>(links) * bandwidth_ * m.metric_rounds));
+  touched_count_ = 0;
   if (cfg_.metrics_interval > 0 && cfg_.metrics_flush &&
-      m.metric_rounds % cfg_.metrics_interval == 0)
-    cfg_.metrics_flush(m.metric_rounds);
+      stats_.rounds % cfg_.metrics_interval == 0) {
+    metrics_publish(stats_.rounds);
+    cfg_.metrics_flush(stats_.rounds);
+  }
 }
 
 Network::~Network() = default;
@@ -557,6 +541,14 @@ RunOutcome Network::run_outcome(
     std::vector<std::unique_ptr<NodeProgram>>& programs) {
   if (static_cast<int>(programs.size()) != n())
     throw std::invalid_argument("Network::run: one program per vertex needed");
+  // Publishes the run's metrics however it ends: completed, degraded or
+  // thrown out of by a program.
+  struct PublishOnExit {
+    Network& net;
+    ~PublishOnExit() {
+      if (net.metrics_ != nullptr) net.metrics_publish(net.stats_.rounds);
+    }
+  } publish_on_exit{*this};
   if (cfg_.sparse_stepping) sched_reset();
   if (fault_rt_ != nullptr) return fault_rt_->run(programs);
   return run_perfect(programs);

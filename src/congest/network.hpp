@@ -49,7 +49,7 @@ class SchedulerHook;  // sched_hook.hpp: dmc-mc schedule-exploration seam
 
 namespace detail {
 struct FaultRuntime;  // reliable.hpp: fault-injecting / reliable-transport runs
-struct NetMetrics;    // net_metrics.hpp: resolved metric handles of a network
+struct NetMetrics;    // net_metrics.hpp: metric handles and state of a network
 /// Throws std::out_of_range("<where>: bad port"); kept out of line and cold
 /// so the inline accessors' bounds checks stay one compare and a branch.
 [[noreturn]] void throw_bad_port(const char* where);
@@ -298,7 +298,7 @@ class NodeCtx {
   void sleep();
 
   /// Reports the current reassembly backlog of one FragmentReassembler
-  /// port (partially received + completed-but-undelivered messages) into
+  /// port (partially received + completed-but-undelivered messages) for
   /// the congest.reassembly.max_depth gauge. No-op without metrics.
   void note_reassembly_depth(int depth);
 
@@ -345,7 +345,6 @@ class Network {
   int bandwidth() const { return bandwidth_; }
   const Graph& graph() const { return graph_; }
   const NetworkStats& stats() const { return stats_; }
-  void reset_stats() { stats_.reset(); }
 
   VertexId id_of_vertex(int vertex) const { return ids_[vertex]; }
   int vertex_of_id(VertexId id) const { return vertex_of_id_.at(id); }
@@ -371,7 +370,9 @@ class Network {
   /// Returns the number of rounds this run took (stats accumulate across
   /// runs). Throws std::runtime_error if max_rounds is exceeded — a
   /// RoundLimitError — and CrashedError on crash-stop faults; prefer
-  /// run_outcome() where degraded outcomes are expected.
+  /// run_outcome() where degraded outcomes are expected. With metrics on,
+  /// the run's metrics reach the registry when it returns or throws (and
+  /// at each metrics_interval flush before that).
   long run(std::vector<std::unique_ptr<NodeProgram>>& programs);
 
   /// Like run(), but degraded endings come back as a structured RunOutcome
@@ -462,19 +463,21 @@ class Network {
   static bool engaged(const Message& m) { return m.bits > 0; }
 
   void close_annotation();
-  /// Metrics hooks, all no-ops when metrics_ is null. note_send_metrics
-  /// accumulates per-message counters and per-link round loads;
-  /// metrics_round_end folds the round's link loads into the congestion
-  /// histograms, refreshes the utilization / max-loaded-link gauges, and
-  /// drives the periodic flush.
-  void note_send_metrics(int vertex, int port, int bits);
+  /// Metrics hooks, called only when metrics_ is set; they record into the
+  /// network's own NetMetrics fields, never the registry.
+  /// metrics_round_end, called after stats_.rounds advanced, folds the
+  /// loads of the links that carried traffic this round into the local
+  /// congestion histograms and the hottest-link maximum, and drives the
+  /// periodic flush.
   void metrics_round_end();
-  /// Bulk metrics fold for a fast-forwarded quiescent stretch: `skip`
-  /// rounds with zero traffic on every link. Equivalent to calling
-  /// metrics_round_end() `skip` times (round counter, utilization
-  /// denominator, and every crossed metrics_interval flush boundary) at
-  /// O(flush boundaries) cost instead of O(skip * links).
+  /// The fold for a fast-forwarded quiescent stretch of `skip` rounds with
+  /// no traffic, called after stats_.rounds advanced by `skip`: publishes
+  /// and flushes at every crossed metrics_interval boundary with the round
+  /// count it would have seen round by round. O(flush boundaries).
   void metrics_skip_rounds(long skip);
+  /// Publishes the metrics recorded so far as of round `clock` (see
+  /// NetMetrics::publish).
+  void metrics_publish(long clock);
   /// Audit-mode conformance check of one outgoing message (wire.hpp);
   /// throws std::invalid_argument with sender/port/round context on any
   /// violation and folds the message into the round digest accumulator.
@@ -537,6 +540,8 @@ class Network {
   std::vector<long long> link_round_bits_;  // per directed link, this round
   std::vector<long> link_round_msgs_;       // (metrics-only accumulators)
   std::vector<long long> link_total_bits_;  // per directed link, lifetime
+  std::vector<int> touched_links_;  // links with traffic this round (cap L)
+  int touched_count_ = 0;           // cursor into touched_links_
   // Always-on post-mortem ring (cfg_.flight_capacity POD slots, allocated
   // once here). Fed on every path — perfect, fault, fast-forward — so a
   // degraded run can always be dumped.

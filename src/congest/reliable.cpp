@@ -308,14 +308,6 @@ void FaultRuntime::deliver_with_hook(
             kTransportHeaderBits + (carry ? ch.payload_bits : 0);
         if (!ch.has_payload) net_.stats_.marker_frames += 1;
         net_.stats_.retransmissions += 1;
-        if (net_.metrics_ != nullptr) {
-          NetMetrics& m = *net_.metrics_;
-          m.frames->add(1);
-          m.frame_bits->add(kTransportHeaderBits +
-                            (carry ? ch.payload_bits : 0));
-          if (!ch.has_payload) m.marker_frames->add(1);
-          m.retransmissions->add(1);
-        }
         const Channel& rev = channels_[links_[c.link].reverse];
         const long ack_seq =
             (rev.active && rev.delivered) ? rev.seq : ch.seq - 1;
@@ -522,14 +514,6 @@ RunOutcome FaultRuntime::run_reliable(
             kTransportHeaderBits + (carry ? ch.payload_bits : 0);
         if (!ch.has_payload) net_.stats_.marker_frames += 1;
         if (ch.tx_count > 1) net_.stats_.retransmissions += 1;
-        if (net_.metrics_ != nullptr) {
-          NetMetrics& m = *net_.metrics_;
-          m.frames->add(1);
-          m.frame_bits->add(kTransportHeaderBits +
-                            (carry ? ch.payload_bits : 0));
-          if (!ch.has_payload) m.marker_frames->add(1);
-          if (ch.tx_count > 1) m.retransmissions->add(1);
-        }
         const Channel& rev = channels_[L.reverse];
         const long ack_seq =
             (rev.active && rev.delivered) ? rev.seq : ch.seq - 1;
@@ -552,7 +536,7 @@ RunOutcome FaultRuntime::run_reliable(
         if (rev.active && !rev.acked && copy.ack_seq >= rev.seq) {
           rev.acked = true;
           if (net_.metrics_ != nullptr && rev.tx_count > 0)
-            net_.metrics_->ack_latency->record(physical_round_ - rev.first_tx);
+            net_.metrics_->ack_rounds.record(physical_round_ - rev.first_tx);
         }
         // Duplicate / stale suppression by sequence number. The planted
         // --self-check bug (FaultPlan::mc_planted_ack_before_dup_check)
@@ -566,7 +550,7 @@ RunOutcome FaultRuntime::run_reliable(
             planted ? (!ch.active || copy.seq > ch.seq || ch.delivered)
                     : (!ch.active || copy.seq != ch.seq || ch.delivered);
         if (suppress) {
-          if (net_.metrics_ != nullptr) net_.metrics_->dup_suppressed->add(1);
+          if (net_.metrics_ != nullptr) net_.metrics_->dups += 1;
           return;
         }
         ch.delivered = true;

@@ -43,6 +43,19 @@ std::atomic<Registry*> g_registry{nullptr};
 
 }  // namespace
 
+void Histogram::merge(const LocalHistogram& local) {
+  if (local.count_ == 0) return;
+  for (int i = 0; i < kBuckets; ++i)
+    if (local.buckets_[i] != 0)
+      buckets_[i].fetch_add(local.buckets_[i], std::memory_order_relaxed);
+  count_.fetch_add(local.count_, std::memory_order_relaxed);
+  sum_.fetch_add(local.sum_, std::memory_order_relaxed);
+  long long cur = max_.load(std::memory_order_relaxed);
+  while (cur < local.max_ && !max_.compare_exchange_weak(
+                                 cur, local.max_, std::memory_order_relaxed)) {
+  }
+}
+
 Registry::Entry& Registry::entry(std::string_view name, Kind kind) {
   if (!valid_name(name))
     throw std::invalid_argument(

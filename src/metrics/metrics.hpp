@@ -14,6 +14,11 @@
 //              i.e. 2^(i-1) <= v < 2^i; bucket 0 counts v <= 0) plus
 //              count/sum/max — no allocation, no locks, mergeable.
 //
+// A single-writer producer with a hot loop of its own (the CONGEST
+// network's per-round link fold) records into a plain LocalHistogram and
+// folds it into the shared Histogram with Histogram::merge at a few
+// publish points, so the loop touches no shared atomic.
+//
 // Instruments live in a Registry under stable dotted names
 // ("congest.link.round_bits"); the full name table is in
 // docs/OBSERVABILITY.md. Registration takes a mutex and may allocate;
@@ -47,6 +52,8 @@
 #include <string_view>
 
 namespace dmc::metrics {
+
+class LocalHistogram;
 
 class Counter {
  public:
@@ -104,6 +111,10 @@ class Histogram {
     }
   }
 
+  /// Folds a local histogram's samples in, as if each had been recorded
+  /// here.
+  void merge(const LocalHistogram& local);
+
   long long count() const { return count_.load(std::memory_order_relaxed); }
   long long sum() const { return sum_.load(std::memory_order_relaxed); }
   long long max() const { return max_.load(std::memory_order_relaxed); }
@@ -139,6 +150,26 @@ class Histogram {
   std::atomic<long long> count_{0};
   std::atomic<long long> sum_{0};
   std::atomic<long long> max_{0};
+};
+
+/// Unsynchronized twin of Histogram (same buckets, count, sum and max) for
+/// one writer. Fold it into a shared Histogram with Histogram::merge.
+class LocalHistogram {
+ public:
+  void record(long long v) {
+    buckets_[Histogram::bucket_of(v)] += 1;
+    count_ += 1;
+    sum_ += v > 0 ? v : 0;
+    max_ = v > max_ ? v : max_;
+  }
+  void clear() { *this = LocalHistogram{}; }
+
+ private:
+  friend class Histogram;
+  std::array<long long, Histogram::kBuckets> buckets_{};
+  long long count_ = 0;
+  long long sum_ = 0;
+  long long max_ = 0;
 };
 
 /// Named instrument store. Names are stable dotted lowercase identifiers

@@ -10,26 +10,36 @@
 //     (run under TSan by the `par` ctest label);
 //   - after a full dist pipeline, the congest.* / transport.* counters
 //     reconcile exactly with NetworkStats — same invariant the CLI's
-//     "metrics check" asserts (tools/dmc.cpp).
+//     "metrics check" asserts (tools/dmc.cpp) — also when two networks
+//     share one registry from two threads and when a program throws;
+//   - MetricsPin.*: the registry after each protocol run and every
+//     periodic snapshot reproduce digests recorded before networks
+//     batched their metrics per run.
 #include "metrics/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <new>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "congest/faults.hpp"
 #include "congest/network.hpp"
+#include "dist/bags.hpp"
+#include "dist/elim_tree.hpp"
 #include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
 #include "par/pool.hpp"
+#include "par/thread.hpp"
 
 #include "counting_new.hpp"
 
@@ -102,6 +112,28 @@ TEST(MetricsHistogram, RecordAggregatesCountSumMax) {
   EXPECT_EQ(h.bucket(2), 2);  // 2, 3
   EXPECT_EQ(h.bucket(3), 1);  // 4
   EXPECT_EQ(h.bucket(7), 1);  // 100 in [64, 128)
+}
+
+TEST(MetricsHistogram, MergeEqualsRecordingEachSample) {
+  metrics::Histogram direct, merged;
+  metrics::LocalHistogram local;
+  for (long long v : {0LL, 1LL, 5LL, 5LL, 64LL, -3LL}) {
+    direct.record(v);
+    local.record(v);
+  }
+  merged.record(200);
+  direct.record(200);
+  merged.merge(local);
+  merged.merge(metrics::LocalHistogram{});  // an empty merge is a no-op
+  EXPECT_EQ(merged.count(), direct.count());
+  EXPECT_EQ(merged.sum(), direct.sum());
+  EXPECT_EQ(merged.max(), direct.max());
+  for (int i = 0; i < metrics::Histogram::kBuckets; ++i)
+    EXPECT_EQ(merged.bucket(i), direct.bucket(i)) << "bucket " << i;
+  local.clear();
+  metrics::Histogram empty;
+  empty.merge(local);
+  EXPECT_EQ(empty.count(), 0);
 }
 
 TEST(MetricsGauge, MaxOfIsRunningMax) {
@@ -203,6 +235,20 @@ TEST(MetricsConcurrent, ParallelIncrementsLoseNothing) {
   EXPECT_EQ(bucket_total, static_cast<long long>(kN));
 }
 
+/// The congest.* / transport.* counters of `reg` against `stats`.
+void expect_counters_equal(metrics::Registry& reg,
+                           const congest::NetworkStats& stats) {
+  EXPECT_EQ(reg.counter("congest.rounds").value(), stats.rounds);
+  EXPECT_EQ(reg.counter("congest.messages").value(), stats.messages);
+  EXPECT_EQ(reg.counter("congest.bits").value(), stats.total_bits);
+  EXPECT_EQ(reg.counter("transport.frames").value(), stats.frames);
+  EXPECT_EQ(reg.counter("transport.frame_bits").value(), stats.frame_bits);
+  EXPECT_EQ(reg.counter("transport.marker_frames").value(),
+            stats.marker_frames);
+  EXPECT_EQ(reg.counter("transport.retransmissions").value(),
+            stats.retransmissions);
+}
+
 /// Runs the decision pipeline with a per-network registry and asserts the
 /// congest.*/transport.* counters reconcile exactly with NetworkStats.
 void expect_reconciled(const NetworkConfig& base_cfg) {
@@ -214,15 +260,7 @@ void expect_reconciled(const NetworkConfig& base_cfg) {
       dist::run(net, {dist::Kind::kDecision, mso::lib::connected()}, 4);
   ASSERT_FALSE(out.treedepth_exceeded);
   const congest::NetworkStats& stats = net.stats();
-  EXPECT_EQ(reg.counter("congest.rounds").value(), stats.rounds);
-  EXPECT_EQ(reg.counter("congest.messages").value(), stats.messages);
-  EXPECT_EQ(reg.counter("congest.bits").value(), stats.total_bits);
-  EXPECT_EQ(reg.counter("transport.frames").value(), stats.frames);
-  EXPECT_EQ(reg.counter("transport.frame_bits").value(), stats.frame_bits);
-  EXPECT_EQ(reg.counter("transport.marker_frames").value(),
-            stats.marker_frames);
-  EXPECT_EQ(reg.counter("transport.retransmissions").value(),
-            stats.retransmissions);
+  expect_counters_equal(reg, stats);
   // The per-link histograms cover every message and bit exactly once.
   EXPECT_EQ(reg.histogram("congest.link.round_bits").sum(), stats.total_bits);
   EXPECT_EQ(reg.histogram("congest.link.round_messages").sum(),
@@ -247,6 +285,245 @@ TEST(MetricsReconcile, ZeroFaultTransportMatchesNetworkStats) {
   cfg.id_seed = 42;
   cfg.faults = congest::FaultPlan{};  // transport on, nothing injected
   expect_reconciled(cfg);
+}
+
+TEST(MetricsConcurrent, TwoNetworksShareOneRegistry) {
+  // Two networks, one perfect and one under the reliable transport, run
+  // the elimination tree and the bags at once into one registry. The
+  // registry's totals must be the sums of the two networks' stats. The
+  // `par` ctest label runs this under TSan.
+  metrics::Registry reg;
+  auto make = [&](const char* faults, unsigned seed) {
+    NetworkConfig cfg;
+    cfg.id_seed = seed;
+    cfg.metrics = &reg;
+    if (faults != nullptr) cfg.faults = congest::parse_fault_plan(faults);
+    gen::Rng rng(seed);
+    return std::make_unique<Network>(
+        gen::random_bounded_treedepth(40, 3, 0.4, rng), cfg);
+  };
+  auto perfect = make(nullptr, 3);
+  auto faulty = make("drop=0.05,dup=0.05,seed=9", 4);
+  auto work = [](Network& net) {
+    const dist::ElimTreeResult tree = dist::run_elim_tree(net, 3);
+    ASSERT_TRUE(tree.success);
+    dist::run_bags(net, tree, {}, {});
+  };
+  {
+    par::Thread a([&] { work(*perfect); });
+    par::Thread b([&] { work(*faulty); });
+  }
+  congest::NetworkStats sum;
+  for (const Network* net : {perfect.get(), faulty.get()}) {
+    const congest::NetworkStats& s = net->stats();
+    sum.rounds += s.rounds;
+    sum.messages += s.messages;
+    sum.total_bits += s.total_bits;
+    sum.frames += s.frames;
+    sum.frame_bits += s.frame_bits;
+    sum.marker_frames += s.marker_frames;
+    sum.retransmissions += s.retransmissions;
+  }
+  EXPECT_GT(sum.frames, 0);
+  expect_counters_equal(reg, sum);
+  EXPECT_EQ(reg.histogram("congest.link.round_messages").sum(), sum.messages);
+  EXPECT_EQ(reg.histogram("congest.link.round_bits").sum(), sum.total_bits);
+}
+
+TEST(MetricsReconcile, ProgramThrowingMidRunStillPublishes) {
+  // Floods every port each round and throws in round 5: the partial run's
+  // traffic must reach the registry all the same.
+  class Thrower : public NodeProgram {
+   public:
+    void on_round(NodeCtx& ctx) override {
+      if (ctx.round() == 5 && ctx.id() == 3)
+        throw std::runtime_error("program failure");
+      ctx.send_all(congest::Message(ctx.id(), 8));
+    }
+    bool done(const NodeCtx&) const override { return false; }
+  };
+  for (const char* faults : {"", "drop=0.05,seed=2"}) {
+    SCOPED_TRACE(faults);
+    metrics::Registry reg;
+    NetworkConfig cfg;
+    cfg.metrics = &reg;
+    if (*faults != '\0') cfg.faults = congest::parse_fault_plan(faults);
+    Network net(gen::cycle(10), cfg);
+    std::vector<std::unique_ptr<NodeProgram>> programs;
+    for (int v = 0; v < 10; ++v) programs.push_back(std::make_unique<Thrower>());
+    EXPECT_THROW(net.run(programs), std::runtime_error);
+    EXPECT_GT(net.stats().messages, 0);
+    expect_counters_equal(reg, net.stats());
+  }
+}
+
+// --- MetricsPin: digests of everything the registry shows ----------------
+//
+// The expected digests were recorded while every send and round still
+// updated the registry directly. Publishing per run must reproduce each
+// one; on a mismatch the failure prints the cell's actual digest.
+
+/// Installs `reg` as the global registry for one scope, so the BPT and par
+/// layers' metrics land in the digested snapshots too.
+class GlobalRegistryScope {
+ public:
+  explicit GlobalRegistryScope(metrics::Registry& reg)
+      : prev_(metrics::set_global(&reg)) {}
+  ~GlobalRegistryScope() { metrics::set_global(prev_); }
+  GlobalRegistryScope(const GlobalRegistryScope&) = delete;
+  GlobalRegistryScope& operator=(const GlobalRegistryScope&) = delete;
+
+ private:
+  metrics::Registry* prev_;
+};
+
+/// write_json_fields without the wall-clock field bpt.fold.wall_ns.
+std::string snapshot(const metrics::Registry& reg) {
+  std::ostringstream out;
+  reg.write_json_fields(out);
+  std::string s = out.str();
+  const std::string key = "\"bpt.fold.wall_ns\":";
+  const std::size_t at = s.find(key);
+  if (at != std::string::npos) {
+    std::size_t end = at + key.size();
+    while (end < s.size() && s[end] != ',') ++end;
+    s.erase(at, end - at);
+  }
+  return s;
+}
+
+/// A protocol on a prepared network; calls `after_run` after each run.
+using PinProtocol =
+    std::function<void(Network&, const std::function<void()>& after_run)>;
+
+struct PinSetting {
+  const char* name;
+  std::function<void(NetworkConfig&)> apply;
+};
+
+const std::vector<PinSetting>& pin_settings() {
+  static const std::vector<PinSetting> all = {
+      {"sparse", [](NetworkConfig&) {}},
+      {"dense", [](NetworkConfig& c) { c.sparse_stepping = false; }},
+      {"audit", [](NetworkConfig& c) { c.audit = true; }},
+      {"drop+dup",
+       [](NetworkConfig& c) {
+         c.faults = congest::parse_fault_plan("drop=0.05,dup=0.05,seed=3");
+       }},
+      {"raw",
+       [](NetworkConfig& c) {
+         c.faults =
+             congest::parse_fault_plan("drop=0.02,transport=raw,seed=3");
+       }},
+      {"crash",
+       [](NetworkConfig& c) {
+         c.faults = congest::parse_fault_plan("crash=3@r20,seed=5");
+       }},
+  };
+  return all;
+}
+
+/// Digest of every registry snapshot of one protocol run under `setting`:
+/// each metrics_interval = 7 flush and the state after each run.
+std::string metrics_digest(const Graph& g, const PinSetting& setting,
+                           const PinProtocol& protocol) {
+  metrics::Registry reg;
+  GlobalRegistryScope global(reg);
+  std::ostringstream out;
+  NetworkConfig cfg;
+  cfg.id_seed = 11;
+  cfg.metrics = &reg;
+  cfg.metrics_interval = 7;
+  cfg.metrics_flush = [&](long rounds) {
+    out << "flush " << rounds << ' ' << snapshot(reg) << '\n';
+  };
+  setting.apply(cfg);
+  Network net(g, cfg);
+  try {
+    protocol(net, [&] { out << "run " << snapshot(reg) << '\n'; });
+  } catch (const std::exception& e) {
+    out << "threw " << e.what() << '\n';
+  }
+  out << "end " << snapshot(reg) << '\n';
+  return dist::result_digest(out.str());
+}
+
+void pin_metrics(const Graph& g, const PinProtocol& protocol,
+                 const std::map<std::string, std::string>& expected) {
+  for (const PinSetting& setting : pin_settings()) {
+    SCOPED_TRACE(setting.name);
+    const auto it = expected.find(setting.name);
+    ASSERT_NE(it, expected.end());
+    EXPECT_EQ(metrics_digest(g, setting, protocol), it->second);
+  }
+}
+
+Graph pin_graph(unsigned seed, int n) {
+  gen::Rng rng(seed);
+  return gen::random_bounded_treedepth(n, 3, 0.4, rng);
+}
+
+PinProtocol pin_query(dist::Query q) {
+  return [q](Network& net, const std::function<void()>& after_run) {
+    dist::run(net, q, 3);
+    after_run();
+  };
+}
+
+TEST(MetricsPin, ElimTree) {
+  pin_metrics(pin_graph(5, 24),
+              [](Network& net, const std::function<void()>& after_run) {
+                dist::run_elim_tree(net, 3);
+                after_run();
+              },
+              {{"sparse", "a22e06c4cee97256"},
+               {"dense", "a22e06c4cee97256"},
+               {"audit", "a22e06c4cee97256"},
+               {"drop+dup", "6dd41f7a771470af"},
+               {"raw", "fda356466bc4ab58"},
+               {"crash", "d2c37815c2617e7d"}});
+}
+
+TEST(MetricsPin, Bags) {
+  pin_metrics(pin_graph(6, 24),
+              [](Network& net, const std::function<void()>& after_run) {
+                const dist::ElimTreeResult tree = dist::run_elim_tree(net, 3);
+                after_run();
+                dist::run_bags(net, tree, {}, {});
+                after_run();
+              },
+              {{"sparse", "11e3f78182db8c7a"},
+               {"dense", "11e3f78182db8c7a"},
+               {"audit", "11e3f78182db8c7a"},
+               {"drop+dup", "84ea598c7299e726"},
+               {"raw", "f142056bdd569934"},
+               {"crash", "b44f861dcb7d3172"}});
+}
+
+TEST(MetricsPin, Decide) {
+  pin_metrics(pin_graph(7, 20),
+              pin_query({dist::Kind::kDecision, mso::lib::triangle_free()}),
+              {{"sparse", "84b33d6e275e11c6"},
+               {"dense", "84b33d6e275e11c6"},
+               {"audit", "84b33d6e275e11c6"},
+               {"drop+dup", "522b1e3fc0a11f00"},
+               {"raw", "4ef7f7b6a020145f"},
+               {"crash", "bc92ce1257fedde3"}});
+}
+
+// The star's count (2^32 + 1) outgrows the bandwidth, so the answer is
+// fragmented and the reassembly gauge moves.
+TEST(MetricsPin, CountFragmented) {
+  pin_metrics(gen::star(32),
+              pin_query({dist::Kind::kCount,
+                         mso::lib::independent_set_indicator(),
+                         {{"S", mso::Sort::VertexSet}}}),
+              {{"sparse", "e0febe0378ddba43"},
+               {"dense", "e0febe0378ddba43"},
+               {"audit", "e0febe0378ddba43"},
+               {"drop+dup", "598fc71c1b65c0f4"},
+               {"raw", "f656635f3059e60a"},
+               {"crash", "26475d991f2ff34d"}});
 }
 
 }  // namespace
