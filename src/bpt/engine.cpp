@@ -223,30 +223,8 @@ EngineConfig without_singleton_modes(EngineConfig cfg) {
   return cfg;
 }
 
-Engine::Engine(EngineConfig cfg)
-    : cfg_(std::move(cfg)),
-      index_stripes_(new IndexStripe[kIndexStripes]),
-      memo_stripes_(new MemoStripe[kMemoStripes]) {
+Engine::Engine(EngineConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.rank < 0) throw std::invalid_argument("Engine: negative rank");
-  resolve_metrics();
-}
-
-Engine::Engine(const Engine& other)
-    : cfg_(other.cfg_),
-      nodes_(other.nodes_),
-      index_stripes_(new IndexStripe[kIndexStripes]),
-      ops_(other.ops_),
-      op_index_(other.op_index_),
-      memo_stripes_(new MemoStripe[kMemoStripes]),
-      primitive_memo_(other.primitive_memo_),
-      type_limit_(other.type_limit_.load()),
-      compose_calls_(other.compose_calls_.load()),
-      memo_hits_(other.memo_hits_.load()),
-      invalid_compositions_(other.invalid_compositions_.load()) {
-  for (std::size_t s = 0; s < kIndexStripes; ++s)
-    index_stripes_[s].buckets = other.index_stripes_[s].buckets;
-  for (std::size_t s = 0; s < kMemoStripes; ++s)
-    memo_stripes_[s].map = other.memo_stripes_[s].map;
   resolve_metrics();
 }
 
@@ -276,28 +254,11 @@ void Engine::prune(AtomicInfo& a) const {
 }
 
 TypeId Engine::intern(TypeNode node) {
-  if (nodes_.size() >= type_limit_.load(std::memory_order_relaxed))
+  if (nodes_.size() >= type_limit_)
     throw std::runtime_error(
         "bpt::Engine: type universe limit exceeded (instance too large for "
         "this formula's rank/width; see set_type_limit)");
-  const std::size_t h = hash_type_node(node);
-  IndexStripe& stripe = index_stripes_[h % kIndexStripes];
-  {
-    std::lock_guard<std::mutex> lk(stripe.m);
-    auto it = stripe.buckets.find(h);
-    if (it != stripe.buckets.end())
-      for (TypeId t : it->second)
-        if (nodes_[t] == node) {
-          if (met_hashcons_hits_ != nullptr) met_hashcons_hits_->add(1);
-          return t;
-        }
-  }
-  // Not found: take the append lock (lock order: append before stripe),
-  // re-check under both, then publish. Ids remain insertion order, so the
-  // single-threaded id sequence is exactly the legacy one.
-  std::lock_guard<std::mutex> append(intern_mutex_);
-  std::lock_guard<std::mutex> lk(stripe.m);
-  auto& bucket = stripe.buckets[h];
+  std::vector<TypeId>& bucket = index_[hash_type_node(node)];
   for (TypeId t : bucket)
     if (nodes_[t] == node) {
       if (met_hashcons_hits_ != nullptr) met_hashcons_hits_->add(1);
@@ -348,11 +309,8 @@ TypeId Engine::primitive(bool is_k2, std::uint32_t la, std::uint32_t lb,
       (static_cast<std::uint64_t>(lb) << 20) ^
       (static_cast<std::uint64_t>(le) << 40);
   const auto key = std::make_tuple(is_k2, desc, slots, rank);
-  {
-    std::lock_guard<std::mutex> lk(primitive_mutex_);
-    auto it = primitive_memo_.find(key);
-    if (it != primitive_memo_.end()) return it->second;
-  }
+  if (auto it = primitive_memo_.find(key); it != primitive_memo_.end())
+    return it->second;
 
   const int p = static_cast<int>(slots.size());
   if (p > kMaxSlots) throw std::logic_error("primitive: too many slots");
@@ -442,23 +400,15 @@ TypeId Engine::primitive(bool is_k2, std::uint32_t la, std::uint32_t lb,
   }
   prune(node.atoms);
   const TypeId id = intern(std::move(node));
-  std::lock_guard<std::mutex> lk(primitive_mutex_);
   primitive_memo_[key] = id;
   return id;
 }
 
 int Engine::op_id(const GluingMatrix& f, int left_tau, int right_tau) {
-  {
-    std::lock_guard<std::mutex> lk(ops_mutex_);
-    auto it = op_index_.find(f);
-    if (it != op_index_.end()) return it->second;
-  }
+  if (auto it = op_index_.find(f); it != op_index_.end()) return it->second;
   f.validate(left_tau, right_tau);
   if (f.parent_tau() > kMaxTerminals)
     throw std::invalid_argument("compose: too many terminals for the engine");
-  std::lock_guard<std::mutex> lk(ops_mutex_);
-  auto it = op_index_.find(f);
-  if (it != op_index_.end()) return it->second;
   const int id = static_cast<int>(ops_.size());
   ops_.push_back(f);
   op_index_[f] = id;
@@ -466,12 +416,10 @@ int Engine::op_id(const GluingMatrix& f, int left_tau, int right_tau) {
 }
 
 void Engine::memo_store(std::uint64_t key, TypeId value) {
-  MemoStripe& ms = memo_stripes_[(key * 0x9e3779b97f4a7c15ull) >> 58];
-  std::lock_guard<std::mutex> lk(ms.m);
-  // Bounded: a full stripe is cleared wholesale. Recomputing an evicted
+  // Bounded: a full memo is cleared wholesale. Recomputing an evicted
   // composition re-interns to the same id, so results never change.
-  if (ms.map.size() >= kMemoStripeCap) ms.map.clear();
-  ms.map[key] = value;
+  if (memo_.size() >= kMemoCap) memo_.clear();
+  memo_[key] = value;
 }
 
 TypeId Engine::compose(const GluingMatrix& f, TypeId left, TypeId right) {
@@ -487,17 +435,12 @@ TypeId Engine::compose_by_id(int op, TypeId left, TypeId right) {
   const std::uint64_t key = (static_cast<std::uint64_t>(op) << 50) |
                             (static_cast<std::uint64_t>(left) << 25) |
                             static_cast<std::uint64_t>(right);
-  {
-    MemoStripe& ms = memo_stripes_[(key * 0x9e3779b97f4a7c15ull) >> 58];
-    std::lock_guard<std::mutex> lk(ms.m);
-    auto memo = ms.map.find(key);
-    if (memo != ms.map.end()) {
-      memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (met_memo_hits_ != nullptr) met_memo_hits_->add(1);
-      return memo->second;
-    }
+  if (auto memo = memo_.find(key); memo != memo_.end()) {
+    ++stats_.memo_hits;
+    if (met_memo_hits_ != nullptr) met_memo_hits_->add(1);
+    return memo->second;
   }
-  compose_calls_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.compose_calls;
   if (met_compose_calls_ != nullptr) met_compose_calls_->add(1);
 
   const GluingMatrix& f = ops_[op];
@@ -524,7 +467,7 @@ TypeId Engine::compose_by_id(int op, TypeId left, TypeId right) {
   }
 
   auto fail = [&]() {
-    invalid_compositions_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.invalid_compositions;
     memo_store(key, kInvalidType);
     return kInvalidType;
   };
@@ -692,13 +635,9 @@ TypeId Engine::compose_by_id(int op, TypeId left, TypeId right) {
       std::sort(into.begin(), into.end());
       into.erase(std::unique(into.begin(), into.end()), into.end());
     };
-    // Copy the ext lists: recursion interns new nodes, and holding child
-    // references across that would be fragile even though ChunkedVector
-    // keeps published elements at stable addresses.
-    const std::vector<TypeId> lv = L.vexts, rv = R.vexts;
-    const std::vector<TypeId> le = L.eexts, re = R.eexts;
-    combine(lv, rv, cfg_.vertex_mode.at(level), out.vexts);
-    combine(le, re, cfg_.edge_mode.at(level), out.eexts);
+    // L and R stay valid while the recursion interns: nodes_ is a deque.
+    combine(L.vexts, R.vexts, cfg_.vertex_mode.at(level), out.vexts);
+    combine(L.eexts, R.eexts, cfg_.edge_mode.at(level), out.eexts);
   }
 
   prune(out.atoms);

@@ -21,20 +21,18 @@
 // whole pipeline against brute-force MSO semantics.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "bpt/gluing.hpp"
 #include "mso/ast.hpp"
-#include "par/chunked.hpp"
 
 namespace dmc::metrics {
 class Counter;  // src/metrics/metrics.hpp: aggregate counters/gauges
@@ -155,13 +153,16 @@ EngineConfig without_singleton_modes(EngineConfig cfg);
 /// edge slots use bit 0 for the edge.
 using SlotBits = std::vector<std::uint8_t>;
 
+/// The interner of one class universe. Single-writer: one thread at a
+/// time may call any member (the serving tier enforces this with
+/// exclusive leases, docs/SERVING.md §3). An engine is moved, never
+/// copied: the universe is a function of (φ, w) alone (Theorem 4.2), so
+/// there is never a reason for two copies of it.
 class Engine {
  public:
   explicit Engine(EngineConfig cfg);
-
-  /// Deep copy with fresh synchronization state (for per-task engines in
-  /// parallel sweeps). Only safe while no other thread mutates `other`.
-  explicit Engine(const Engine& other);
+  Engine(Engine&&) = default;
+  Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   const EngineConfig& config() const { return cfg_; }
@@ -197,12 +198,7 @@ class Engine {
     long memo_hits = 0;
     long invalid_compositions = 0;
   };
-  /// Snapshot of the (atomic) counters.
-  Stats stats() const {
-    return {compose_calls_.load(std::memory_order_relaxed),
-            memo_hits_.load(std::memory_order_relaxed),
-            invalid_compositions_.load(std::memory_order_relaxed)};
-  }
+  Stats stats() const { return stats_; }
 
   /// Safety valve: compose/primitive throw std::runtime_error once the
   /// interner holds more than this many types (the type universe of the
@@ -214,32 +210,17 @@ class Engine {
   /// Versioned serialization of the interned tables for the persistent
   /// universe cache (defined in universe_cache.cpp). load_universe returns
   /// false — leaving the engine untouched — on a format-version, engine-
-  /// version, config or checksum mismatch. Both require exclusive access.
+  /// version, config or checksum mismatch.
   void save_universe(std::ostream& out) const;
   bool load_universe(std::istream& in);
 
  private:
-  // Concurrency model: k1/k2/compose may be called from any number of
-  // threads. The interner appends under a single append mutex (ids stay
-  // equal to insertion order — the serial thread count reproduces the
-  // legacy id sequence exactly), lookups go through 64 mutex-striped hash
-  // buckets, and node storage is a ChunkedVector so published elements
-  // have stable addresses and indexed reads take no lock. The compose
-  // memo is mutex-striped and bounded (full stripes are cleared; a
-  // recompute re-interns to the same id, so eviction never changes
-  // results). No lock is ever held across compose/primitive recursion.
-  static constexpr std::size_t kIndexStripes = 64;
-  static constexpr std::size_t kMemoStripes = 64;
-  static constexpr std::size_t kMemoStripeCap = 1 << 15;
-
-  struct IndexStripe {
-    std::mutex m;
-    std::unordered_map<std::size_t, std::vector<TypeId>> buckets;
-  };
-  struct MemoStripe {
-    std::mutex m;
-    std::unordered_map<std::uint64_t, TypeId> map;
-  };
+  // Ids are insertion order. Nodes and ops live in deques, so references
+  // stay valid while compose recursion interns new nodes. The compose
+  // memo is bounded: once it holds kMemoCap entries it is cleared
+  // wholesale (a recompute re-interns to the same id, so eviction never
+  // changes results).
+  static constexpr std::size_t kMemoCap = std::size_t{1} << 21;
 
   TypeId intern(TypeNode node);
   /// Resolves the aggregate-metrics handles (bpt.* instruments) against
@@ -254,21 +235,16 @@ class Engine {
   void memo_store(std::uint64_t key, TypeId value);
 
   EngineConfig cfg_;
-  par::ChunkedVector<TypeNode> nodes_;
-  mutable std::mutex intern_mutex_;  // serializes appends / id assignment
-  std::unique_ptr<IndexStripe[]> index_stripes_;
-  par::ChunkedVector<GluingMatrix> ops_;
-  mutable std::mutex ops_mutex_;
+  std::deque<TypeNode> nodes_;
+  std::unordered_map<std::size_t, std::vector<TypeId>> index_;  // hash-cons
+  std::deque<GluingMatrix> ops_;
   std::map<GluingMatrix, int> op_index_;
-  std::unique_ptr<MemoStripe[]> memo_stripes_;
-  mutable std::mutex primitive_mutex_;
+  std::unordered_map<std::uint64_t, TypeId> memo_;  // packed compose key
   std::map<std::tuple<bool, std::uint64_t, std::vector<std::uint8_t>, int>,
            TypeId>
       primitive_memo_;
-  std::atomic<std::size_t> type_limit_{4'000'000};
-  std::atomic<long> compose_calls_{0};
-  std::atomic<long> memo_hits_{0};
-  std::atomic<long> invalid_compositions_{0};
+  std::size_t type_limit_ = 4'000'000;
+  Stats stats_;
   // Aggregate metrics handles (see resolve_metrics).
   metrics::Counter* met_hashcons_hits_ = nullptr;
   metrics::Counter* met_hashcons_misses_ = nullptr;

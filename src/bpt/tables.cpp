@@ -7,13 +7,12 @@
 
 #include "metrics/metrics.hpp"
 #include "obs/clock.hpp"
-#include "par/pool.hpp"
 
 namespace dmc::bpt {
 
 namespace {
 
-/// Charges the wall time of one whole-graph fold (serial or parallel) to
+/// Charges the wall time of one whole-graph fold to
 /// bpt.fold.wall_ns and counts it in bpt.folds. Inert (one null check)
 /// without a global metrics registry.
 class FoldTimer {
@@ -85,10 +84,9 @@ std::uint32_t edge_label_bits(const Engine& engine, const Graph& g, EdgeId e) {
   return bits;
 }
 
-namespace {
-
-TypeId fold_type_serial(Engine& engine, const Plan& plan, const Graph& g,
-                        std::span<const TypeId> inputs) {
+TypeId fold_type(Engine& engine, const Plan& plan, const Graph& g,
+                 std::span<const TypeId> inputs) {
+  FoldTimer timer;
   if (!engine.config().free_sorts.empty())
     throw std::invalid_argument("fold_type: engine must have no free slots");
   std::vector<TypeId> value(plan.nodes.size(), kInvalidType);
@@ -115,64 +113,6 @@ TypeId fold_type_serial(Engine& engine, const Plan& plan, const Graph& g,
         break;
     }
   }
-  return value[plan.root];
-}
-
-}  // namespace
-
-TypeId fold_type(Engine& engine, const Plan& plan, const Graph& g,
-                 std::span<const TypeId> inputs) {
-  FoldTimer timer;
-  return fold_type_serial(engine, plan, g, inputs);
-}
-
-TypeId fold_type_parallel(Engine& engine, const Plan& plan, const Graph& g,
-                          int threads, std::span<const TypeId> inputs) {
-  FoldTimer timer;
-  if (threads == 1) return fold_type_serial(engine, plan, g, inputs);
-  if (!engine.config().free_sorts.empty())
-    throw std::invalid_argument("fold_type: engine must have no free slots");
-  const std::size_t n = plan.nodes.size();
-  // Topological levels: level(node) = 1 + max(level(children)); plan order
-  // guarantees children precede parents, so one forward pass suffices.
-  std::vector<int> level(n, 0);
-  int max_level = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    if (pn.kind == PlanNode::Kind::Glue)
-      level[i] = 1 + std::max(level[pn.left], level[pn.right]);
-    max_level = std::max(max_level, level[i]);
-  }
-  std::vector<std::vector<std::size_t>> by_level(max_level + 1);
-  for (std::size_t i = 0; i < n; ++i) by_level[level[i]].push_back(i);
-
-  std::vector<TypeId> value(n, kInvalidType);
-  auto fold_one = [&](std::size_t i) {
-    const PlanNode& pn = plan.nodes[i];
-    switch (pn.kind) {
-      case PlanNode::Kind::K1:
-        value[i] = engine.k1(labels_of(engine, g, pn.v), {});
-        break;
-      case PlanNode::Kind::K2:
-        value[i] = engine.k2(labels_of(engine, g, pn.v),
-                             labels_of(engine, g, pn.w),
-                             edge_label_bits(engine, g, pn.e), {});
-        break;
-      case PlanNode::Kind::Glue:
-        value[i] = engine.compose(pn.op, value[pn.left], value[pn.right]);
-        if (value[i] == kInvalidType)
-          throw std::logic_error("fold_type: inconsistent composition");
-        break;
-      case PlanNode::Kind::Input:
-        if (pn.input >= static_cast<int>(inputs.size()))
-          throw std::invalid_argument("fold_type: missing input class");
-        value[i] = inputs[pn.input];
-        break;
-    }
-  };
-  for (const auto& nodes : by_level)
-    par::parallel_for(threads, nodes.size(),
-                      [&](std::size_t k) { fold_one(nodes[k]); });
   return value[plan.root];
 }
 

@@ -23,15 +23,6 @@ namespace dmc::bpt {
 TypeId fold_type(Engine& engine, const Plan& plan, const Graph& g,
                  std::span<const TypeId> inputs = {});
 
-/// fold_type with the plan's independent nodes evaluated concurrently
-/// (topological levels: Glue children always precede their parent, so a
-/// level is every node whose children are already folded). The engine's
-/// interner is thread-safe; the resulting root class is identical to
-/// fold_type's — only TypeId numbering may differ between thread counts.
-/// threads <= 1 is exactly fold_type.
-TypeId fold_type_parallel(Engine& engine, const Plan& plan, const Graph& g,
-                          int threads, std::span<const TypeId> inputs = {});
-
 // --- optimization (one free set slot) ----------------------------------------
 
 /// OPT table of Definition 4.5: per homomorphism class, the max total weight

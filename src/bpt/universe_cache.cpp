@@ -225,15 +225,11 @@ void Engine::save_universe(std::ostream& out) const {
     w.pod(id);
   }
 
-  std::uint64_t memo_entries = 0;
-  for (std::size_t s = 0; s < kMemoStripes; ++s)
-    memo_entries += memo_stripes_[s].map.size();
-  w.u64(memo_entries);
-  for (std::size_t s = 0; s < kMemoStripes; ++s)
-    for (const auto& [key, id] : memo_stripes_[s].map) {
-      w.u64(key);
-      w.pod(id);
-    }
+  w.u64(memo_.size());
+  for (const auto& [key, id] : memo_) {
+    w.u64(key);
+    w.pod(id);
+  }
 
   const std::uint64_t sum = w.sum();
   out.write(reinterpret_cast<const char*>(&sum), sizeof(sum));
@@ -306,13 +302,10 @@ bool Engine::load_universe(std::istream& in) {
 
   // Everything validated: install and rebuild the derived indices.
   nodes_.clear();
-  for (std::size_t s = 0; s < kIndexStripes; ++s)
-    index_stripes_[s].buckets.clear();
+  index_.clear();
   for (auto& node : nodes) {
-    const std::size_t h = hash_type_node(node);
-    const TypeId id = static_cast<TypeId>(nodes_.size());
+    index_[hash_type_node(node)].push_back(static_cast<TypeId>(nodes_.size()));
     nodes_.push_back(std::move(node));
-    index_stripes_[h % kIndexStripes].buckets[h].push_back(id);
   }
   ops_.clear();
   op_index_.clear();
@@ -322,10 +315,10 @@ bool Engine::load_universe(std::istream& in) {
     ops_.push_back(std::move(f));
   }
   primitive_memo_ = std::move(prim);
-  for (std::size_t s = 0; s < kMemoStripes; ++s) memo_stripes_[s].map.clear();
+  memo_.clear();
   for (const auto& [key, id] : memo) {
-    auto& stripe = memo_stripes_[(key * 0x9e3779b97f4a7c15ull) >> 58];
-    if (stripe.map.size() < kMemoStripeCap) stripe.map[key] = id;
+    if (memo_.size() == kMemoCap) break;
+    memo_[key] = id;
   }
   return true;
 }

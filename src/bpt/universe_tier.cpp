@@ -1,4 +1,4 @@
-// Single-flight shared universe tier (see universe_tier.hpp).
+// In-process universe tier with exclusive leases (see universe_tier.hpp).
 #include "bpt/universe_tier.hpp"
 
 #include "bpt/universe_cache.hpp"
@@ -29,39 +29,32 @@ UniverseTier::Lease UniverseTier::acquire(const std::string& formula_text,
       opts_.disk_dir.empty() ? "<mem>" : opts_.disk_dir, formula_text, cfg);
 
   std::unique_lock lock(mu_);
-  auto it = slots_.find(key);
-  if (it == slots_.end()) {
-    it = slots_.emplace(key, std::make_shared<Slot>()).first;
-    if (met_keys_) met_keys_->set(static_cast<long long>(slots_.size()));
-  }
-  const std::shared_ptr<Slot> slot = it->second;
-
-  bool waited = false;
-  const long long wait_start = obs::now_ms();
-  while (slot->building || slot->saving) {
-    waited = true;
-    cv_.wait(lock);
-  }
-  if (waited) {
-    ++stats_.waits;
-    if (met_waits_) met_waits_->add(1);
-  }
+  const auto [it, inserted] = slots_.try_emplace(key);
+  if (inserted && met_keys_)
+    met_keys_->set(static_cast<long long>(slots_.size()));
+  Slot& slot = it->second;  // std::map nodes never move
 
   Lease lease;
   lease.key = key;
-  lease.wait_ms = waited ? obs::now_ms() - wait_start : 0;
-  if (slot->engine) {
+  if (slot.busy) {
+    const long long wait_start = obs::now_ms();
+    cv_.wait(lock, [&slot] { return !slot.busy; });
+    lease.wait_ms = obs::now_ms() - wait_start;
+    ++stats_.waits;
+    if (met_waits_) met_waits_->add(1);
+  }
+  slot.busy = true;
+  if (slot.engine) {
     ++stats_.hits;
     if (met_hits_) met_hits_->add(1);
-    lease.engine = slot->engine;
+    lease.engine = slot.engine;
     lease.warm = true;
-    ++slot->active;
     return lease;
   }
 
-  // Single flight: this thread builds; the flag parks later arrivals on
-  // cv_ until the engine is published (or the build failed).
-  slot->building = true;
+  // Build with the tier lock dropped: this lease holds the key, so later
+  // acquirers of it wait for the finished engine (single flight) while
+  // other keys proceed.
   lock.unlock();
   std::shared_ptr<Engine> engine;
   bool disk_hit = false;
@@ -72,15 +65,16 @@ UniverseTier::Lease UniverseTier::acquire(const std::string& formula_text,
       disk_hit = load_universe_cache(*engine, key);
   } catch (...) {
     lock.lock();
-    slot->building = false;
+    slot.busy = false;
+    lock.unlock();
     cv_.notify_all();
     throw;
   }
+  lease.build_ms = obs::now_ms() - build_start;
   lock.lock();
-  slot->engine = engine;
-  slot->building = false;
-  slot->saved_types = disk_hit ? engine->num_types() : 0;
-  slot->path = opts_.disk_dir.empty() ? std::string() : key;
+  slot.engine = engine;
+  slot.saved_types = disk_hit ? engine->num_types() : 0;
+  slot.path = opts_.disk_dir.empty() ? std::string() : key;
   ++stats_.misses;
   if (met_misses_) met_misses_->add(1);
   if (disk_hit) {
@@ -90,11 +84,8 @@ UniverseTier::Lease UniverseTier::acquire(const std::string& formula_text,
     ++stats_.builds;
     if (met_builds_) met_builds_->add(1);
   }
-  ++slot->active;
-  cv_.notify_all();
-  lease.engine = engine;
+  lease.engine = std::move(engine);
   lease.disk_hit = disk_hit;
-  lease.build_ms = obs::now_ms() - build_start;
   return lease;
 }
 
@@ -103,43 +94,40 @@ void UniverseTier::release(const Lease& lease) {
   std::unique_lock lock(mu_);
   const auto it = slots_.find(lease.key);
   if (it == slots_.end()) return;
-  const std::shared_ptr<Slot> slot = it->second;
-  if (slot->active > 0) --slot->active;
-  if (slot->active != 0 || slot->path.empty() ||
-      slot->engine->num_types() == slot->saved_types)
-    return;
-
-  // Write-back with exclusive access: `saving` parks new acquirers of
-  // this key (save_universe iterates the tables it snapshots), the tier
-  // lock is dropped so other keys proceed.
-  slot->saving = true;
-  const std::shared_ptr<Engine> engine = slot->engine;
-  const std::size_t types = engine->num_types();
+  Slot& slot = it->second;
+  const std::size_t types = slot.engine->num_types();
+  if (!slot.path.empty() && types != slot.saved_types) {
+    // Write back while this lease still holds the key (save_universe
+    // iterates the tables it snapshots); the tier lock is dropped so
+    // other keys proceed.
+    const std::string path = slot.path;
+    lock.unlock();
+    bool saved = false;
+    const long long persist_start = obs::now_ms();
+    try {
+      saved = save_universe_cache(*slot.engine, path);
+    } catch (...) {
+      saved = false;  // persist failure must never escape release()
+    }
+    const long long persist_ms = obs::now_ms() - persist_start;
+    lock.lock();
+    stats_.persist_ms += persist_ms;
+    if (saved) {
+      slot.saved_types = types;
+      ++stats_.saves;
+      if (met_saves_) met_saves_->add(1);
+    } else {
+      // Degrade the key to in-memory: the engine stays fully usable, and
+      // dropping the backing path stops every later release from
+      // hammering an unwritable directory. save_universe_cache is
+      // temp+rename, so no partial DMCU file exists after a failure.
+      slot.path.clear();
+      ++stats_.persist_errors;
+      if (met_persist_errors_) met_persist_errors_->add(1);
+    }
+  }
+  slot.busy = false;
   lock.unlock();
-  bool saved = false;
-  const long long persist_start = obs::now_ms();
-  try {
-    saved = save_universe_cache(*engine, slot->path);
-  } catch (...) {
-    saved = false;  // persist failure must never escape release()
-  }
-  const long long persist_ms = obs::now_ms() - persist_start;
-  lock.lock();
-  slot->saving = false;
-  stats_.persist_ms += persist_ms;
-  if (saved) {
-    slot->saved_types = types;
-    ++stats_.saves;
-    if (met_saves_) met_saves_->add(1);
-  } else {
-    // Degrade the key to in-memory: the engine stays fully usable, and
-    // dropping the backing path stops every later release from hammering
-    // an unwritable directory. save_universe_cache is temp+rename, so no
-    // partial DMCU file exists after a failure.
-    slot->path.clear();
-    ++stats_.persist_errors;
-    if (met_persist_errors_) met_persist_errors_->add(1);
-  }
   cv_.notify_all();
 }
 

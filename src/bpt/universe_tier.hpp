@@ -1,24 +1,23 @@
-// Shared in-process tier over the persistent universe cache.
+// In-process tier over the persistent universe cache.
 //
 // The DMCU files (universe_cache.hpp) make *repeated processes* warm; this
-// tier makes *concurrent queries inside one process* warm. It maps the
-// cache key — (printed lowered formula, engine config) — to one live
-// Engine shared by every acquirer, with single-flight construction: when N
-// threads ask for a missing key simultaneously, exactly one constructs the
-// engine (warm-loading the DMCU backing file when one exists and is
-// valid), the other N-1 block until it is published, and nobody ever
-// observes a half-loaded engine. This is the concurrency hardening the
-// serving scheduler relies on: Engine::load_universe requires exclusive
-// access, so unsynchronized "each thread loads its own copy" either races
-// or double-constructs.
+// tier makes *later queries inside one process* warm. It maps the cache
+// key — (printed lowered formula, engine config) — to one live Engine
+// that outlives its leases.
 //
-// Lifecycle contract: acquire() returns a Lease whose engine may be used
-// (k1/k2/compose are thread-safe) until the matching release(). release()
-// of the last active lease write-back-persists the engine to its DMCU
-// file when the interner grew since the last save — new acquirers of the
-// key briefly block while the snapshot is taken, because save_universe
-// also requires exclusive access. Holding the raw engine pointer past
-// release() forfeits that exclusion and is undefined.
+// Lifecycle contract: leases are exclusive. acquire() waits until no
+// other lease holds the key, then returns the engine; the caller is its
+// only writer (the Engine is single-writer) until the matching release().
+// A missing engine is built, or warm-loaded from its DMCU backing file,
+// inside the acquire that finds it missing, while that acquire holds the
+// key — so construction is single-flight and nobody observes a
+// half-loaded engine. release() write-back-persists the engine to its
+// DMCU file when the interner grew since the last save, still holding
+// the key, and then frees it. Holding the raw engine pointer past
+// release() is undefined, and a thread that acquires a key it already
+// holds waits forever. The serving scheduler never makes a worker wait
+// here: its key affinity runs one batch per key at a time
+// (serve/sched_core.hpp), so `waits` stays 0 there.
 //
 // Write-back failures (unwritable directory, disk full, rename failure)
 // degrade the key to in-memory: the engine stays fully usable, the
@@ -58,7 +57,7 @@ class UniverseTier {
   /// tier; `disk_hit` says this call's construction loaded a DMCU file.
   /// The millisecond stamps (obs::now_ms) feed the serving layer's
   /// per-query span breakdown: `wait_ms` is time parked behind another
-  /// builder/saver, `build_ms` is this call's own construct/disk-load
+  /// lease of the key, `build_ms` is this call's own construct/disk-load
   /// time (0 on a warm hit).
   struct Lease {
     std::shared_ptr<Engine> engine;
@@ -69,21 +68,20 @@ class UniverseTier {
     long long build_ms = 0;
   };
 
-  /// Returns the shared engine for the key derived from `formula_text`
-  /// (the printed lowered formula, as for universe_cache_path) and `cfg`.
-  /// Single-flight: concurrent acquirers of one missing key perform one
-  /// construction between them.
+  /// Returns the engine for the key derived from `formula_text` (the
+  /// printed lowered formula, as for universe_cache_path) and `cfg`,
+  /// exclusively: waits while another lease holds the key.
   Lease acquire(const std::string& formula_text, const EngineConfig& cfg);
 
-  /// Returns the lease. The last releaser persists the engine to disk if
-  /// the tier is disk-backed and the type table grew since the last save.
+  /// Returns the lease, first persisting the engine to disk if the tier
+  /// is disk-backed and the type table grew since the last save.
   void release(const Lease& lease);
 
   /// Aggregate view for tests and the `metrics` verb.
   struct Stats {
     long hits = 0;       // key was ready on arrival
     long misses = 0;     // this acquire constructed the engine
-    long waits = 0;      // acquires that blocked on another builder/saver
+    long waits = 0;      // acquires that waited for another lease
     long builds = 0;     // constructions that found no valid DMCU file
     long disk_hits = 0;  // constructions warm-loaded from DMCU
     long saves = 0;      // write-backs performed by release()
@@ -95,18 +93,16 @@ class UniverseTier {
 
  private:
   struct Slot {
-    std::shared_ptr<Engine> engine;  // null until published
-    bool building = false;
-    bool saving = false;
-    int active = 0;                  // outstanding leases
+    std::shared_ptr<Engine> engine;  // null until first built
+    bool busy = false;               // a lease holds the key
     std::size_t saved_types = 0;     // num_types at the last disk save
     std::string path;                // DMCU backing file ("" = none)
   };
 
   Options opts_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::string, std::shared_ptr<Slot>> slots_;
+  std::condition_variable cv_;  // a slot became free
+  std::map<std::string, Slot> slots_;
   Stats stats_;
   // Resolved once against metrics::global(); all null when disabled.
   metrics::Counter* met_hits_ = nullptr;

@@ -9,7 +9,6 @@
 #include "graph/algorithms.hpp"
 #include "mso/formulas.hpp"
 #include "mso/lower.hpp"
-#include "par/pool.hpp"
 
 namespace dmc::dist {
 
@@ -47,18 +46,10 @@ HFreenessOutcome run_h_freeness_grid(const Graph& g, int rows, int cols,
   return run_h_freeness_grid(g, rows, cols, h, td_budget, base_cfg);
 }
 
-HFreenessOutcome run_h_freeness_grid(const Graph& g, int rows, int cols,
-                                     const Graph& h, int td_budget,
-                                     const congest::NetworkConfig& base_cfg) {
-  return run_h_freeness_grid(g, rows, cols, h, td_budget, base_cfg,
-                             HFreenessOptions{});
-}
-
 namespace {
 
-/// Everything the serial sweep would have observed for one part-subset,
-/// in serial component order: the task stops at the first degraded or
-/// td-exceeded component, exactly like the inline loop used to.
+/// What the sweep observed for one part-subset, in component order: the
+/// subset stops at the first degraded or td-exceeded component.
 struct SubsetResult {
   int component_runs = 0;
   long max_rounds = 0;
@@ -117,8 +108,7 @@ SubsetResult run_subset(const Graph& g, int p, int td_budget,
 
 HFreenessOutcome run_h_freeness_grid(const Graph& g, int rows, int cols,
                                      const Graph& h, int td_budget,
-                                     const congest::NetworkConfig& base_cfg,
-                                     const HFreenessOptions& opts) {
+                                     const congest::NetworkConfig& base_cfg) {
   const int p = h.num_vertices();
   if (p < 1 || !is_connected(h))
     throw std::invalid_argument("run_h_freeness_grid: H must be connected");
@@ -150,46 +140,18 @@ HFreenessOutcome run_h_freeness_grid(const Graph& g, int rows, int cols,
     }
   }
 
-  // Trace streams from concurrent tasks would interleave, and audit mode
-  // is a serial re-encoding check: both force the legacy serial sweep.
-  const bool force_serial = base_cfg.sink != nullptr || base_cfg.audit;
-  const int sweep_threads =
-      force_serial ? 1
-                   : (opts.sweep_threads <= 0 ? par::hardware_threads()
-                                              : opts.sweep_threads);
-
-  std::vector<SubsetResult> results(subsets.size());
-  if (sweep_threads <= 1) {
-    // Serial sweep: tasks share one growing universe (memo hits carry
-    // across subsets) and stop at the first degraded component.
-    for (std::size_t s = 0; s < subsets.size(); ++s) {
-      results[s] = run_subset(g, p, td_budget, base_cfg, decomp, subsets[s],
-                              static_cast<int>(s), formula, engine);
-      if (!results[s].run.ok() || results[s].td_exceeded) {
-        results.resize(s + 1);
-        break;
-      }
-    }
-  } else {
-    // Parallel sweep: each task folds into a private copy of the universe
-    // (class ids may differ per task; verdicts cannot — Theorem 4.2).
-    par::parallel_for(sweep_threads, subsets.size(), [&](std::size_t s) {
-      bpt::Engine task_engine(engine);
-      results[s] = run_subset(g, p, td_budget, base_cfg, decomp, subsets[s],
-                              static_cast<int>(s), formula, task_engine);
-    });
-  }
-
-  // Aggregate in subset order so the reported fields (and the early-stop
-  // cut-off) match the serial sweep regardless of execution order.
-  for (const SubsetResult& r : results) {
+  // One sweep through the shared universe: memo hits carry across
+  // subsets, and the sweep stops at the first degraded subset.
+  for (std::size_t s = 0; s < subsets.size(); ++s) {
+    const SubsetResult r =
+        run_subset(g, p, td_budget, base_cfg, decomp, subsets[s],
+                   static_cast<int>(s), formula, engine);
     ++out.num_subsets;
     out.num_component_runs += r.component_runs;
     out.max_run_rounds = std::max(out.max_run_rounds, r.max_rounds);
     if (!r.run.ok()) {
       out.run = r.run;
-      out.multiplexed_rounds = out.max_run_rounds * out.num_subsets;
-      return out;
+      break;
     }
     if (r.td_exceeded)
       throw std::logic_error(

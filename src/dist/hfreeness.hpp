@@ -78,23 +78,4 @@ HFreenessOutcome run_h_freeness_grid(const Graph& g, int rows, int cols,
                                      const Graph& h, int td_budget,
                                      const congest::NetworkConfig& base_cfg);
 
-struct HFreenessOptions {
-  /// Worker count for the sweep over part-subsets (the (f(p) choose p)
-  /// unions are independent decision pipelines). 0 = hardware threads,
-  /// 1 = the exact legacy serial sweep. Parallel sweeps give each task a
-  /// private copy of the class universe (Theorem 4.2: the universe is a
-  /// function of (phi, w) alone, so verdicts are unaffected) and aggregate
-  /// results in subset order, so verdicts and reported round counts match
-  /// the serial sweep; trace streams do not interleave deterministically,
-  /// so the sweep is forced serial whenever base_cfg carries a sink or
-  /// audit mode.
-  int sweep_threads = 1;
-};
-
-/// As above with explicit sweep options.
-HFreenessOutcome run_h_freeness_grid(const Graph& g, int rows, int cols,
-                                     const Graph& h, int td_budget,
-                                     const congest::NetworkConfig& base_cfg,
-                                     const HFreenessOptions& opts);
-
 }  // namespace dmc::dist

@@ -1,5 +1,6 @@
 #include "mc/serve_system.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <set>
@@ -82,6 +83,7 @@ Execution ServeSystem::run(const PickFn& pick) {
   };
   struct Worker {
     bool busy = false;
+    std::string key;  // group of the batch in hand
     std::vector<MTask> batch;
     long long take_clock = 0;
   };
@@ -94,9 +96,11 @@ Execution ServeSystem::run(const PickFn& pick) {
   bool stopped = false;
   std::vector<Worker> workers(config_.workers);
   std::vector<std::string> responses(config_.queries.size());
-  // Shadow of the queue's group creation order: the FIFO oracle.
+  // Shadow of the queue's group creation order and of the keys whose
+  // batch a worker holds: the FIFO-with-affinity oracle.
   std::deque<std::string> fifo_order;
   std::set<std::string> fifo_present;
+  std::set<std::string> running;
 
   auto respond = [&](int id, const std::string& status) {
     if (!responses[id].empty())
@@ -115,7 +119,7 @@ Execution ServeSystem::run(const PickFn& pick) {
           "submit #" + std::to_string(next_submit) + " group=" + q.key));
     }
     for (int w = 0; w < config_.workers; ++w) {
-      if (!workers[w].busy && !queue.empty())
+      if (!workers[w].busy && queue.runnable())
         enabled.push_back(
             make_action(kTake, w, 0, "take worker=" + std::to_string(w)));
       if (workers[w].busy)
@@ -157,15 +161,27 @@ Execution ServeSystem::run(const PickFn& pick) {
       case kTake: {
         const int w = act.process - kWorkerProcBase;
         auto [key, batch] = queue.pop_group();
-        if (fifo_order.empty() || fifo_order.front() != key)
+        // The oldest group whose key no worker is running.
+        const auto oldest =
+            std::find_if(fifo_order.begin(), fifo_order.end(),
+                         [&](const std::string& k) { return !running.count(k); });
+        if (oldest == fifo_order.end() || *oldest != key)
           e.violations.push_back(
-              "group-FIFO violated: took group '" + key + "', oldest is '" +
-              (fifo_order.empty() ? std::string("<none>") : fifo_order.front()) +
+              "group-FIFO violated: took group '" + key +
+              "', oldest runnable is '" +
+              (oldest == fifo_order.end() ? std::string("<none>") : *oldest) +
               "'");
-        if (!fifo_order.empty() && fifo_order.front() == key)
-          fifo_order.pop_front();
+        if (oldest != fifo_order.end() && *oldest == key)
+          fifo_order.erase(oldest);
         fifo_present.erase(key);
+        for (int o = 0; o < config_.workers; ++o)
+          if (o != w && workers[o].busy && workers[o].key == key)
+            e.violations.push_back("key affinity violated: workers " +
+                                   std::to_string(o) + " and " +
+                                   std::to_string(w) +
+                                   " both hold a batch of group '" + key + "'");
         Worker& worker = workers[w];
+        worker.key = key;
         worker.take_clock = clock;
         for (MTask& t : batch) {
           if (serve::core::expired_in_queue(t.deadline_abs, clock))
@@ -174,6 +190,12 @@ Execution ServeSystem::run(const PickFn& pick) {
             worker.batch.push_back(t);
         }
         worker.busy = !worker.batch.empty();
+        // A wholly expired batch never runs: the worker finishes its key
+        // at once, as Scheduler::worker_loop does after run_batch.
+        if (worker.busy)
+          running.insert(key);
+        else
+          queue.finish(key);
         break;
       }
       case kFinish: {
@@ -187,6 +209,8 @@ Execution ServeSystem::run(const PickFn& pick) {
         }
         worker.batch.clear();
         worker.busy = false;
+        running.erase(worker.key);
+        queue.finish(worker.key);
         break;
       }
       case kTick:
@@ -201,8 +225,9 @@ Execution ServeSystem::run(const PickFn& pick) {
   }
 
   // Quiescence: nothing queued (Take is mandatory while a worker is idle
-  // and the queue non-empty), no worker busy (Finish is mandatory), all
-  // queries submitted — so every query must have exactly one response.
+  // and a group is runnable; Finish, mandatory too, makes a waiting
+  // group runnable), no worker busy, all queries submitted — so every
+  // query must have exactly one response.
   for (std::size_t i = 0; i < responses.size(); ++i)
     if (responses[i].empty())
       e.violations.push_back("query " + std::to_string(i) +
@@ -219,10 +244,12 @@ Execution ServeSystem::run(const PickFn& pick) {
 
 bool ServeSystem::dependent(const Action& a, const Action& b) const {
   if (a.process == b.process) return true;
-  // Finish only touches its worker's private batch and the response slots
-  // of its own queries; everything else (queue, clock, stop flag) is
-  // shared state, so any other pair of distinct processes may interfere.
-  if (a.tag == kFinish || b.tag == kFinish) return false;
+  // Finish touches its worker's private batch, the response slots of its
+  // own queries, and the queue's running keys — which decide what a Take
+  // may pop. So Finish interferes with Take only; every other pair of
+  // distinct processes shares the queue, clock or stop flag.
+  if (a.tag == kFinish || b.tag == kFinish)
+    return a.tag == kTake || b.tag == kTake;
   return true;
 }
 

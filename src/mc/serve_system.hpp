@@ -11,17 +11,21 @@
 // Actions (one process per worker, plus submit / tick / stop processes):
 //
 //   Submit    the client submits the next query of the scenario script
-//   Take(w)   idle worker w pops the oldest group (expired tasks answer
-//             "deadline" at take time and never execute)
-//   Finish(w) worker w completes its batch ("ok" responses)
+//   Take(w)   idle worker w pops the oldest group whose key no worker is
+//             running (expired tasks answer "deadline" at take time and
+//             never execute); enabled only while such a group exists
+//   Finish(w) worker w completes its batch ("ok" responses) and finishes
+//             its key, which may make that key's next group runnable
 //   Tick      the virtual clock advances one unit        [optional]
 //   Stop      drain begins: admission closes             [optional]
 //
 // Invariants checked on every interleaving: every query gets exactly one
 // response; a task expired at take time never executes; the queue depth
 // never exceeds the admission bound; groups leave the queue in creation
-// (FIFO) order; once stopped, no submission is admitted; at quiescence
-// nothing is left unanswered (drain completeness).
+// (FIFO) order, skipping groups whose key is running; no two workers hold
+// a batch of one key (key affinity: one engine writer); once stopped, no
+// submission is admitted; at quiescence nothing is left unanswered
+// (drain completeness).
 #pragma once
 
 #include <string>

@@ -30,9 +30,9 @@
 //
 // Wiring: the CONGEST Network takes a per-instance registry pointer
 // (NetworkConfig::metrics, falling back to the process-global registry);
-// process-wide layers with no config channel of their own — the par pool,
-// the BPT engine, the universe cache — read metrics::global(), which is
-// null (disabled) unless a driver such as `dmc --metrics` installs one.
+// process-wide layers with no config channel of their own — the BPT
+// engine, the universe cache — read metrics::global(), which is null
+// (disabled) unless a driver such as `dmc --metrics` installs one.
 //
 // Exporters: write_prometheus (text exposition format, names prefixed
 // dmc_ with dots mapped to underscores) and write_json_fields (flat
@@ -217,7 +217,7 @@ class Registry {
 };
 
 /// Process-global registry used by layers without a config channel (the
-/// par pool, the BPT engine, the universe cache) and as the fallback for
+/// BPT engine, the universe cache) and as the fallback for
 /// NetworkConfig::metrics. Null by default: metrics disabled everywhere.
 Registry* global();
 /// Installs `r` as the global registry; returns the previous one.

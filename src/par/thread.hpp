@@ -1,13 +1,11 @@
-// dmc::par — sanctioned long-lived thread handle.
+// dmc::par — the sanctioned thread handle.
 //
-// parallel_for covers every *bounded* parallel computation in the
-// repository, but a daemon also needs a handful of long-running service
-// threads (an accept loop, scheduler workers). Those must still come from
-// src/par: the dmc-lint `raw-thread` rule bans std::thread everywhere
-// else, so ad-hoc threads cannot silently bypass the pool's conventions.
-// Thread is the minimal RAII join-on-destruction handle for that purpose —
-// deliberately not a second pool: service threads are few, named at the
-// call site, and live for the lifetime of their owner.
+// A daemon needs a handful of long-running service threads (an accept
+// loop, scheduler workers). Those come from here: the dmc-lint
+// `raw-thread` rule bans std::thread everywhere outside src/par, so every
+// thread in the repository is a par::Thread, named at its call site and
+// joined by its owner. There is no pool and no parallel loop: each BPT
+// engine is written by one thread at a time (src/bpt/engine.hpp).
 #pragma once
 
 #include <functional>

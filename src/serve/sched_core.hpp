@@ -1,8 +1,8 @@
 // Pure scheduling core of the session scheduler (scheduler.hpp).
 //
 // The threaded Scheduler's queueing discipline — bounded admission, FIFO
-// over group keys, whole-group draining, stop semantics, and the
-// expired-in-queue deadline test — is extracted here as plain data
+// over group keys, whole-group draining, key affinity, stop semantics,
+// and the expired-in-queue deadline test — is extracted here as plain data
 // structures with no locks, threads, or clocks. Two clients share it:
 //
 //   - serve::Scheduler wraps a GroupQueue in its mutex and drives it from
@@ -10,16 +10,18 @@
 //   - the dmc-mc serve model (src/mc/serve_system.*) drives the very same
 //     code single-threaded under a virtual clock, exhaustively exploring
 //     submit/take/finish/tick orderings and checking the admission /
-//     deadline / drain invariants on every interleaving.
+//     deadline / drain / affinity invariants on every interleaving.
 //
 // Keeping the discipline in one place is what makes the model checking
 // meaningful: a bug found (or proven absent) in the model is a statement
 // about the code the daemon actually runs, not about a re-implementation.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,8 +40,13 @@ inline bool expired_in_queue(long long deadline_abs, long long now) {
 /// Bounded multi-group FIFO queue: tasks are grouped by key (the
 /// universe-cache key in the daemon), groups are drained whole in the
 /// order they were first created, and total admitted depth is capped.
-/// Not thread-safe by design — callers provide their own synchronization
-/// (or none, in the model checker).
+///
+/// Key affinity: a popped key is *running* until finish(key). While it
+/// runs, its key cannot be popped again; tasks of that key admitted in
+/// the meantime form its next group, which waits. So at most one batch
+/// per key runs at a time, and the daemon's engine for that key has one
+/// writer. Not thread-safe by design — callers provide their own
+/// synchronization (or none, in the model checker).
 template <typename Task>
 class GroupQueue {
  public:
@@ -61,11 +68,17 @@ class GroupQueue {
     return true;
   }
 
-  /// Removes and returns the oldest group (creation order) whole.
-  /// Precondition: !empty().
+  /// Removes and returns, whole, the oldest group (creation order) whose
+  /// key is not running, and marks that key running.
+  /// Precondition: runnable().
   std::pair<std::string, std::vector<Task>> pop_group() {
-    std::string key = std::move(order_.front());
-    order_.pop_front();
+    const auto pos = std::find_if(order_.begin(), order_.end(),
+                                  [this](const std::string& k) {
+                                    return running_.count(k) == 0;
+                                  });
+    std::string key = std::move(*pos);
+    order_.erase(pos);
+    running_.insert(key);
     auto it = groups_.find(key);
     std::vector<Task> batch = std::move(it->second);
     groups_.erase(it);
@@ -73,9 +86,19 @@ class GroupQueue {
     return {std::move(key), std::move(batch)};
   }
 
+  /// The batch of `key` popped last is done: the key may be popped again.
+  void finish(const std::string& key) { running_.erase(key); }
+
   /// Refuse all further admission; queued tasks remain for draining.
   void stop() { stopping_ = true; }
 
+  /// Some queued group's key is not running, so pop_group() may be called.
+  bool runnable() const {
+    return std::any_of(order_.begin(), order_.end(),
+                       [this](const std::string& k) {
+                         return running_.count(k) == 0;
+                       });
+  }
   bool empty() const { return order_.empty(); }
   bool stopping() const { return stopping_; }
   std::size_t queued() const { return queued_; }
@@ -85,6 +108,7 @@ class GroupQueue {
   std::size_t max_queue_ = 1;
   std::map<std::string, std::vector<Task>> groups_;
   std::deque<std::string> order_;  // group keys, creation order
+  std::set<std::string> running_;  // keys popped and not yet finished
   std::size_t queued_ = 0;
   bool stopping_ = false;
 };

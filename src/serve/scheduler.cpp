@@ -136,21 +136,23 @@ bool Scheduler::submit(Prepared p, Respond respond) {
 void Scheduler::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    cv_.wait(lock, [this] { return queue_.stopping() || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (queue_.stopping()) return;  // drained
-      continue;
-    }
+    // A group whose key another worker is running waits for that worker:
+    // one writer per engine (sched_core.hpp, key affinity).
+    cv_.wait(lock, [this] {
+      return queue_.runnable() || (queue_.stopping() && queue_.empty());
+    });
+    if (!queue_.runnable()) return;  // stopped and drained
     auto [key, batch] = queue_.pop_group();
     set_depth_locked();
     lock.unlock();
-    run_batch(key, std::move(batch));
+    run_batch(std::move(batch));
     lock.lock();
+    queue_.finish(key);
+    cv_.notify_all();  // the key's next group, if queued, is runnable now
   }
 }
 
-void Scheduler::run_batch(const std::string& key, std::vector<Task> batch) {
-  (void)key;
+void Scheduler::run_batch(std::vector<Task> batch) {
   if (met_batches_) met_batches_->add();
   if (met_batch_size_)
     met_batch_size_->record(static_cast<long long>(batch.size()));

@@ -7,9 +7,13 @@
 // whole group at a time against ONE engine leased from the shared
 // UniverseTier. That is the serving-side payoff of Theorem 4.2: the type
 // universe depends only on (φ, slot layout), so a batch of same-key
-// queries pays universe construction once (single-flight in the tier) and
-// runs the remaining queries warm, while different-key groups proceed in
-// parallel on other workers.
+// queries pays universe construction once and runs the remaining queries
+// warm, while different-key groups proceed in parallel on other workers.
+//
+// Key affinity: while a worker runs a key's batch, no other worker takes
+// that key; its later arrivals form the key's next batch, which waits
+// (core::GroupQueue). Each engine therefore has one writer at a time,
+// and no worker parks in the tier's exclusive lease.
 //
 // Deadlines: each query may carry deadline_ms, counted from admission. A
 // query whose deadline passed before a worker reached it is answered
@@ -90,7 +94,7 @@ class Scheduler {
   };
 
   void worker_loop();
-  void run_batch(const std::string& key, std::vector<Task> batch);
+  void run_batch(std::vector<Task> batch);
   void set_depth_locked();
 
   SchedulerOptions opts_;

@@ -2,7 +2,7 @@
 //
 // Never compiled — scanned by the lint_fixtures ctest entry. Raw thread
 // primitives outside src/par must be flagged; the suppression comment and
-// the pool-owned copy of this pattern (src/par/worker.cpp next to this
+// the src/par copy of this pattern (src/par/worker.cpp next to this
 // corpus) must stay clean.
 #include <future>
 #include <thread>
@@ -17,8 +17,8 @@ void fan_out() {
   tolerated.join();
 }
 
-// std::thread::hardware_concurrency is still a raw-thread mention: callers
-// should use par::hardware_threads() so the threads=0 default is uniform.
+// std::thread::hardware_concurrency is still a raw-thread mention: code
+// outside src/par has no business sizing thread counts of its own.
 unsigned probe() {
   return std::thread::hardware_concurrency();  // lint-expect: raw-thread
 }

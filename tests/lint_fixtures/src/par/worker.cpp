@@ -1,17 +1,22 @@
 // dmc-lint --self-test fixture: the raw-thread rule must NOT fire under
-// src/par — the pool implementation is the one owner of std::thread.
-// Never compiled; no lint-expect markers, so any finding here fails the
-// self-test.
+// src/par — par::Thread is the one owner of std::thread. The
+// naked-condvar-wait rule has no exempt tree, so it fires here as
+// anywhere else. Never compiled.
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
-struct PoolLike {
-  std::vector<std::thread> workers;
-  void spawn() { workers.emplace_back([] {}); }
-  ~PoolLike() {
-    for (std::thread& t : workers)
-      if (t.joinable()) t.join();
+struct ThreadLike {
+  std::thread t;
+  void spawn() { t = std::thread([] {}); }
+  ~ThreadLike() {
+    if (t.joinable()) t.join();
   }
 };
 
-unsigned pool_default_threads() { return std::thread::hardware_concurrency(); }
+unsigned default_threads() { return std::thread::hardware_concurrency(); }
+
+void wait_once(std::condition_variable& cv, std::unique_lock<std::mutex>& lk) {
+  cv.wait(lk);  // lint-expect: naked-condvar-wait
+}

@@ -6,7 +6,7 @@
 //   - Histogram log2 bucket edges are exact at the powers of two;
 //   - with no registry configured, Network::run() performs no allocation
 //     (the same zero-overhead-when-disabled contract as the obs null sink);
-//   - concurrent increments from a par::parallel_for job lose nothing
+//   - concurrent increments from four par::Threads lose nothing
 //     (run under TSan by the `par` ctest label);
 //   - after a full dist pipeline, the congest.* / transport.* counters
 //     reconcile exactly with NetworkStats — same invariant the CLI's
@@ -38,7 +38,6 @@
 #include "dist/query.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
-#include "par/pool.hpp"
 #include "par/thread.hpp"
 
 #include "counting_new.hpp"
@@ -214,18 +213,26 @@ TEST(MetricsDisabled, NetworkRunDoesNotAllocate) {
 }
 
 TEST(MetricsConcurrent, ParallelIncrementsLoseNothing) {
-  // Counter adds and histogram records race from a parallel_for job; the
-  // totals must be exact. The `par` ctest label runs this under TSan.
+  // Counter adds and histogram records race from four threads, each
+  // taking every fourth index; the totals must be exact. The `par` ctest
+  // label runs this under TSan.
   metrics::Registry reg;
   metrics::Counter& ctr = reg.counter("test.hits");
   metrics::Gauge& peak = reg.gauge("test.peak");
   metrics::Histogram& h = reg.histogram("test.sizes");
   constexpr std::size_t kN = 10'000;
-  par::parallel_for(4, kN, [&](std::size_t i) {
-    ctr.add(1);
-    peak.max_of(static_cast<long long>(i));
-    h.record(static_cast<long long>(i % 37));
-  });
+  constexpr std::size_t kThreads = 4;
+  {
+    std::vector<par::Thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        for (std::size_t i = t; i < kN; i += kThreads) {
+          ctr.add(1);
+          peak.max_of(static_cast<long long>(i));
+          h.record(static_cast<long long>(i % 37));
+        }
+      });
+  }  // par::Thread joins on destruction
   EXPECT_EQ(ctr.value(), static_cast<long long>(kN));
   EXPECT_EQ(peak.value(), static_cast<long long>(kN - 1));
   EXPECT_EQ(h.count(), static_cast<long long>(kN));

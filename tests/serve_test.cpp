@@ -31,6 +31,7 @@
 #include "serve/exec.hpp"
 #include "serve/io.hpp"
 #include "serve/protocol.hpp"
+#include "serve/sched_core.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/span_store.hpp"
@@ -234,6 +235,112 @@ TEST(ServeScheduler, AdmissionBackpressureRejectsBeyondBound) {
   sched.start();
   sched.stop();  // drain contract: both admitted queries are answered
   // Scheduler destructor joins the workers.
+}
+
+TEST(ServeScheduler, TwoKeyBurstOnTwoWorkersNeverWaitsInTier) {
+  // Key affinity: while one worker runs a batch of key A, a burst that
+  // interleaves A and B arrives. The idle worker must take B and leave A's
+  // new group for later — never a second batch of A, which would park it
+  // in the tier's exclusive lease. Every answer is the one-shot answer.
+  metrics::Registry registry;
+  metrics::Registry* prev = metrics::set_global(&registry);
+  {
+    std::vector<Query> qs;
+    for (int i = 0; i < 16; ++i) {
+      // A: a rank-3 decide slow enough (~0.1 s) to hold its worker while
+      // the burst arrives. B: a fast count.
+      Query q = i % 2 == 0
+                    ? make_query("a" + std::to_string(i), "decide",
+                                 "forall vertex x, y, z. "
+                                 "!(adj(x,y) & adj(y,z) & adj(x,z))",
+                                 "deeppath:500:4", 5)
+                    : make_query("b" + std::to_string(i), "count",
+                                 "!adj(S,S)",
+                                 "path:" + std::to_string(5 + i % 3));
+      if (q.verb == "count") q.vars = "S:vset";
+      qs.push_back(std::move(q));
+    }
+    std::map<std::string, QueryResult> oracle;
+    for (const Query& q : qs) {
+      oracle[q.id] = run_one_shot(q);
+      ASSERT_EQ(oracle[q.id].code, 0) << q.id << ": " << oracle[q.id].result;
+    }
+
+    std::mutex mu;
+    std::condition_variable cv;
+    std::map<std::string, JsonObject> out;
+    bpt::UniverseTier tier;
+    SchedulerOptions opts;
+    opts.workers = 2;
+    Scheduler sched(opts, tier);
+    auto submit = [&](const Query& q) {
+      std::string error;
+      auto p = prepare(q, error);
+      ASSERT_TRUE(p) << q.id << ": " << error;
+      ASSERT_TRUE(sched.submit(std::move(*p), [&, id = q.id](
+                                                  const JsonObject& resp) {
+        std::lock_guard<std::mutex> lock(mu);
+        out[id] = resp;
+        cv.notify_all();
+      }));
+    };
+    auto await = [&](std::size_t n) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return out.size() == n; });
+    };
+    sched.start();
+    // Warm-up: one query per key builds both engines.
+    submit(qs[0]);
+    submit(qs[1]);
+    await(2);
+    EXPECT_EQ(tier.stats().misses, 2);
+    // A batch of four A queries, then the interleaved burst once a worker
+    // has taken that batch (the queue is empty again).
+    for (int i = 2; i < 10; i += 2) submit(qs[i]);
+    while (sched.queued() != 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (int i = 3; i < 16; ++i)
+      if (i % 2 == 1 || i >= 10) submit(qs[i]);
+    await(qs.size());
+
+    for (const Query& q : qs) {
+      const JsonObject& resp = out.at(q.id);
+      EXPECT_EQ(text_of(resp, "result"), oracle[q.id].result) << q.id;
+      EXPECT_EQ(text_of(resp, "digest"), oracle[q.id].digest) << q.id;
+      EXPECT_EQ(text_of(resp, "status"), oracle[q.id].status) << q.id;
+    }
+    const bpt::UniverseTier::Stats s = tier.stats();
+    EXPECT_EQ(s.misses, 2) << "the burst must run on the warmed engines";
+    EXPECT_EQ(s.waits, 0) << "a worker parked behind another lease";
+    EXPECT_EQ(registry.counter("bpt.universe_tier.waits").value(), 0);
+  }
+  metrics::set_global(prev);
+}
+
+TEST(ServeSchedCore, PopSkipsARunningKeyUntilFinish) {
+  core::GroupQueue<int> q(8);
+  ASSERT_TRUE(q.push("a", 1));
+  ASSERT_TRUE(q.push("b", 2));
+  auto [k1, b1] = q.pop_group();
+  EXPECT_EQ(k1, "a");
+  EXPECT_EQ(b1, std::vector<int>{1});
+  // "a" is running: its next arrival forms a new group that must wait,
+  // even though it is the oldest group left once "b" is popped.
+  ASSERT_TRUE(q.push("a", 3));
+  EXPECT_TRUE(q.runnable());
+  auto [k2, b2] = q.pop_group();
+  EXPECT_EQ(k2, "b");
+  EXPECT_FALSE(q.empty());
+  EXPECT_FALSE(q.runnable()) << "the only group left belongs to running 'a'";
+  q.finish("b");
+  EXPECT_FALSE(q.runnable());
+  q.finish("a");
+  ASSERT_TRUE(q.runnable());
+  auto [k3, b3] = q.pop_group();
+  EXPECT_EQ(k3, "a");
+  EXPECT_EQ(b3, std::vector<int>{3});
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.runnable());
 }
 
 TEST(ServeScheduler, QueueDeadlineExpiryAnswersWithoutRunning) {

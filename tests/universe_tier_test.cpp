@@ -1,9 +1,9 @@
-// Shared in-process universe tier (bpt/universe_tier.hpp): single-flight
-// construction under contention — N concurrent acquirers of one missing
-// key must trigger exactly one engine construction and end up sharing one
-// engine — plus DMCU write-back/warm-load round-trips. Labelled `par` so
-// CI runs the contention cases under TSan: the single-flight slot logic
-// is precisely the code a data race would corrupt silently.
+// In-process universe tier (bpt/universe_tier.hpp): exclusive leases
+// under contention — N threads that each acquire, fold and release one
+// missing key must trigger exactly one engine construction and never hold
+// the engine two at a time — plus DMCU write-back/warm-load round-trips.
+// Labelled `par` so CI runs the contention cases under TSan: the slot's
+// busy flag is precisely the code a data race would corrupt silently.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -62,11 +62,25 @@ class UniverseTierTest : public ::testing::Test {
   bpt::Plan plan;
 };
 
+/// Counts the threads inside a lease and records the most seen at once.
+struct InUse {
+  std::atomic<int> now{0};
+  std::atomic<int> peak{0};
+  void enter() {
+    const int n = now.fetch_add(1) + 1;
+    int p = peak.load();
+    while (n > p && !peak.compare_exchange_weak(p, n)) {
+    }
+  }
+  void leave() { now.fetch_sub(1); }
+};
+
 TEST_F(UniverseTierTest, SingleFlightUnderContention) {
   constexpr int kThreads = 8;
   bpt::UniverseTier tier;  // in-memory
   std::atomic<int> ready{0};
-  std::vector<bpt::UniverseTier::Lease> leases(kThreads);
+  InUse in_use;
+  std::vector<bpt::Engine*> engines(kThreads, nullptr);
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i)
     threads.emplace_back([&, i] {
@@ -74,23 +88,19 @@ TEST_F(UniverseTierTest, SingleFlightUnderContention) {
       // missing, so a broken tier double-constructs.
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
-      leases[i] = tier.acquire(text, cfg);
-      // Fold through the shared engine while others do the same: the
-      // lease contract says k1/k2/compose are safe concurrently.
-      (void)bpt::fold_type(*leases[i].engine, plan, g);
+      const bpt::UniverseTier::Lease lease = tier.acquire(text, cfg);
+      in_use.enter();
+      engines[i] = lease.engine.get();
+      // The lease is exclusive: this thread is the engine's only writer.
+      (void)bpt::fold_type(*lease.engine, plan, g);
+      in_use.leave();
+      tier.release(lease);
     });
   for (auto& t : threads) t.join();
 
-  std::set<bpt::Engine*> engines;
-  int warm = 0;
-  for (const auto& l : leases) {
-    ASSERT_NE(l.engine, nullptr);
-    engines.insert(l.engine.get());
-    warm += l.warm ? 1 : 0;
-  }
-  EXPECT_EQ(engines.size(), 1u) << "acquirers did not share one engine";
-  EXPECT_EQ(warm, kThreads - 1) << "exactly one acquire may construct";
-
+  EXPECT_EQ(in_use.peak.load(), 1) << "two leases of one key overlapped";
+  EXPECT_EQ(std::set<bpt::Engine*>(engines.begin(), engines.end()).size(), 1u)
+      << "acquirers did not get one engine";
   const bpt::UniverseTier::Stats s = tier.stats();
   EXPECT_EQ(s.misses, 1);
   EXPECT_EQ(s.builds, 1) << "single-flight violated: multiple constructions";
@@ -98,13 +108,13 @@ TEST_F(UniverseTierTest, SingleFlightUnderContention) {
   EXPECT_EQ(s.keys, 1u);
   EXPECT_EQ(s.saves, 0);  // no disk backing
 
-  // All folds interned into one engine: a second fold is a pure replay.
-  bpt::Engine& shared = *leases[0].engine;
-  const std::size_t types = shared.num_types();
-  (void)bpt::fold_type(shared, plan, g);
-  EXPECT_EQ(shared.num_types(), types);
-
-  for (const auto& l : leases) tier.release(l);
+  // Every fold interned into the one engine: another is a pure replay.
+  const bpt::UniverseTier::Lease lease = tier.acquire(text, cfg);
+  EXPECT_TRUE(lease.warm);
+  const std::size_t types = lease.engine->num_types();
+  (void)bpt::fold_type(*lease.engine, plan, g);
+  EXPECT_EQ(lease.engine->num_types(), types);
+  tier.release(lease);
 }
 
 TEST_F(UniverseTierTest, ConcurrentDistinctKeysBuildIndependently) {
@@ -193,24 +203,30 @@ TEST_F(UniverseTierTest, PersistFailureDegradesToMemory) {
 }
 
 TEST_F(UniverseTierTest, ContendedAcquireReleaseChurn) {
-  // Churn: leases come and go while other threads acquire — exercises the
-  // building/saving wait states under TSan.
+  // Churn: leases come and go while other threads acquire, with disk
+  // write-backs on release — exercises the busy-wait path under TSan.
   bpt::UniverseTier tier({tmp.path.string()});
   constexpr int kThreads = 6;
   constexpr int kIters = 8;
+  InUse in_use;
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i)
     threads.emplace_back([&] {
       for (int it = 0; it < kIters; ++it) {
-        auto lease = tier.acquire(text, cfg);
+        const auto lease = tier.acquire(text, cfg);
+        in_use.enter();
         (void)bpt::fold_type(*lease.engine, plan, g);
+        in_use.leave();
         tier.release(lease);
       }
     });
   for (auto& t : threads) t.join();
+  EXPECT_EQ(in_use.peak.load(), 1) << "two leases of one key overlapped";
   const auto s = tier.stats();
-  EXPECT_EQ(s.hits + s.misses, kThreads * kIters);
-  EXPECT_EQ(s.builds + s.disk_hits, s.misses);
+  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.builds, 1);
+  EXPECT_EQ(s.hits, kThreads * kIters - 1);
+  EXPECT_EQ(s.saves, 1) << "only the first fold grows the universe";
   EXPECT_EQ(s.keys, 1u);
 }
 

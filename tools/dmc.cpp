@@ -48,7 +48,7 @@
 // tracing enabled. See docs/OBSERVABILITY.md "Flight recorder".
 // --metrics FILE (needs --dist) installs the aggregate metrics registry
 // (src/metrics) for the run — congestion histograms, transport counters,
-// pool and engine statistics — and writes a Prometheus-text snapshot to
+// engine statistics — and writes a Prometheus-text snapshot to
 // FILE ("-" = stdout) when the run ends, tagged with the RunOutcome (so
 // degraded runs still flush). The summary also prints a "metrics check"
 // line asserting the counter totals equal NetworkStats (which the trace
@@ -258,8 +258,8 @@ UniverseCache make_universe_cache(const Args& args, const dist::Query& q) {
 
 /// --metrics wiring: owns the registry for the whole run and installs it
 /// as the process-global one, so every layer — the network (via the
-/// NetworkConfig fallback), the par pool, the BPT engine, the universe
-/// cache — records into it. Must be created before the engine/network
+/// NetworkConfig fallback), the BPT engine, the universe cache — records
+/// into it. Must be created before the engine/network
 /// (they resolve their handles at construction); the destructor
 /// uninstalls the global pointer before the registry dies.
 struct MetricsSetup {

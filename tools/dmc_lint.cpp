@@ -34,10 +34,9 @@
 //                         the loss-tolerant call site with
 //                         "dmc-lint: allow(raw-send)".
 //   raw-thread            std::thread / std::jthread / std::async outside
-//                         src/par. Ad-hoc threads bypass the shared pool's
-//                         nesting guard, exception funnel and threads=1
-//                         serial path; use par::parallel_for (src/par/pool.hpp)
-//                         or move the code under src/par.
+//                         src/par. Every thread is a par::Thread
+//                         (src/par/thread.hpp): named at its call site and
+//                         joined by its owner, never detached or leaked.
 //   raw-io                global-namespace blocking I/O calls — ::socket,
 //                         ::bind, ::accept, ::connect, ::recv, ::send,
 //                         ::read, ::write, ::poll, ::select, ::close —
@@ -54,20 +53,17 @@
 //                         re-checks the condition in its own loop; the
 //                         two-argument overload wait(lock, pred) encodes
 //                         the loop correctly and self-documents what is
-//                         being waited for. The pool internals (src/par)
-//                         and the tier cache's hand-rolled wait loop
-//                         (src/bpt/universe_tier.cpp) are the audited
-//                         exceptions.
+//                         being waited for. There are no exempt trees; an
+//                         audited hand-rolled loop is marked
+//                         "dmc-lint: allow(naked-condvar-wait)".
 //   raw-metric            std::atomic* in simulator/protocol code (paths
 //                         under src/congest or src/dist). Ad-hoc atomic
 //                         counters are invisible to the metrics registry,
 //                         so their totals can never be reconciled against
 //                         NetworkStats or the obs trace; count through
 //                         dmc::metrics (src/metrics/metrics.hpp) or plain
-//                         serial counters. src/metrics and src/par
-//                         themselves are exempt (they implement the
-//                         sanctioned primitives); deliberate low-level
-//                         atomics are marked "dmc-lint: allow(raw-metric)".
+//                         serial counters. Deliberate low-level atomics
+//                         are marked "dmc-lint: allow(raw-metric)".
 //
 // Usage: dmc-lint [--self-test] <file-or-dir>...
 //   Directories are scanned recursively for .cpp/.cc/.hpp/.h files.
@@ -227,17 +223,16 @@ bool in_protocol_tree(const std::string& path) {
          p.find("src/dist") == 0;
 }
 
-/// The raw-thread rule exempts the pool implementation itself (paths under
-/// src/par), which is the one place allowed to own std::thread objects.
+/// The raw-thread rule exempts src/par, whose par::Thread is the one
+/// place allowed to own a std::thread.
 bool in_par_tree(const std::string& path) {
   std::string p = path;
   std::replace(p.begin(), p.end(), '\\', '/');
   return p.find("src/par/") != std::string::npos || p.find("src/par") == 0;
 }
 
-/// The raw-metric rule covers the simulator and protocol trees; the metric
-/// primitives themselves (src/metrics) and the pool's atomic helpers
-/// (src/par) are the sanctioned owners of raw atomics.
+/// The raw-metric rule covers the simulator and protocol trees only; the
+/// metric primitives (src/metrics) own the sanctioned atomics.
 bool in_congest_tree(const std::string& path) {
   std::string p = path;
   std::replace(p.begin(), p.end(), '\\', '/');
@@ -274,17 +269,6 @@ bool in_serve_io(const std::string& path) {
   // '_' or end the stem.
   const std::size_t next = pos + std::string("src/serve/io").size();
   return next >= p.size() || p[next] == '.' || p[next] == '_';
-}
-
-/// The naked-condvar-wait rule exempts the audited hand-rolled wait
-/// loops: the pool internals (src/par) and the tier cache's single-flight
-/// wait (src/bpt/universe_tier.cpp), whose enclosing while-loops re-check
-/// the condition themselves.
-bool in_condvar_exempt(const std::string& path) {
-  if (in_par_tree(path)) return true;
-  std::string p = path;
-  std::replace(p.begin(), p.end(), '\\', '/');
-  return p.find("src/bpt/universe_tier.cpp") != std::string::npos;
 }
 
 bool suppressed(const std::string& raw_line, const std::string& rule) {
@@ -351,7 +335,6 @@ void lint_file(const FileText& f, const std::set<std::string>& registered,
                   "site with dmc-lint: allow(raw-send)");
 
     if ((in_protocol_tree(f.path) || in_congest_tree(f.path)) &&
-        !in_par_tree(f.path) && !in_metrics_tree(f.path) &&
         std::regex_search(line, m, kRawAtomic))
       add_finding(out, f, i, "raw-metric",
                   "ad-hoc '" + m[0].str() +
@@ -372,7 +355,7 @@ void lint_file(const FileText& f, const std::set<std::string>& registered,
                       "(src/serve/io.hpp), or move the code into the "
                       "sanctioned io layer");
 
-    if (!in_condvar_exempt(f.path) && std::regex_search(line, m, kNakedWait))
+    if (std::regex_search(line, m, kNakedWait))
       add_finding(out, f, i, "naked-condvar-wait",
                   "condition-variable wait without a predicate — spurious "
                   "wakeups and lost notifications slip through unless the "
@@ -383,10 +366,10 @@ void lint_file(const FileText& f, const std::set<std::string>& registered,
     if (!in_par_tree(f.path) && std::regex_search(line, m, kRawThread))
       add_finding(out, f, i, "raw-thread",
                   "raw '" + m[0].str() +
-                      "' outside src/par — ad-hoc threads bypass the shared "
-                      "pool's nesting guard, exception funnel, and "
-                      "threads=1 serial path; use "
-                      "par::parallel_for (src/par/pool.hpp)");
+                      "' outside src/par — use par::Thread "
+                      "(src/par/thread.hpp), the one sanctioned thread "
+                      "handle, named at its call site and joined by its "
+                      "owner");
 
     for (std::sregex_iterator it(line.begin(), line.end(), kPayloadSend), end;
          it != end; ++it) {
