@@ -95,15 +95,6 @@ void FaultRuntime::emit_fault(obs::FaultEvent::Kind kind, long round,
   if (net_.cfg_.sink != nullptr) net_.cfg_.sink->fault(ev);
 }
 
-std::string FaultRuntime::phase_path() const {
-  std::string path;
-  for (const std::string& name : net_.span_stack_) {
-    if (!path.empty()) path += '/';
-    path += name;
-  }
-  return path;
-}
-
 void FaultRuntime::crash_node(VertexId id) {
   if (id < 0 || id >= static_cast<VertexId>(net_.vertex_of_id_.size()))
     return;  // id not present in this network
@@ -322,34 +313,8 @@ void FaultRuntime::deliver_with_hook(
   }
 }
 
-RunOutcome FaultRuntime::finish(RunStatus status, long physical,
-                                long virtual_rounds, bool stalled) {
-  RunOutcome outcome;
-  outcome.status = status;
-  outcome.rounds = physical;
-  outcome.virtual_rounds = virtual_rounds;
-  outcome.crashed = crashed_ids_;
-  if (stalled) outcome.stalled_phase = phase_path();
-  if (status != RunStatus::kCompleted)
-    net_.flight_.note(physical_round_, to_string(status));
-  net_.flight_.record_run_end(physical_round_);
-  if (net_.cfg_.sink != nullptr) {
-    net_.close_annotation();
-    net_.cfg_.sink->run_end();
-  }
-  return outcome;
-}
-
 RunOutcome FaultRuntime::run(
     std::vector<std::unique_ptr<NodeProgram>>& programs) {
-  {
-    obs::RunInfo info;
-    info.n = net_.n();
-    info.bandwidth = net_.bandwidth_;
-    info.first_round = physical_round_;
-    net_.flight_.record_run_begin(info);
-    if (net_.cfg_.sink != nullptr) net_.cfg_.sink->run_begin(info);
-  }
   return injector_.plan().raw_transport ? run_raw(programs)
                                         : run_reliable(programs);
 }
@@ -357,45 +322,15 @@ RunOutcome FaultRuntime::run(
 RunOutcome FaultRuntime::run_reliable(
     std::vector<std::unique_ptr<NodeProgram>>& programs) {
   const int n = net_.n();
-  obs::TraceSink* const sink = net_.cfg_.sink;
   const bool reverse =
       net_.cfg_.step_order == NetworkConfig::StepOrder::kReverse;
-  long prev_messages = net_.stats_.messages;
-  long long prev_bits = net_.stats_.total_bits;
   long physical = 0;
   long vrounds = 0;
   int quiet = 0;
 
   auto tick = [&](int done_count) {
-    physical_round_ += 1;
     physical += 1;
-    net_.stats_.rounds += 1;
-    if (net_.metrics_ != nullptr) net_.metrics_round_end();
-    {
-      obs::RoundEvent ev;
-      ev.round = physical_round_ - 1;
-      ev.messages = net_.stats_.messages - net_.flight_prev_messages_;
-      ev.bits = net_.stats_.total_bits - net_.flight_prev_bits_;
-      ev.max_message_bits = net_.round_max_message_bits_;
-      ev.active_nodes = n - done_count;
-      ev.done_nodes = done_count;
-      net_.flight_.record_round(ev);
-      net_.flight_prev_messages_ = net_.stats_.messages;
-      net_.flight_prev_bits_ = net_.stats_.total_bits;
-    }
-    if (sink != nullptr) {
-      obs::RoundEvent ev;
-      ev.round = physical_round_ - 1;
-      ev.messages = net_.stats_.messages - prev_messages;
-      ev.bits = net_.stats_.total_bits - prev_bits;
-      ev.max_message_bits = net_.round_max_message_bits_;
-      ev.active_nodes = n - done_count;
-      ev.done_nodes = done_count;
-      sink->round(ev);
-      prev_messages = net_.stats_.messages;
-      prev_bits = net_.stats_.total_bits;
-    }
-    net_.round_max_message_bits_ = 0;
+    net_.close_round(physical_round_++, done_count);
   };
 
   for (;;) {
@@ -430,7 +365,8 @@ RunOutcome FaultRuntime::run_reliable(
     int live = 0;
     for (int v = 0; v < n; ++v)
       if (!crashed_[v]) ++live;
-    if (live == 0) return finish(RunStatus::kCrashed, physical, vrounds, true);
+    if (live == 0)
+      return net_.end_run(RunStatus::kCrashed, physical, vrounds, true);
 
     bool all_done = true;
     int done_count = 0;
@@ -492,7 +428,7 @@ RunOutcome FaultRuntime::run_reliable(
       tick(done_count);
       net_.round_ += 1;
       vrounds += 1;
-      return finish(
+      return net_.end_run(
           crashed_ids_.empty() ? RunStatus::kCompleted : RunStatus::kCrashed,
           physical, vrounds, false);
     }
@@ -597,7 +533,7 @@ RunOutcome FaultRuntime::run_reliable(
         break;
       }
       if (physical > net_.cfg_.max_rounds)
-        return finish(RunStatus::kRoundLimit, physical, vrounds, true);
+        return net_.end_run(RunStatus::kRoundLimit, physical, vrounds, true);
     }
 
     net_.round_ += 1;  // the virtual clock advances only after the barrier
@@ -607,22 +543,19 @@ RunOutcome FaultRuntime::run_reliable(
     else
       quiet = 0;
     if (quiet >= net_.cfg_.stall_quiet_rounds)
-      return finish(
+      return net_.end_run(
           crashed_ids_.empty() ? RunStatus::kRoundLimit : RunStatus::kCrashed,
           physical, vrounds, true);
     if (physical > net_.cfg_.max_rounds)
-      return finish(RunStatus::kRoundLimit, physical, vrounds, true);
+      return net_.end_run(RunStatus::kRoundLimit, physical, vrounds, true);
   }
 }
 
 RunOutcome FaultRuntime::run_raw(
     std::vector<std::unique_ptr<NodeProgram>>& programs) {
   const int n = net_.n();
-  obs::TraceSink* const sink = net_.cfg_.sink;
   const bool reverse =
       net_.cfg_.step_order == NetworkConfig::StepOrder::kReverse;
-  long prev_messages = net_.stats_.messages;
-  long long prev_bits = net_.stats_.total_bits;
   long physical = 0;
   int quiet = 0;
 
@@ -643,7 +576,7 @@ RunOutcome FaultRuntime::run_raw(
       net_.stats_.active_steps += 1;
     }
     if (live == 0)
-      return finish(RunStatus::kCrashed, physical, physical, true);
+      return net_.end_run(RunStatus::kCrashed, physical, physical, true);
 
     bool all_done = true;
     int done_count = 0;
@@ -714,36 +647,9 @@ RunOutcome FaultRuntime::run_raw(
       slot = Message{};
     }
 
-    physical_round_ += 1;
     physical += 1;
     net_.round_ += 1;  // raw mode: protocol clock == physical clock
-    net_.stats_.rounds += 1;
-    if (net_.metrics_ != nullptr) net_.metrics_round_end();
-    {
-      obs::RoundEvent ev;
-      ev.round = physical_round_ - 1;
-      ev.messages = net_.stats_.messages - net_.flight_prev_messages_;
-      ev.bits = net_.stats_.total_bits - net_.flight_prev_bits_;
-      ev.max_message_bits = net_.round_max_message_bits_;
-      ev.active_nodes = n - done_count;
-      ev.done_nodes = done_count;
-      net_.flight_.record_round(ev);
-      net_.flight_prev_messages_ = net_.stats_.messages;
-      net_.flight_prev_bits_ = net_.stats_.total_bits;
-    }
-    if (sink != nullptr) {
-      obs::RoundEvent ev;
-      ev.round = physical_round_ - 1;
-      ev.messages = net_.stats_.messages - prev_messages;
-      ev.bits = net_.stats_.total_bits - prev_bits;
-      ev.max_message_bits = net_.round_max_message_bits_;
-      ev.active_nodes = n - done_count;
-      ev.done_nodes = done_count;
-      sink->round(ev);
-      prev_messages = net_.stats_.messages;
-      prev_bits = net_.stats_.total_bits;
-    }
-    net_.round_max_message_bits_ = 0;
+    net_.close_round(physical_round_++, done_count);
 
     for (Message& slot : net_.inbox_)
       if (Network::engaged(slot)) slot = Message{};
@@ -769,7 +675,7 @@ RunOutcome FaultRuntime::run_raw(
       }
 
     if (all_done && !any_send && flight_empty)
-      return finish(
+      return net_.end_run(
           crashed_ids_.empty() ? RunStatus::kCompleted : RunStatus::kCrashed,
           physical, physical, false);
     if (!any_send && delivered == 0 && flight_empty && !all_done)
@@ -777,11 +683,11 @@ RunOutcome FaultRuntime::run_raw(
     else
       quiet = 0;
     if (quiet >= net_.cfg_.stall_quiet_rounds)
-      return finish(
+      return net_.end_run(
           crashed_ids_.empty() ? RunStatus::kRoundLimit : RunStatus::kCrashed,
           physical, physical, true);
     if (physical > net_.cfg_.max_rounds)
-      return finish(RunStatus::kRoundLimit, physical, physical, true);
+      return net_.end_run(RunStatus::kRoundLimit, physical, physical, true);
   }
 }
 

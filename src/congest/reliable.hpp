@@ -130,9 +130,6 @@ struct FaultRuntime {
   void crash_node(VertexId id);
   void emit_fault(obs::FaultEvent::Kind kind, long round, VertexId src,
                   VertexId dst, int detail_value);
-  std::string phase_path() const;
-  RunOutcome finish(RunStatus status, long physical, long virtual_rounds,
-                    bool stalled);
   /// Applies the injector to one reliable-transport frame; queues the
   /// surviving copies on flight_[link].
   void launch(int link, long seq, long ack_seq, bool with_payload,
