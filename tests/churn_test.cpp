@@ -1054,7 +1054,6 @@ TEST(ChurnEngine, CrashMidSolveYieldsStructuredDegradedOutcome) {
   opts.d = 3;
   opts.verify = false;
   opts.net.faults = congest::parse_fault_plan("crash=0@r1,seed=5");
-  opts.net.track_phases = true;
   ChurnEngine engine(gen::path(8), decision_query(), opts);
   const StepOutcome epoch0 = engine.init();
   EXPECT_FALSE(epoch0.ok());

@@ -486,7 +486,7 @@ TEST(RoundBudget, ExhaustionNamesTheStalledPhase) {
   const Graph g = btd_graph(1);
   NetworkConfig cfg;
   cfg.id_seed = 1;
-  cfg.faults = FaultPlan{};  // transport on so phases are tracked
+  cfg.faults = FaultPlan{};  // the reliable-transport loop
   cfg.max_rounds = 20;       // elim-tree needs far more
   congest::Network net(g, cfg);
   const auto out = dist::run_elim_tree(net, 3);
@@ -500,8 +500,7 @@ TEST(RoundBudget, PerfectPathAlsoReportsStalledPhase) {
   const Graph g = btd_graph(1);
   NetworkConfig cfg;
   cfg.id_seed = 1;
-  cfg.track_phases = true;  // no faults: the perfect loop path
-  cfg.max_rounds = 20;
+  cfg.max_rounds = 20;  // no faults, no sink: the perfect loop path
   congest::Network net(g, cfg);
   const auto out = dist::run_elim_tree(net, 3);
   EXPECT_FALSE(out.run.ok());

@@ -553,6 +553,35 @@ TEST(ServeFlight, DegradedQueryLeavesFlightDumpInFlightDir) {
   EXPECT_NE(buf.str().find("\"type\":\"flight_header\""), std::string::npos);
   EXPECT_NE(buf.str().find("\"type\":\"run_begin\""), std::string::npos);
 
+  // The query ran without a trace sink, yet the ring holds its phases:
+  // every phase_begin is closed by a phase_end of the same name at the
+  // same depth, in LIFO order.
+  auto field = [](const std::string& line, const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\":");
+    if (at == std::string::npos) return std::string();
+    const std::size_t from = at + key.size() + 3;
+    return line.substr(from, line.find_first_of(",}", from) - from);
+  };
+  std::vector<std::pair<std::string, std::string>> open;  // (name, depth)
+  int begins = 0;
+  std::istringstream lines(buf.str());
+  for (std::string line; std::getline(lines, line);) {
+    const std::string type = field(line, "type");
+    const std::pair<std::string, std::string> span{field(line, "name"),
+                                                   field(line, "depth")};
+    if (type == "\"phase_begin\"") {
+      EXPECT_EQ(span.second, std::to_string(open.size())) << line;
+      open.push_back(span);
+      ++begins;
+    } else if (type == "\"phase_end\"") {
+      ASSERT_FALSE(open.empty()) << "unmatched " << line;
+      EXPECT_EQ(open.back(), span) << line;
+      open.pop_back();
+    }
+  }
+  EXPECT_GT(begins, 0) << "the dump must hold the query's phases";
+  EXPECT_TRUE(open.empty()) << open.size() << " phase(s) never ended";
+
   // Healthy queries must not leave dumps.
   const auto ok_out = run_scheduled(sched, {probe_queries().front()});
   EXPECT_EQ(text_of(ok_out.at("dec"), "status"), "ok");
