@@ -105,18 +105,6 @@ void add_note(std::string& note, const std::string& more) {
   if (more.empty()) return;
   note = note.empty() ? more : note + "; " + more;
 }
-/// Why the fold engine cannot fold `tree` (the bag of a vertex at depth k
-/// has k terminals), or "" when it can.
-std::string too_deep(const dist::ElimTreeResult& tree) {
-  const int depth =
-      tree.depth.empty()
-          ? 0
-          : *std::max_element(tree.depth.begin(), tree.depth.end());
-  if (depth <= bpt::kMaxTerminals) return "";
-  return "tree depth " + std::to_string(depth) +
-         " exceeds the fold engine's " +
-         std::to_string(bpt::kMaxTerminals) + "-terminal limit";
-}
 }  // namespace
 
 void ChurnEngine::invalidate_caches() {
@@ -176,7 +164,7 @@ StepOutcome ChurnEngine::full_compute() {
   if (!why.empty())
     why = "elimination tree rejected: " + why;
   else
-    why = too_deep(tree);
+    why = dist::too_deep(tree);
   if (!why.empty()) {
     out.status = StepStatus::kDegraded;
     out.note = std::move(why);
@@ -291,7 +279,7 @@ StepOutcome ChurnEngine::resolve(const std::vector<VertexId>& old_to_new,
 
   TreePatch patch = repair_tree(*tree_, graph(), old_to_new, delta, opts_.d);
   if (patch.kind != RepairKind::kFailed) {
-    if (std::string why = too_deep(patch.tree); !why.empty()) {
+    if (std::string why = dist::too_deep(patch.tree); !why.empty()) {
       patch.kind = RepairKind::kFailed;
       patch.reason = "repaired " + why;
     }

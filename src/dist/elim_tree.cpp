@@ -4,6 +4,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "bpt/engine.hpp"
 #include "congest/wire.hpp"
 
 namespace dmc::dist {
@@ -343,6 +344,17 @@ TreeDefect validate_tree(const Graph& g, const std::vector<VertexId>& parent,
     if (parent[v] >= 0 && !tree_edge[v]) return TreeDefect::kEdges;
   if (max_depth > budget) return TreeDefect::kDepth;
   return TreeDefect::kNone;
+}
+
+std::string too_deep(const ElimTreeResult& tree) {
+  const int depth =
+      tree.depth.empty()
+          ? 0
+          : *std::max_element(tree.depth.begin(), tree.depth.end());
+  if (depth <= bpt::kMaxTerminals) return "";
+  return "tree depth " + std::to_string(depth) +
+         " exceeds the fold engine's " +
+         std::to_string(bpt::kMaxTerminals) + "-terminal limit";
 }
 
 std::string tree_defect(const Graph& g, const std::vector<VertexId>& parent,

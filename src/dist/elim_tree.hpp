@@ -86,4 +86,12 @@ TreeDefect validate_tree(const Graph& g, const std::vector<VertexId>& parent,
 std::string tree_defect(const Graph& g, const std::vector<VertexId>& parent,
                         int d);
 
+/// Why the fold engine cannot fold over `tree`, or "" when it can: the bag
+/// of a vertex at depth k has k terminals, and the engine packs at most
+/// bpt::kMaxTerminals. Algorithm 2's tree may be up to 2^d - 1 deep, so
+/// from d = 4 on a tree can pass tree_defect and still exceed the limit
+/// (td(P12) = 4, yet its tree can be 15 deep). dist::run and the churn
+/// engine check every tree they fold.
+std::string too_deep(const ElimTreeResult& tree);
+
 }  // namespace dmc::dist

@@ -880,6 +880,8 @@ Outcome run(congest::Network& net, const Query& query, int d,
     describe(out, d);
     return out;
   }
+  if (std::string why = too_deep(tree); !why.empty())
+    throw std::runtime_error(why);
   std::optional<bpt::Engine> own_engine;
   if (engine == nullptr) engine = &own_engine.emplace(engine_config(query));
   const auto [vlabels, elabels] = bag_labels(query, engine->config());

@@ -132,7 +132,8 @@ std::pair<std::vector<std::string>, std::vector<std::string>> bag_labels(
 /// Runs the whole pipeline with treedepth budget d. `engine` non-null is
 /// used (and filled) instead of a fresh one; its config must equal
 /// engine_config(query). `tree_opts` tunes the elimination-tree prologue;
-/// the answer is unaffected.
+/// the answer is unaffected. Throws std::runtime_error naming the depth
+/// when the tree is too deep for the fold engine (too_deep, elim_tree.hpp).
 Outcome run(congest::Network& net, const Query& query, int d,
             bpt::Engine* engine = nullptr,
             const ElimTreeOptions& tree_opts = {});

@@ -140,6 +140,32 @@ TEST(DistRobustness, SharedEngineAcrossInstances) {
 // (treedepth 5) at d = 3 one tree edge set misses a cycle edge, and on
 // the 13-path with id seed 2 phase 0 elects two roots. dist::run must
 // then report the bound as exceeded instead of folding the tree.
+TEST(DistRobustness, TreesTooDeepToFoldNameTheEngineLimit) {
+  // td(P12) = 4, but Algorithm 2's tree may be up to 2^4 - 1 = 15 deep.
+  // Past bpt::kMaxTerminals every kind stops before the bags run and names
+  // the limit, instead of failing inside the fold.
+  const std::vector<std::pair<std::string, Sort>> s = {{"S", Sort::VertexSet}};
+  const Query queries[] = {
+      {Kind::kDecision, lib::triangle_free()},
+      {Kind::kCount, lib::independent_set_indicator(), s},
+      {Kind::kMaximize, lib::independent_set(), s},
+      {Kind::kMinimize, lib::independent_set(), s},
+      {Kind::kOptMarked, lib::independent_set(), s},
+  };
+  for (const Query& q : queries) {
+    SCOPED_TRACE(static_cast<int>(q.kind));
+    congest::Network net(gen::path(12));
+    try {
+      run(net, q, 4);
+      ADD_FAILURE() << "a tree deeper than the engine's limit was folded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(),
+                   "tree depth 12 exceeds the fold engine's 11-terminal "
+                   "limit");
+    }
+  }
+}
+
 TEST(DistRobustness, AcceptedInvalidTreesReportTheBoundExceeded) {
   struct Case {
     Graph g;
