@@ -9,6 +9,8 @@
 //   - the flight recorder keeps exactly the last `capacity` events
 //     (oldest first) and its crash-run dump names the crashed node and
 //     round — the "exit 7 comes with a story" acceptance criterion;
+//   - every round and quiescent entry the ring retains equals the traced
+//     event of the same round, on the perfect and both fault paths;
 //   - a traced sparse run coalesces quiescent stretches into
 //     QuiescentEvents whose expansion reproduces the dense per-phase
 //     totals exactly, across thread counts.
@@ -16,6 +18,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -202,6 +205,70 @@ TEST(FlightRecorder, CrashRunDumpNamesCrashedNodeAndRound) {
             std::string::npos)
       << dump;
   EXPECT_NE(dump.find("\"round\":25"), std::string::npos) << dump;
+}
+
+// --- the flight ring and the trace agree, round for round ---------------------
+
+TEST(FlightRecorder, RoundEntriesEqualTheTracedEvents) {
+  // Each round close builds one event for both the ring and the sink, so
+  // every round or quiescent entry the ring retains must equal the traced
+  // event of the same round, on the perfect path (sparse, with quiescent
+  // skips) and on both fault paths.
+  struct Setting {
+    const char* name;
+    const char* faults;  // "" = perfect delivery
+  };
+  const Setting settings[] = {
+      {"sparse", ""},
+      {"drop+dup", "drop=0.1,dup=0.05,seed=42"},
+      {"raw", "drop=0.02,transport=raw,seed=3"},
+      {"crash", "crash=3@r20,seed=5"},
+  };
+  for (const Setting& setting : settings) {
+    SCOPED_TRACE(setting.name);
+    obs::TraceBuffer buffer;
+    congest::NetworkConfig cfg;
+    cfg.id_seed = 11;
+    cfg.sink = &buffer;
+    if (*setting.faults != '\0')
+      cfg.faults = congest::parse_fault_plan(setting.faults);
+    congest::Network net(gen::deeppath(120, 4), cfg);
+    dist::ElimTreeOptions opts;
+    opts.sparse_flood = true;  // quiet stretches for the sparse setting
+    dist::run(net, {dist::Kind::kDecision, lib::triangle_free()}, 4, nullptr,
+              opts);
+
+    std::map<long, obs::RoundEvent> rounds;
+    for (const obs::RoundEvent& e : buffer.rounds()) rounds[e.round] = e;
+    std::map<long, obs::QuiescentEvent> quiet;
+    for (const obs::QuiescentEvent& e : buffer.quiescents())
+      quiet[e.first_round] = e;
+    int round_entries = 0, quiet_entries = 0;
+    for (const auto& e : net.flight_recorder().snapshot()) {
+      if (e.kind == obs::FlightRecorder::Kind::Round) {
+        const auto it = rounds.find(e.round);
+        ASSERT_NE(it, rounds.end())
+            << "round " << e.round << " missing from the trace";
+        EXPECT_EQ(e.a, it->second.messages) << e.round;
+        EXPECT_EQ(e.b, it->second.bits) << e.round;
+        EXPECT_EQ(e.c, it->second.active_nodes) << e.round;
+        EXPECT_EQ(e.d, it->second.done_nodes) << e.round;
+        ++round_entries;
+      } else if (e.kind == obs::FlightRecorder::Kind::Quiescent) {
+        const auto it = quiet.find(e.round);
+        ASSERT_NE(it, quiet.end())
+            << "stretch at " << e.round << " missing from the trace";
+        EXPECT_EQ(e.a, it->second.skipped_rounds) << e.round;
+        EXPECT_EQ(e.c, it->second.active_nodes) << e.round;
+        EXPECT_EQ(e.d, it->second.done_nodes) << e.round;
+        ++quiet_entries;
+      }
+    }
+    EXPECT_GT(round_entries, 0);
+    if (*setting.faults == '\0') {
+      EXPECT_GT(quiet_entries, 0) << "the sparse run must skip a stretch";
+    }
+  }
 }
 
 // --- coalesced quiescence: traced sparse == dense, totals exact ---------------
