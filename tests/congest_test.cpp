@@ -144,14 +144,21 @@ TEST(Congest, NeighborIdsAndPorts) {
 }
 
 // --- the send contract -------------------------------------------------------
-// send, send_all and send_unreliable share one send path: the same checks
+// send and send_all share one send path on every transport: the same checks
 // in the same order, and the messages posted before a throw are counted.
+
+/// A network whose runs take the reliable-transport path with no faults.
+NetworkConfig reliable_cfg() {
+  NetworkConfig cfg;
+  cfg.faults = FaultPlan{};
+  return cfg;
+}
 
 /// Runs `act` on the center of a 3-leaf star in round 0 (the leaves idle),
 /// expects the run to throw `Exception` and returns the stats it left.
 template <typename Exception>
-NetworkStats expect_throw_from_center(
-    const std::function<void(NodeCtx&)>& act) {
+NetworkStats expect_throw_from_center(const std::function<void(NodeCtx&)>& act,
+                                      const NetworkConfig& cfg = {}) {
   class Scripted : public NodeProgram {
    public:
     explicit Scripted(std::function<void(NodeCtx&)> act)
@@ -164,7 +171,7 @@ NetworkStats expect_throw_from_center(
    private:
     std::function<void(NodeCtx&)> act_;
   };
-  Network net(gen::star(3));
+  Network net(gen::star(3), cfg);
   std::vector<std::unique_ptr<NodeProgram>> programs;
   programs.push_back(std::make_unique<Scripted>(act));
   for (int v = 1; v < 4; ++v)
@@ -197,10 +204,11 @@ TEST(SendContract, UsedPortThrowsOnEverySendPath) {
                                   }));
   expect_same_counts(by_send, expect_throw_from_center<std::logic_error>(
                                   [&](NodeCtx& ctx) {
-                                    ctx.send_unreliable(1, Message(int{2}, 12));
-                                    ctx.send_unreliable(0, m);
-                                    ctx.send_unreliable(1, m);
-                                  }));
+                                    ctx.send(1, Message(int{2}, 12));
+                                    ctx.send(0, m);
+                                    ctx.send(1, m);
+                                  },
+                                  reliable_cfg()));
 }
 
 TEST(SendContract, BadSizesThrowOnEverySendPath) {
@@ -223,9 +231,10 @@ TEST(SendContract, BadSizesThrowOnEverySendPath) {
     expect_same_counts(by_send,
                        expect_throw_from_center<std::invalid_argument>(
                            [&](NodeCtx& ctx) {
-                             ctx.send_unreliable(2, Message(int{2}, 9));
-                             ctx.send_unreliable(0, bad);
-                           }));
+                             ctx.send(2, Message(int{2}, 9));
+                             ctx.send(0, bad);
+                           },
+                           reliable_cfg()));
   }
 }
 
@@ -236,7 +245,7 @@ TEST(SendContract, BadPortsThrowOutOfRange) {
     expect_throw_from_center<std::out_of_range>(
         [&](NodeCtx& ctx) { ctx.send(port, m); });
     expect_throw_from_center<std::out_of_range>(
-        [&](NodeCtx& ctx) { ctx.send_unreliable(port, m); });
+        [&](NodeCtx& ctx) { ctx.send(port, m); }, reliable_cfg());
     expect_throw_from_center<std::out_of_range>(
         [&](NodeCtx& ctx) { ctx.recv(port); });
     expect_throw_from_center<std::out_of_range>(

@@ -26,13 +26,6 @@
 //   unregistered-payload  Message(SomePayload{...}) construction where no
 //                         register_codec<SomePayload> exists in the scanned
 //                         sources — the payload would fail the wire audit.
-//   raw-send              NodeCtx::send_unreliable(...) in protocol code
-//                         (paths under src/dist). Best-effort sends bypass
-//                         the reliable-transport shim, so under fault
-//                         injection the message may silently never arrive;
-//                         protocols must either use plain send() or mark
-//                         the loss-tolerant call site with
-//                         "dmc-lint: allow(raw-send)".
 //   raw-thread            std::thread / std::jthread / std::async outside
 //                         src/par. Every thread is a par::Thread
 //                         (src/par/thread.hpp): named at its call site and
@@ -199,7 +192,6 @@ const std::regex kBannedCall(
 const std::regex kRawClock(R"((?:_clock|\bClock)\s*::\s*now\s*\()");
 const std::regex kMutableStatic(
     R"((?:^|\s)static\s+(?!const\b|constexpr\b|_\w)[A-Za-z_][\w:<>,\s*&]*?\s[A-Za-z_]\w*\s*[;={])");
-const std::regex kRawSend(R"(\bsend_unreliable\s*\()");
 const std::regex kRawThread(R"(\bstd\s*::\s*(?:jthread|thread|async)\b)");
 // Member wait call with a single bare-identifier argument — the lock-only
 // condition_variable overload. A predicate wait has a second argument
@@ -213,9 +205,8 @@ const std::regex kRawAtomic(R"(\bstd\s*::\s*atomic\w*)");
 const std::regex kRawIo(
     R"((?:^|[^\w:])::\s*(socket|bind|listen|accept4?|connect|recv|recvfrom|send|sendto|read|write|poll|select|close)\s*\()");
 
-/// The raw-send rule only applies to protocol sources (paths under
-/// src/dist); the transport layer itself legitimately uses best-effort
-/// sends. Separators are normalized so the check is OS-independent.
+/// Protocol sources: paths under src/dist. Separators are normalized so the
+/// check is OS-independent.
 bool in_protocol_tree(const std::string& path) {
   std::string p = path;
   std::replace(p.begin(), p.end(), '\\', '/');
@@ -326,13 +317,6 @@ void lint_file(const FileText& f, const std::set<std::string>& registered,
       add_finding(out, f, i, "global-state",
                   "mutable static state — nodes may only share state through "
                   "messages; make it const/constexpr or pass it explicitly");
-
-    if (in_protocol_tree(f.path) && std::regex_search(line, m, kRawSend))
-      add_finding(out, f, i, "raw-send",
-                  "best-effort send_unreliable() bypasses the reliable "
-                  "transport — the message may be lost under fault "
-                  "injection; use send(), or mark the loss-tolerant call "
-                  "site with dmc-lint: allow(raw-send)");
 
     if ((in_protocol_tree(f.path) || in_congest_tree(f.path)) &&
         std::regex_search(line, m, kRawAtomic))
