@@ -24,6 +24,16 @@ void GluingMatrix::validate(int left_tau, int right_tau) const {
   }
 }
 
+std::size_t GluingMatrixHash::operator()(const GluingMatrix& f) const {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const auto& row : f.rows) {
+    // Valid entries lie in [-1, 11): the low byte of each is exact.
+    h = (h ^ static_cast<std::uint8_t>(row[0] + 1)) * 0x100000001b3ull;
+    h = (h ^ static_cast<std::uint8_t>(row[1] + 1)) * 0x100000001b3ull;
+  }
+  return static_cast<std::size_t>(h);
+}
+
 GluingMatrix identity_gluing(int tau) {
   GluingMatrix m;
   m.rows.reserve(tau);

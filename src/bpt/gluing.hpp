@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +26,11 @@ struct GluingMatrix {
   void validate(int left_tau, int right_tau) const;
 
   auto operator<=>(const GluingMatrix&) const = default;
+};
+
+/// Hash of a gluing matrix's rows (for the engine's op index).
+struct GluingMatrixHash {
+  std::size_t operator()(const GluingMatrix& f) const;
 };
 
 /// Identity gluing on tau terminals: both children fully overlap
