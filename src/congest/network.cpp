@@ -93,10 +93,15 @@ namespace {
   stats_.max_message_bits = std::max(stats_.max_message_bits, msg.bits);
   round_max_message_bits_ = std::max(round_max_message_bits_, msg.bits);
   if (metrics_ != nullptr) {
-    // The round-end fold visits only the links listed here.
-    const int link = link_of(vertex, port);
-    if (link_round_msgs_[link]++ == 0) touched_links_[touched_count_++] = link;
-    link_round_bits_[link] += msg.bits;
+    // The used-port check above caps a directed link at one message a
+    // round, so this message is the link's whole load for the round.
+    detail::NetMetrics& m = *metrics_;
+    m.round_bits.record(msg.bits);
+    m.round_msgs.record(1);
+    m.cum_bits += msg.bits;
+    long long& total = link_total_bits_[link_of(vertex, port)];
+    total += msg.bits;
+    m.hottest_link_bits = std::max(m.hottest_link_bits, total);
   }
   out = std::move(msg);
   // Perfect-path delivery clears exactly the slots written this round; the
@@ -243,20 +248,13 @@ void Network::derive() {
   metrics::Registry* registry =
       cfg_.metrics != nullptr ? cfg_.metrics : metrics::global();
   metrics_.reset();
-  link_round_bits_.clear();
-  link_round_msgs_.clear();
   link_total_bits_.clear();
-  touched_links_.clear();
-  touched_count_ = 0;
   if (registry != nullptr) {
     metrics_ = std::make_unique<detail::NetMetrics>();
     metrics_->resolve(*registry);
-    // Per-link round accumulators exist only while metrics are on; the
-    // disabled path allocates nothing beyond the fixed tables above.
-    link_round_bits_.assign(links, 0);
-    link_round_msgs_.assign(links, 0);
+    // Per-link totals exist only while metrics are on; the disabled path
+    // allocates nothing beyond the fixed tables above.
     link_total_bits_.assign(links, 0);
-    touched_links_.resize(links);
   }
   flight_.clear();
   fault_rt_.reset();
@@ -277,10 +275,7 @@ std::size_t Network::memory_bytes() const {
   total += 2 * links * sizeof(int);              // pending_active_ (reserved)
   total += n_ * (2 * sizeof(char) + 4 * sizeof(int));  // scheduler arrays
   total += n_ * (sizeof(std::pair<int, int>) + sizeof(int));  // heap + active
-  total += (link_round_bits_.size() + link_total_bits_.size()) *
-               sizeof(long long) +
-           link_round_msgs_.size() * sizeof(long) +
-           touched_links_.size() * sizeof(int);
+  total += link_total_bits_.size() * sizeof(long long);
   return total;
 }
 
@@ -420,19 +415,6 @@ void Network::metrics_skip_rounds(long skip) {
 }
 
 void Network::metrics_round_end() {
-  detail::NetMetrics& m = *metrics_;
-  for (int i = 0; i < touched_count_; ++i) {
-    const int l = touched_links_[i];
-    const long long b = link_round_bits_[l];
-    m.round_bits.record(b);
-    m.round_msgs.record(link_round_msgs_[l]);
-    m.cum_bits += b;
-    link_total_bits_[l] += b;
-    m.hottest_link_bits = std::max(m.hottest_link_bits, link_total_bits_[l]);
-    link_round_bits_[l] = 0;
-    link_round_msgs_[l] = 0;
-  }
-  touched_count_ = 0;
   if (cfg_.metrics_interval > 0 && cfg_.metrics_flush &&
       stats_.rounds % cfg_.metrics_interval == 0) {
     metrics_publish(stats_.rounds);

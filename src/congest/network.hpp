@@ -512,9 +512,9 @@ class Network {
   void close_annotation();
   /// Metrics hooks, called only when metrics_ is set; they record into the
   /// network's own NetMetrics fields, never the registry.
-  /// metrics_round_end, called after stats_.rounds advanced, folds the
-  /// loads of the links that carried traffic this round into the local
-  /// congestion histograms and the hottest-link maximum, and drives the
+  /// post() records each message's link load (the congestion histograms,
+  /// the link's total and the hottest-link maximum) as it is sent.
+  /// metrics_round_end, called after stats_.rounds advanced, drives the
   /// periodic flush.
   void metrics_round_end();
   /// The fold for a fast-forwarded quiescent stretch of `skip` rounds with
@@ -581,17 +581,14 @@ class Network {
   // Fault-mode runtime (reliable.hpp); null unless cfg_.faults is engaged,
   // so the perfect path pays one pointer test per send.
   std::unique_ptr<detail::FaultRuntime> fault_rt_;
-  // Metrics state; metrics_ is null (and the vectors stay empty) unless a
-  // registry is configured, so the disabled path pays one pointer test
-  // per send / round and allocates nothing.
+  // Metrics state; metrics_ is null (and link_total_bits_ stays empty)
+  // unless a registry is configured, so the disabled path pays one pointer
+  // test per send / round and allocates nothing.
   std::unique_ptr<detail::NetMetrics> metrics_;
   std::vector<int> link_offset_;            // vertex -> first directed link
                                             // (size n+1; always built)
-  std::vector<long long> link_round_bits_;  // per directed link, this round
-  std::vector<long> link_round_msgs_;       // (metrics-only accumulators)
   std::vector<long long> link_total_bits_;  // per directed link, lifetime
-  std::vector<int> touched_links_;  // links with traffic this round (cap L)
-  int touched_count_ = 0;           // cursor into touched_links_
+                                            // (metrics only)
   // Always-on post-mortem ring (cfg_.flight_capacity POD slots, allocated
   // once here). Fed on every path — perfect, fault, fast-forward — so a
   // degraded run can always be dumped.
