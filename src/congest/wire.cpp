@@ -46,7 +46,18 @@ void BitWriter::put_uint(std::uint64_t v, int width) {
     throw std::invalid_argument("BitWriter::put_uint: value needs " +
                                 std::to_string(uint_bits(v)) + " > " +
                                 std::to_string(width) + " bits");
-  for (int i = 0; i < width; ++i) put_bit((v >> i) & 1);
+  // Byte-aligned chunks: the tail of the current byte, then whole bytes.
+  // Bit i of v lands at stream position bits_ + i, as put_bit would put it.
+  const long end = bits_ + width;
+  bytes_.resize(static_cast<std::size_t>((end + 7) / 8), 0);
+  while (bits_ < end) {
+    const int offset = static_cast<int>(bits_ % 8);
+    const int take = std::min<long>(8 - offset, end - bits_);
+    bytes_[bits_ / 8] |= static_cast<std::uint8_t>((v & ((1u << take) - 1))
+                                                   << offset);
+    v >>= take;  // take <= 8 < 64
+    bits_ += take;
+  }
 }
 
 void BitWriter::put_uint_min(std::uint64_t v) { put_uint(v, uint_bits(v)); }

@@ -196,9 +196,10 @@ int class_bits(const bpt::Engine& engine) {
       1, congest::count_bits(static_cast<std::uint64_t>(engine.num_types())));
 }
 
-template <typename T>
-long measured_bits(const T& payload, const NodeCtx& ctx) {
-  return audit::measured_bits(payload,
+/// Bits of a table as sent: the wire payload itself goes through its codec,
+/// so measuring copies nothing.
+long measured_bits(const Payload& wire, const NodeCtx& ctx) {
+  return audit::measured_bits(wire,
                               audit::WireContext{ctx.n(), ctx.bandwidth()});
 }
 
@@ -237,7 +238,9 @@ class Link {
 /// (Node) and the kind's rules:
 ///   Input input(Up)              a child's table as a fold input
 ///   Up fold(FoldProgram&)        this node's table from inputs()
-///   long up_bits(const Up&, ctx) declared size of the upward table
+///   long up_bits(const Payload&, ctx)
+///                                declared size of the upward table, given
+///                                as the wire payload that carries it
 ///   Down root(FoldProgram&)      the answer, computed at the root
 ///   Down to_child(FoldProgram&, const Down&, i)  child i's answer
 ///   int down_bits(const Down&)   declared size of an answer
@@ -315,7 +318,9 @@ class FoldProgram final : public congest::NodeProgram {
       if (parent_ < 0) {
         answer(ctx, algebra_.root(*this));
       } else if (send_up_) {
-        link_.send(ctx, ctx.port_of(parent_), up_, algebra_.up_bits(up_, ctx),
+        Payload wire(up_);  // up_ stays: callers read it after the run
+        const long bits = algebra_.up_bits(wire, ctx);
+        link_.send(ctx, ctx.port_of(parent_), std::move(wire), bits,
                    A::kTableUp);
       }
     }
@@ -454,7 +459,7 @@ struct DecideAlgebra : AlgebraBase {
     return {bpt::fold_type(engine, p.local().plan, p.local().graph,
                            p.inputs())};
   }
-  long up_bits(const Up&, const NodeCtx&) {
+  long up_bits(const Payload&, const NodeCtx&) {
     const int bits = class_bits(engine);
     max_class_bits = std::max(max_class_bits, bits);
     return bits;
@@ -493,8 +498,8 @@ struct CountAlgebra : AlgebraBase {
                                   std::move(p.inputs()));
     return {std::move(tables[p.local().plan.root])};
   }
-  long up_bits(const Up& t, const NodeCtx& ctx) {
-    return measured_bits(t, ctx);
+  long up_bits(const Payload& wire, const NodeCtx& ctx) {
+    return measured_bits(wire, ctx);
   }
   Down root(FoldProgram<CountAlgebra>& p) {
     std::uint64_t total = 0;
@@ -553,8 +558,8 @@ struct OptimizeAlgebra : AlgebraBase {
         std::max(max_table_entries, static_cast<int>(table.size()));
     return {table};
   }
-  long up_bits(const Up& t, const NodeCtx& ctx) {
-    return measured_bits(t, ctx);
+  long up_bits(const Payload& wire, const NodeCtx& ctx) {
+    return measured_bits(wire, ctx);
   }
   Down root(FoldProgram<OptimizeAlgebra>& p) {
     const auto [best, best_w] = best_accepting(evaluator, p.up().table);
@@ -680,8 +685,8 @@ struct OptMarkedAlgebra : AlgebraBase {
     }
     return mine;
   }
-  long up_bits(const Up& t, const NodeCtx& ctx) {
-    return measured_bits(t, ctx);
+  long up_bits(const Payload& wire, const NodeCtx& ctx) {
+    return measured_bits(wire, ctx);
   }
   Down root(FoldProgram<OptMarkedAlgebra>& p) {
     const Up& mine = p.up();

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "congest/fragment.hpp"
 #include "congest/network.hpp"
@@ -82,6 +84,61 @@ TEST(WireBits, ZigZagRoundTripsExtremes) {
     w.put_varint(v);
     audit::BitReader r(w.bytes(), w.bits());
     EXPECT_EQ(r.get_varint(), v) << v;
+  }
+}
+
+/// The one-bit-at-a-time writer put_uint must agree with: bit i of a
+/// field lands at stream position (bits so far) + i, LSB first per byte.
+struct ReferenceBitWriter {
+  std::vector<std::uint8_t> bytes;
+  long bits = 0;
+  void put_bit(bool b) {
+    if (bits % 8 == 0) bytes.push_back(0);
+    if (b) bytes.back() |= static_cast<std::uint8_t>(1u << (bits % 8));
+    ++bits;
+  }
+  void put_uint(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) put_bit((v >> i) & 1);
+  }
+};
+
+TEST(WireBits, PutUintMatchesABitByBitWriter) {
+  std::mt19937_64 rng(20240617);
+  for (int trial = 0; trial < 200; ++trial) {
+    audit::BitWriter w;
+    ReferenceBitWriter ref;
+    const int fields = 1 + static_cast<int>(rng() % 40);
+    for (int f = 0; f < fields; ++f) {
+      const int width = static_cast<int>(rng() % 65);  // 0..64
+      const std::uint64_t v =
+          width == 64 ? rng() : rng() & ((std::uint64_t{1} << width) - 1);
+      switch (rng() % 4) {
+        case 0:  // a lone bit shifts every later field off byte alignment
+          w.put_bit(v & 1);
+          ref.put_bit(v & 1);
+          break;
+        case 1:
+          w.put_varuint(v);
+          for (std::uint64_t x = v;;) {
+            ref.put_uint(x & 0x7f, 7);
+            x >>= 7;
+            ref.put_bit(x != 0);
+            if (x == 0) break;
+          }
+          break;
+        default:
+          w.put_uint(v, width);
+          ref.put_uint(v, width);
+          break;
+      }
+      ASSERT_EQ(w.bits(), ref.bits) << "trial " << trial << " field " << f;
+      ASSERT_EQ(w.bytes(), ref.bytes) << "trial " << trial << " field " << f;
+    }
+    // And the reader takes the fields back bit-exactly.
+    audit::BitReader r(w.bytes(), w.bits());
+    ReferenceBitWriter echo;
+    while (r.remaining() > 0) echo.put_bit(r.get_bit());
+    EXPECT_EQ(echo.bytes, ref.bytes);
   }
 }
 
