@@ -100,6 +100,28 @@ void BM_OptTableFold(benchmark::State& state) {
 }
 BENCHMARK(BM_OptTableFold)->Arg(8)->Arg(16)->Arg(32);
 
+// The same OPT fold on a warm engine: every composition is a memo hit and
+// every primitive a memo hit, as when dmcd serves a fold from a leased
+// class universe. This isolates the engine's lookup path (op resolution,
+// compose memo, trace pairing) from class interning.
+void BM_OptTableFoldWarm(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  gen::Rng rng(7);
+  const Graph g = gen::random_bounded_treedepth(n, 3, 0.5, rng);
+  const std::vector<std::pair<std::string, mso::Sort>> frees{
+      {"S", mso::Sort::VertexSet}};
+  const auto lowered = mso::lower(mso::lib::dominating_set(), frees);
+  const auto td = seq::decomposition_for(g);
+  const auto plan = bpt::build_global_plan(g, td);
+  bpt::Engine engine(bpt::config_for(*lowered, frees));
+  bpt::OptSolver(engine, plan, g);  // cold fold: fills the universe
+  for (auto _ : state) {
+    bpt::OptSolver solver(engine, plan, g);
+    benchmark::DoNotOptimize(solver.root_table().size());
+  }
+}
+BENCHMARK(BM_OptTableFoldWarm)->Arg(8)->Arg(16)->Arg(32);
+
 }  // namespace
 
 int main(int argc, char** argv) {
