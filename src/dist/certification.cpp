@@ -132,6 +132,7 @@ MsoCertification prove_mso(const Graph& g, const mso::FormulaPtr& formula) {
     return forest.depth(a) > forest.depth(b);
   });
   bpt::Evaluator evaluator(*cert.engine, cert.lowered);
+  PlanCache plans;
   for (VertexId v : order) {
     MsoCertificate& c = cert.certs[v];
     const LabelArrays labels =
@@ -146,9 +147,9 @@ MsoCertification prove_mso(const Graph& g, const mso::FormulaPtr& formula) {
       child_classes.push_back(cert.certs[ch].subtree_class);
     }
     const LocalContext lctx = make_local_context(
-        bag, children_ids, cfg.vertex_labels, cfg.edge_labels);
+        bag, children_ids, cfg.vertex_labels, cfg.edge_labels, plans);
     c.subtree_class =
-        bpt::fold_type(*cert.engine, lctx.plan, lctx.graph, child_classes);
+        bpt::fold_type(*cert.engine, *lctx.plan, lctx.graph, child_classes);
     if (forest.parent(v) < 0) c.accepting = evaluator.eval(c.subtree_class);
     cert.max_certificate_bits =
         std::max(cert.max_certificate_bits,
@@ -162,6 +163,7 @@ VerifyResult verify_mso(const Graph& g, const MsoCertification& cert) {
   result.accept.assign(g.num_vertices(), true);
   const auto& cfg = cert.engine->config();
   bpt::Evaluator evaluator(*cert.engine, cert.lowered);
+  PlanCache plans;
 
   auto is_prefix = [](const std::vector<VertexId>& a,
                       const std::vector<VertexId>& b) {
@@ -296,8 +298,8 @@ VerifyResult verify_mso(const Graph& g, const MsoCertification& cert) {
       bpt::TypeId expected = bpt::kInvalidType;
       try {
         const LocalContext lctx = make_local_context(
-            bag, children_ids, cfg.vertex_labels, cfg.edge_labels);
-        expected = bpt::fold_type(*cert.engine, lctx.plan, lctx.graph,
+            bag, children_ids, cfg.vertex_labels, cfg.edge_labels, plans);
+        expected = bpt::fold_type(*cert.engine, *lctx.plan, lctx.graph,
                                   child_classes);
       } catch (const std::exception&) {
         reject();

@@ -456,7 +456,7 @@ struct DecideAlgebra : AlgebraBase {
 
   static bpt::TypeId input(const Up& up) { return up.type; }
   Up fold(FoldProgram<DecideAlgebra>& p) {
-    return {bpt::fold_type(engine, p.local().plan, p.local().graph,
+    return {bpt::fold_type(engine, *p.local().plan, p.local().graph,
                            p.inputs())};
   }
   long up_bits(const Payload&, const NodeCtx&) {
@@ -494,9 +494,9 @@ struct CountAlgebra : AlgebraBase {
 
   static bpt::CountTable input(Up up) { return std::move(up.table); }
   Up fold(FoldProgram<CountAlgebra>& p) {
-    auto tables = bpt::fold_count(engine, p.local().plan, p.local().graph,
+    auto tables = bpt::fold_count(engine, *p.local().plan, p.local().graph,
                                   std::move(p.inputs()));
-    return {std::move(tables[p.local().plan.root])};
+    return {std::move(tables[p.local().plan->root])};
   }
   long up_bits(const Payload& wire, const NodeCtx& ctx) {
     return measured_bits(wire, ctx);
@@ -552,7 +552,7 @@ struct OptimizeAlgebra : AlgebraBase {
   static bpt::OptTable input(Up up) { return std::move(up.table); }
   Up fold(FoldProgram<OptimizeAlgebra>& p) {
     p.node.solver = std::make_unique<bpt::OptSolver>(
-        engine, p.local().plan, p.local().graph, std::move(p.inputs()));
+        engine, *p.local().plan, p.local().graph, std::move(p.inputs()));
     const bpt::OptTable& table = p.node.solver->root_table();
     max_table_entries =
         std::max(max_table_entries, static_cast<int>(table.size()));
@@ -662,7 +662,7 @@ struct OptMarkedAlgebra : AlgebraBase {
       class_inputs.push_back(c.marked_class);
       mine.marked_weight += c.marked_weight;
     }
-    mine.opt = bpt::OptSolver(engine, lc.plan, lc.graph, std::move(opt_inputs))
+    mine.opt = bpt::OptSolver(engine, *lc.plan, lc.graph, std::move(opt_inputs))
                    .root_table();
     std::vector<bool> vin(lc.graph.num_vertices(), false);
     std::vector<bool> ein(lc.graph.num_edges(), false);
@@ -670,8 +670,8 @@ struct OptMarkedAlgebra : AlgebraBase {
       vin[lv] = lc.graph.vertex_has_label(kMarkLabel, lv);
     for (EdgeId le = 0; le < lc.graph.num_edges(); ++le)
       ein[le] = lc.graph.edge_has_label(kMarkLabel, le);
-    mine.marked_class = bpt::fold_assigned_type(engine, lc.plan, lc.graph, vin,
-                                                ein, class_inputs);
+    mine.marked_class = bpt::fold_assigned_type(engine, *lc.plan, lc.graph,
+                                                vin, ein, class_inputs);
     // Own marked weight: the self vertex, or the bag edges incident to
     // self — each edge is counted at its deeper endpoint, the unique bag
     // member adjacent to it from below.
@@ -715,7 +715,7 @@ struct OptMarkedAlgebra : AlgebraBase {
 /// Builds one FoldProgram per vertex, runs the fold, and collects the
 /// answer. Only a vertex that folds gets a bag graph and plan; a replaying
 /// vertex reads neither, so an incremental epoch builds contexts for its
-/// refold closure alone.
+/// refold closure alone. Vertices whose bags have one shape share one plan.
 template <class A>
 void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
               const std::vector<LocalBag>& bags,
@@ -735,6 +735,7 @@ void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
   std::vector<FoldProgram<A>*> nodes;
   programs.reserve(n);
   nodes.reserve(n);
+  PlanCache plans;
   for (int v = 0; v < n; ++v) {
     std::vector<VertexId> children;
     for (int c : tree.children[v]) children.push_back(net.id_of_vertex(c));
@@ -746,7 +747,7 @@ void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
       if (bags[v].bag.empty())
         throw std::logic_error("fold: vertex " + std::to_string(v) +
                                " must fold but has no bag");
-      lctx = make_local_context(bags[v], children, vlabels, elabels);
+      lctx = make_local_context(bags[v], children, vlabels, elabels, plans);
       algebra.localize(*lctx);
     }
     auto p = std::make_unique<FoldProgram<A>>(
