@@ -154,6 +154,10 @@ class Payload {
     if (p == nullptr) throw BadPayloadCast();
     return *p;
   }
+  template <typename T>
+  T& get() {
+    return const_cast<T&>(std::as_const(*this).template get<T>());
+  }
 
  private:
   const PayloadType* type_ = nullptr;

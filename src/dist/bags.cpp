@@ -91,8 +91,9 @@ class BagsProgram : public congest::NodeProgram {
         own_vlabels_(own_vlabels),
         incident_edges_(std::move(incident_edges)) {}
 
-  const LocalBag& bag() const { return bag_; }
   bool has_bag() const { return has_bag_; }
+  /// The finished bag, moved out (call once, after the run).
+  LocalBag take_bag() { return std::move(bag_); }
 
   void on_round(NodeCtx& ctx) override {
     if (!has_bag_) {
@@ -105,7 +106,7 @@ class BagsProgram : public congest::NodeProgram {
       } else {
         const int pport = ctx.port_of(parent_id_);
         if (auto payload = reasm_.poll(ctx, pport)) {
-          extend_from(payload->get<LocalBag>(), ctx);
+          extend_from(std::move(payload->get<LocalBag>()), ctx);
           adopt_bag(ctx);
         }
       }
@@ -140,9 +141,10 @@ class BagsProgram : public congest::NodeProgram {
   }
 
   /// B_self = B_parent ∪ {self}; edges gain self's links into the bag.
-  void extend_from(const LocalBag& parent, NodeCtx& ctx) {
+  /// Takes the parent's reassembled bag by value and extends it in place.
+  void extend_from(LocalBag parent, NodeCtx& ctx) {
     const VertexId self = ctx.id();
-    bag_ = parent;
+    bag_ = std::move(parent);
     const auto pos =
         std::lower_bound(bag_.bag.begin(), bag_.bag.end(), self) -
         bag_.bag.begin();
@@ -231,7 +233,7 @@ BagsResult run_bags(congest::Network& net, const ElimTreeResult& tree,
   for (int v = 0; v < net.n(); ++v) {
     if (!handles[v]->has_bag())
       throw std::logic_error("run_bags: node finished without a bag");
-    result.bags[v] = handles[v]->bag();
+    result.bags[v] = handles[v]->take_bag();
   }
   return result;
 }
