@@ -10,10 +10,10 @@
 // bench::row() additionally appends one JSON object per line (keys = the
 // column names of the preceding bench::columns() call, tagged with the
 // experiment of the preceding bench::header()), and run_benchmarks()
-// streams each google-benchmark timing into the same file. The human
-// tables on stdout are unchanged. tools/collect_bench.py drives every
-// binary this way and aggregates the lines into top-level BENCH_<exp>.json
-// files.
+// streams each google-benchmark timing, with its user counters, into the
+// same file. The human tables on stdout are unchanged.
+// tools/collect_bench.py drives every binary this way and aggregates the
+// lines into top-level BENCH_<exp>.json files.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -150,12 +150,17 @@ class JsonlTeeReporter : public benchmark::ConsoleReporter {
       std::fprintf(js.out,
                    "{\"experiment\":\"%s\",\"benchmark\":\"%s\","
                    "\"iterations\":%lld,\"real_time\":%.6g,"
-                   "\"cpu_time\":%.6g,\"time_unit\":\"%s\"}\n",
+                   "\"cpu_time\":%.6g,\"time_unit\":\"%s\"",
                    json_escape(js.experiment).c_str(),
                    json_escape(r.benchmark_name()).c_str(),
                    static_cast<long long>(r.iterations),
                    r.GetAdjustedRealTime(), r.GetAdjustedCPUTime(),
                    benchmark::GetTimeUnitString(r.time_unit));
+      // User counters (state.counters) are deterministic columns.
+      for (const auto& [name, counter] : r.counters)
+        std::fprintf(js.out, ",\"%s\":%.6g", json_escape(name).c_str(),
+                     counter.value);
+      std::fprintf(js.out, "}\n");
     }
     std::fflush(js.out);
   }
