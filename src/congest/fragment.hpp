@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -39,6 +38,8 @@ struct Fragment {
 };
 
 /// Sender side: queue logical payloads per port, pump one chunk per round.
+/// Pending payloads sit in one list ordered by (port, enqueue order), so a
+/// node that sends on a few of many ports pays for those payloads only.
 class FragmentSender {
  public:
   /// Per-chunk framing overhead (sequencing / last-chunk marker).
@@ -47,24 +48,23 @@ class FragmentSender {
   /// Queues a logical payload of `bits` bits for `port`.
   void enqueue(int port, Payload value, long bits) {
     if (bits <= 0) bits = 1;
-    queues_.resize(std::max<std::size_t>(queues_.size(), port + 1));
-    next_seq_.resize(queues_.size(), 0);
-    queues_[port].push_back(Pending{std::move(value), bits, bits,
-                                    next_seq_[port]++, 0});
+    if (port >= static_cast<int>(next_seq_.size())) next_seq_.resize(port + 1);
+    const auto at = std::upper_bound(
+        pending_.begin(), pending_.end(), port,
+        [](int p, const Pending& q) { return p < q.port; });
+    pending_.insert(at, Pending{std::move(value), bits, bits,
+                                next_seq_[port]++, 0, port});
   }
 
-  bool idle() const {
-    for (const auto& q : queues_)
-      if (!q.empty()) return false;
-    return true;
-  }
+  bool empty() const { return pending_.empty(); }
 
-  /// Sends at most one chunk per queued port; call once per round. Every
-  /// chunk must make real payload progress, so the bandwidth has to exceed
-  /// the chunk header — otherwise the ceil(k / (B - header)) round
-  /// accounting would silently degrade to meaningless 1-bit chunks.
+  /// Sends one chunk of the oldest payload of each port that has one, in
+  /// ascending port order; call once per round. Every chunk must make real
+  /// payload progress, so the bandwidth has to exceed the chunk header —
+  /// otherwise the ceil(k / (B - header)) round accounting would silently
+  /// degrade to meaningless 1-bit chunks.
   void pump(NodeCtx& ctx) {
-    if (idle()) return;
+    if (empty()) return;
     if (ctx.bandwidth() <= kHeaderBits)
       throw std::logic_error(
           "FragmentSender::pump: bandwidth (" +
@@ -72,23 +72,31 @@ class FragmentSender {
           std::to_string(kHeaderBits) +
           "-bit chunk header; raise NetworkConfig::min_bandwidth");
     const int payload_budget = ctx.bandwidth() - kHeaderBits;
-    for (int port = 0; port < static_cast<int>(queues_.size()); ++port) {
-      auto& q = queues_[port];
-      if (q.empty()) continue;
-      Pending& p = q.front();
-      const long chunk_bits = std::min<long>(p.bits_left, payload_budget);
-      p.bits_left -= chunk_bits;
-      Fragment frag;
-      frag.logical_bits = p.total_bits;
-      frag.msg_seq = p.msg_seq;
-      frag.chunk = p.chunks_sent++;
-      frag.num_chunks = static_cast<int>((p.total_bits + payload_budget - 1) /
-                                         payload_budget);
-      if (p.bits_left <= 0) frag.value = std::move(p.value);
-      ctx.send(port, Message(std::move(frag),
-                             static_cast<int>(chunk_bits) + kHeaderBits));
-      if (p.bits_left <= 0) q.pop_front();
+    std::size_t kept = 0;
+    int last_port = -1;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      Pending& p = pending_[i];
+      if (p.port != last_port) {  // the port's oldest payload
+        last_port = p.port;
+        const long chunk_bits = std::min<long>(p.bits_left, payload_budget);
+        p.bits_left -= chunk_bits;
+        Fragment frag;
+        frag.logical_bits = p.total_bits;
+        frag.msg_seq = p.msg_seq;
+        frag.chunk = p.chunks_sent++;
+        frag.num_chunks = static_cast<int>(
+            (p.total_bits + payload_budget - 1) / payload_budget);
+        if (p.bits_left <= 0) frag.value = std::move(p.value);
+        ctx.send(p.port, Message(std::move(frag),
+                                 static_cast<int>(chunk_bits) + kHeaderBits));
+      }
+      if (p.bits_left > 0) {
+        if (kept != i) pending_[kept] = std::move(p);
+        ++kept;
+      }
     }
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(kept),
+                   pending_.end());
   }
 
  private:
@@ -98,8 +106,9 @@ class FragmentSender {
     long total_bits = 0;
     std::uint32_t msg_seq = 0;
     int chunks_sent = 0;
+    int port = 0;
   };
-  std::vector<std::deque<Pending>> queues_;
+  std::vector<Pending> pending_;         // by (port, enqueue order)
   std::vector<std::uint32_t> next_seq_;  // per port
 };
 

@@ -114,11 +114,11 @@ class BagsProgram : public congest::NodeProgram {
     sender_.pump(ctx);
     // Bagless with nothing queued: blocked on the parent's chunk stream,
     // which wakes us on arrival (sparse scheduler; no-op otherwise).
-    if (!has_bag_ && sender_.idle()) ctx.sleep();
+    if (!has_bag_ && sender_.empty()) ctx.sleep();
   }
 
   bool done(const NodeCtx&) const override {
-    return has_bag_ && sender_.idle();
+    return has_bag_ && sender_.empty();
   }
 
  private:

@@ -175,7 +175,7 @@ class GatherProgram : public congest::NodeProgram {
   }
 
   bool done(const NodeCtx&) const override {
-    return verdict_known_ && sender_.idle();
+    return verdict_known_ && sender_.empty();
   }
 
  private:

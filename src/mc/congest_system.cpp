@@ -73,7 +73,7 @@ class FragSource : public congest::NodeProgram {
     sender_.pump(ctx);
   }
   bool done(const congest::NodeCtx& ctx) const override {
-    return ctx.round() > 0 && sender_.idle();
+    return ctx.round() > 0 && sender_.empty();
   }
 
  private:
@@ -102,7 +102,7 @@ class FragRelay : public congest::NodeProgram {
     tx_.pump(ctx);
   }
   bool done(const congest::NodeCtx&) const override {
-    return commits > 0 && tx_.idle();
+    return commits > 0 && tx_.empty();
   }
 
  private:

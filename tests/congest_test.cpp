@@ -263,7 +263,7 @@ class FragSender : public NodeProgram {
       sender_.enqueue(0, std::string("payload"), bits_);
     sender_.pump(ctx);
   }
-  bool done(const NodeCtx&) const override { return sender_.idle(); }
+  bool done(const NodeCtx&) const override { return sender_.empty(); }
 
  private:
   long bits_;
@@ -315,7 +315,7 @@ class MultiPayloadSender : public NodeProgram {
     }
     sender_.pump(ctx);
   }
-  bool done(const NodeCtx&) const override { return sender_.idle(); }
+  bool done(const NodeCtx&) const override { return sender_.empty(); }
 
  private:
   FragmentSender sender_;

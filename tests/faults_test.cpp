@@ -591,7 +591,7 @@ TEST(FragmentReassembly, DupAndReorderDeliverEachMessageOnceInOrder) {
       sender.pump(ctx);
     }
     bool done(const congest::NodeCtx&) const override {
-      return queued && sender.idle();
+      return queued && sender.empty();
     }
   };
   struct Receiver final : congest::NodeProgram {

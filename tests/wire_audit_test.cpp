@@ -365,7 +365,9 @@ class FragmentingSender : public congest::NodeProgram {
     }
     sender_.pump(ctx);
   }
-  bool done(const NodeCtx&) const override { return queued_ && sender_.idle(); }
+  bool done(const NodeCtx&) const override {
+    return queued_ && sender_.empty();
+  }
 
  private:
   std::int64_t value_;
