@@ -85,7 +85,7 @@ std::vector<dist::LocalBag> bags_for_tree(
 ChurnEngine::ChurnEngine(Graph g, dist::Query query, Options opts)
     : query_(std::move(query)),
       opts_(std::move(opts)),
-      engine_(dist::engine_config(query_)),
+      engine_(dist::universe_key(query_).cfg),
       net_(std::move(g), opts_.net) {
   std::tie(vlabels_, elabels_) = dist::bag_labels(query_, engine_.config());
   invalidate_caches();

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,6 +46,14 @@ enum class Kind { kDecision, kCount, kMaximize, kMinimize, kOptMarked };
 
 /// The phase name a kind's fold runs under ("decide", "count", ...).
 const char* phase_name(Kind kind);
+
+/// The kinds dmc and dmcd serve, by their phase names as verbs. optmarked
+/// folds but is not served: no front door carries its marked set yet.
+inline constexpr Kind kServedKinds[] = {Kind::kDecision, Kind::kMaximize,
+                                        Kind::kMinimize, Kind::kCount};
+
+/// The served kind whose phase name is `verb`; nullopt for any other word.
+std::optional<Kind> kind_of(std::string_view verb);
 
 struct Query {
   Kind kind = Kind::kDecision;
@@ -121,8 +130,25 @@ struct FoldCache {
   void remap(const std::vector<VertexId>& old_to_new, int new_n);
 };
 
-/// The engine configuration (class universe) a query folds over.
-bpt::EngineConfig engine_config(const Query& query);
+/// The query grammar of dmc and dmcd (docs/SERVING.md). maximize, minimize
+/// and optmarked solve the set variable `var` of sort "vset" or "eset";
+/// count reads `vars`, "NAME:vset|eset[,...]" with non-empty, distinct
+/// names. Fields a kind does not take are ignored. Throws
+/// std::invalid_argument naming the first rule broken.
+Query parse_query(Kind kind, const std::string& formula,
+                  const std::string& var, const std::string& sort,
+                  const std::string& vars);
+
+/// The class universe a query folds over, keyed as dmc's --universe-cache
+/// files and dmcd's batches share it: the printed lowered formula and the
+/// engine configuration.
+struct UniverseKey {
+  std::string formula_text;
+  bpt::EngineConfig cfg;
+};
+
+/// Lowers the formula once; throws std::invalid_argument as mso::lower.
+UniverseKey universe_key(const Query& query);
 
 /// Label sets the query's bags must carry: the engine config's labels,
 /// plus the "marked" label on the solved sort for kOptMarked.
@@ -131,7 +157,7 @@ std::pair<std::vector<std::string>, std::vector<std::string>> bag_labels(
 
 /// Runs the whole pipeline with treedepth budget d. `engine` non-null is
 /// used (and filled) instead of a fresh one; its config must equal
-/// engine_config(query). `tree_opts` tunes the elimination-tree prologue;
+/// universe_key(query).cfg. `tree_opts` tunes the elimination-tree prologue;
 /// the answer is unaffected. Throws std::runtime_error naming the depth
 /// when the tree is too deep for the fold engine (too_deep, elim_tree.hpp).
 Outcome run(congest::Network& net, const Query& query, int d,

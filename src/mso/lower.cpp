@@ -63,10 +63,16 @@ FormulaPtr lower_rec(const FormulaPtr& f, std::map<std::string, Sort>& scope) {
 
 FormulaPtr lower(const FormulaPtr& f,
                  const std::vector<std::pair<std::string, Sort>>& free_sorts) {
-  for (const auto& [name, sort] : free_sorts)
+  for (std::size_t i = 0; i < free_sorts.size(); ++i) {
+    const auto& [name, sort] = free_sorts[i];
     if (!is_set(sort))
       throw std::invalid_argument("lower: free variable '" + name +
                                   "' must be set-sorted");
+    for (std::size_t j = 0; j < i; ++j)
+      if (free_sorts[j].first == name)
+        throw std::invalid_argument("lower: free variable '" + name +
+                                    "' declared twice");
+  }
   // Validate the surface formula first (also infers free variables).
   const auto inferred = check_well_formed(*f, free_sorts);
   for (const auto& [name, sort] : inferred)

@@ -21,8 +21,9 @@
 namespace dmc::mso {
 
 /// Lowers `f`; `free_sorts` declares the sorts of free variables (must all
-/// be set sorts). Throws std::invalid_argument if the result would retain an
-/// individual variable or if `f` is ill-formed.
+/// be set sorts, each name at most once). Throws std::invalid_argument if a
+/// free variable is declared twice, if the result would retain an
+/// individual variable, or if `f` is ill-formed.
 FormulaPtr lower(const FormulaPtr& f,
                  const std::vector<std::pair<std::string, Sort>>& free_sorts = {});
 

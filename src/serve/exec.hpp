@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bpt/engine.hpp"
+#include "dist/query.hpp"
 #include "graph/graph.hpp"
 #include "mso/ast.hpp"
 #include "serve/protocol.hpp"
@@ -35,6 +36,7 @@ namespace dmc::serve {
 /// (the batching key), and materialized input graph.
 struct Prepared {
   Query q;
+  dist::Kind kind = dist::Kind::kDecision;
   mso::FormulaPtr formula;
   std::vector<std::pair<std::string, mso::Sort>> frees;
   std::string formula_text;  // printed lowered formula
@@ -42,8 +44,10 @@ struct Prepared {
   Graph graph;
 };
 
-/// Validates and prepares a query; nullopt with a diagnostic in `error`
-/// on bad formulas, specs, sorts, or graphs. Never throws.
+/// Validates and prepares a query: the verb and fields by
+/// dist::parse_query, the universe key by dist::universe_key, then the
+/// graph. nullopt with a diagnostic in `error` on any failure. Never
+/// throws.
 std::optional<Prepared> prepare(const Query& q, std::string& error);
 
 struct QueryResult {

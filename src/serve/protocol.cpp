@@ -1,5 +1,7 @@
-// Protocol line parsing/assembly (see protocol.hpp).
+// Protocol line parsing/assembly (see protocol.hpp): the wire shape only.
 #include "serve/protocol.hpp"
+
+#include "dist/query.hpp"
 
 namespace dmc::serve {
 
@@ -45,8 +47,7 @@ Request parse_request(const std::string& line) {
     r.target = target;
     return r;
   }
-  if (verb != "decide" && verb != "maximize" && verb != "minimize" &&
-      verb != "count")
+  if (!dist::kind_of(verb))
     return malformed(id, "unknown verb '" + verb + "'");
 
   Query q;
@@ -67,13 +68,6 @@ Request parse_request(const std::string& line) {
   q.var = j["var"].as_string();
   q.sort = j["sort"].as_string();
   q.vars = j["vars"].as_string();
-  if ((verb == "maximize" || verb == "minimize")) {
-    if (q.var.empty()) return malformed(id, verb + " needs var");
-    if (q.sort != "vset" && q.sort != "eset")
-      return malformed(id, verb + " needs sort vset|eset");
-  }
-  if (verb == "count" && q.vars.empty())
-    return malformed(id, "count needs vars (NAME:vset|eset,...)");
 
   Request r;
   r.kind = Request::Kind::kQuery;

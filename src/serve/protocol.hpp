@@ -1,8 +1,8 @@
 // dmcd line protocol: request/response model (spec in docs/SERVING.md).
 //
-// One JSON object per line in each direction. Query verbs name the four
-// pipelines (decide/maximize/minimize/count); control verbs (ping,
-// metrics, shutdown, trace) are answered inline by the server. `trace`
+// One JSON object per line in each direction. Query verbs are the served
+// fold kinds (dist::kind_of); control verbs (ping, metrics, shutdown,
+// trace) are answered inline by the server. `trace`
 // takes a `target` field — the id of a recently answered query — and
 // returns that query's span timeline (docs/OBSERVABILITY.md). Every response
 // carries a `status` string and the `code` it would exit with as a
@@ -52,7 +52,8 @@ struct Request {
   std::string error;   // kMalformed diagnostic
 };
 
-/// Parses one protocol line. Never throws: anything unparsable or missing
+/// Parses one protocol line's wire shape; the query grammar is checked by
+/// prepare() (exec.hpp). Never throws: anything unparsable or missing
 /// required fields comes back kMalformed with a diagnostic.
 Request parse_request(const std::string& line);
 

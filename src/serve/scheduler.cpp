@@ -75,9 +75,9 @@ Scheduler::Scheduler(SchedulerOptions opts, bpt::UniverseTier& tier)
     met_peak_ = &reg->gauge("serve.queue.peak");
     met_batch_size_ = &reg->histogram("serve.batch.size");
     met_flight_dumps_ = &reg->counter("serve.flight.dumps");
-    for (const char* verb : {"decide", "maximize", "minimize", "count"})
-      met_latency_[verb] =
-          &reg->histogram(std::string("serve.latency_ms.") + verb);
+    for (const dist::Kind kind : dist::kServedKinds)
+      met_latency_[dist::phase_name(kind)] = &reg->histogram(
+          std::string("serve.latency_ms.") + dist::phase_name(kind));
   }
 }
 

@@ -589,6 +589,12 @@ TEST(ChurnEngine, CountDigestsMatchOracleUnderRandomChurn) {
   }
 }
 
+TEST(ChurnEngine, RejectsAFreeVariableDeclaredTwice) {
+  dist::Query q = count_query();
+  q.frees.emplace_back("S", Sort::EdgeSet);
+  EXPECT_THROW(ChurnEngine(gen::path(4), q, Options{}), std::invalid_argument);
+}
+
 TEST(ChurnEngine, MaximizeDigestsMatchOracleUnderRandomChurn) {
   for (unsigned seed = 0; seed < 2; ++seed) {
     Options opts;

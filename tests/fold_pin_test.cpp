@@ -123,7 +123,7 @@ void put_global_fold(std::ostringstream& out, bpt::Engine& engine,
 /// folded twice through the same engine.
 std::string dist_digest(const Graph& g, const dist::Query& q) {
   std::ostringstream out;
-  bpt::Engine engine(dist::engine_config(q));
+  bpt::Engine engine(dist::universe_key(q).cfg);
   for (int pass = 0; pass < 2; ++pass) {
     congest::Network net(g);
     put_outcome(out, dist::run(net, q, 3, &engine));

@@ -5,10 +5,14 @@
 //   dmc maximize --formula "<mso>" --var S --sort vset|eset (--graph ...)
 //                [--dist D] [--trace ...] [--audit]
 //   dmc minimize ... (same as maximize)
-//   dmc count    --formula "<mso>" --vars S:vset[,T:vset...] (--graph ...)
+//   dmc count    --formula "<mso>" --vars S:vset[,T:eset...] (--graph ...)
 //                [--dist D] [--trace ...] [--audit]
 //   dmc treedepth (--graph ... | --family NAME)
 //
+// The query verbs and --formula, --var, --sort and --vars follow
+// dist::parse_query, the grammar dmcd shares (docs/SERVING.md): --vars
+// names are non-empty and distinct, with no empty items. A query that
+// breaks it is a usage error (exit 2).
 // --graph reads the DIMACS-like format of src/graph/io.hpp from a file
 // ("-" = stdin). --family builds a named generator instance, e.g.
 // "path:12", "cycle:9", "grid:4x5", "star:8", "btd:20:3".
@@ -75,10 +79,8 @@
 #include "congest/network.hpp"
 #include "dist/query.hpp"
 #include "metrics/metrics.hpp"
-#include "mso/lower.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "mso/parser.hpp"
 #include "obs/atomic_file.hpp"
 #include "obs/buffer.hpp"
 #include "obs/chrome.hpp"
@@ -135,12 +137,6 @@ Graph family_graph(const std::string& spec) {
   }
 }
 
-mso::Sort parse_sort(const std::string& s) {
-  if (s == "vset") return mso::Sort::VertexSet;
-  if (s == "eset") return mso::Sort::EdgeSet;
-  usage("--sort must be vset or eset");
-}
-
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -150,6 +146,10 @@ struct Args {
     auto it = options.find(key);
     if (it == options.end()) usage(("missing --" + key).c_str());
     return it->second;
+  }
+  /// The option's value, or "" when it is absent.
+  std::string value(const std::string& key) const {
+    return has(key) ? get(key) : std::string();
   }
 };
 
@@ -247,11 +247,10 @@ UniverseCache make_universe_cache(const Args& args, const dist::Query& q) {
   if (!args.has("universe-cache")) return uc;
   std::string dir = args.get("universe-cache");
   if (dir == "auto") dir = bpt::default_universe_cache_dir();
-  const mso::FormulaPtr lowered = mso::lower(q.formula, q.frees);
-  uc.engine.emplace(dist::engine_config(q));
+  const dist::UniverseKey key = dist::universe_key(q);
+  uc.engine.emplace(key.cfg);
   if (dir.empty()) return uc;  // no usable cache dir: run uncached
-  uc.path =
-      bpt::universe_cache_path(dir, mso::to_string(*lowered), uc.engine->config());
+  uc.path = bpt::universe_cache_path(dir, key.formula_text, key.cfg);
   uc.warm = bpt::load_universe_cache(*uc.engine, uc.path);
   return uc;
 }
@@ -558,28 +557,15 @@ int run_churn(const Args& args, Graph g, const dist::Query& query, int d) {
   return 0;
 }
 
-/// The query a decide/maximize/minimize/count command line asks.
-dist::Query parse_query(const Args& args, dist::Kind kind) {
-  dist::Query q{kind, mso::parse(args.get("formula")), {}};
-  if (kind == dist::Kind::kMaximize || kind == dist::Kind::kMinimize)
-    q.frees = {{args.get("var"), parse_sort(args.get("sort"))}};
-  if (kind == dist::Kind::kCount) {
-    std::istringstream ss(args.get("vars"));
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      const auto colon = item.find(':');
-      if (colon == std::string::npos)
-        usage("--vars needs NAME:vset|eset items");
-      q.frees.emplace_back(item.substr(0, colon),
-                           parse_sort(item.substr(colon + 1)));
-    }
-  }
-  return q;
-}
-
 int cmd_query(const Args& args, dist::Kind kind) {
   const Graph g = load_graph(args);
-  const dist::Query q = parse_query(args, kind);
+  dist::Query q;
+  try {
+    q = dist::parse_query(kind, args.get("formula"), args.value("var"),
+                          args.value("sort"), args.value("vars"));
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
   const auto d = dist_budget(args);
   if (!d) {
     const dist::Outcome out = dist::run_sequential(g, q);
@@ -666,11 +652,8 @@ int cmd_treedepth(const Args& args) {
 int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
-    using dist::Kind;
-    if (args.command == "decide") return cmd_query(args, Kind::kDecision);
-    if (args.command == "maximize") return cmd_query(args, Kind::kMaximize);
-    if (args.command == "minimize") return cmd_query(args, Kind::kMinimize);
-    if (args.command == "count") return cmd_query(args, Kind::kCount);
+    if (const auto kind = dist::kind_of(args.command))
+      return cmd_query(args, *kind);
     if (args.command == "treedepth") return cmd_treedepth(args);
     usage("unknown command");
   } catch (const congest::RoundLimitError& e) {
