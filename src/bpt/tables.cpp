@@ -70,9 +70,144 @@ TypeId compose_pair(Engine& engine, const GluingMatrix& f, int& op, TypeId l,
   return engine.compose(op, l, r);
 }
 
-std::uint32_t labels_of(const Engine& engine, const Graph& g, VertexId v) {
-  return vertex_label_bits(engine, g, v);
+/// A node's per-class items in visit order, merged per class: sorted by
+/// (class, visit order), each run folds into its first item through
+/// T::merge(first, later). It merges whenever the buffer doubles past its
+/// last merged size, so it holds O(classes) items however many pairs a glue
+/// node visits; the buffer is reused from node to node. T has fields `t`
+/// (the class) and `seq` (set here).
+template <typename T>
+class ClassAccumulator {
+ public:
+  void clear() {
+    items_.clear();
+    merged_ = 0;
+    seq_ = 0;
+  }
+  void add(T item) {
+    item.seq = seq_++;
+    items_.push_back(item);
+    if (items_.size() >= 2 * merged_ + 256) merge();
+  }
+  /// The merged items, ascending by class.
+  const std::vector<T>& merged() {
+    merge();
+    return items_;
+  }
+
+ private:
+  void merge() {
+    std::sort(items_.begin(), items_.end(), [](const T& a, const T& b) {
+      return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+    });
+    auto out = items_.begin();
+    for (auto it = items_.begin(); it != items_.end(); ++out) {
+      *out = *it;
+      for (++it; it != items_.end() && it->t == out->t; ++it)
+        T::merge(*out, *it);
+    }
+    items_.erase(out, items_.end());
+    merged_ = items_.size();
+  }
+
+  std::vector<T> items_;
+  std::size_t merged_ = 0;
+  std::uint32_t seq_ = 0;
+};
+
+/// The table fold: per plan node, a table from class to value, built from
+/// items (class, value) — one per K1/K2 assignment, per consistent pair of
+/// the children's entries at a glue node, per entry of an Input table —
+/// merged per class by R::Item::merge. The rules R supply
+///   Table, Item        the table type, and an item with fields t, seq and
+///                      value and a static merge(first, later);
+///   leaf(pn, bits, t)  the item of one K1/K2 assignment of class t;
+///   pair(pn, l, r, t)  the item of one consistent pair of entries l, r;
+///   keep(node, item)   sees each merged item as it enters the table.
+template <typename R>
+std::vector<typename R::Table> fold_tables(
+    Engine& engine, const Plan& plan, const Graph& g,
+    const std::vector<typename R::Table>& inputs, const R& rules) {
+  using Item = typename R::Item;
+  std::vector<typename R::Table> tables(plan.nodes.size());
+  ClassAccumulator<Item> items;
+  TracePairing pairing;
+  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
+    const PlanNode& pn = plan.nodes[i];
+    items.clear();
+    switch (pn.kind) {
+      case PlanNode::Kind::K1: {
+        const std::uint32_t lv = vertex_label_bits(engine, g, pn.v);
+        for_each_assignment(engine.config(), false, [&](const SlotBits& bits) {
+          items.add(rules.leaf(pn, bits, engine.k1(lv, bits)));
+        });
+        break;
+      }
+      case PlanNode::Kind::K2: {
+        const std::uint32_t lv = vertex_label_bits(engine, g, pn.v);
+        const std::uint32_t lw = vertex_label_bits(engine, g, pn.w);
+        const std::uint32_t le = edge_label_bits(engine, g, pn.e);
+        for_each_assignment(engine.config(), true, [&](const SlotBits& bits) {
+          items.add(rules.leaf(pn, bits, engine.k2(lv, lw, le, bits)));
+        });
+        break;
+      }
+      case PlanNode::Kind::Glue: {
+        int op = -1;
+        pairing.for_each(engine, pn.op, tables[pn.left], tables[pn.right],
+                         [&](const auto& l, const auto& r) {
+                           const TypeId t = compose_pair(engine, pn.op, op,
+                                                         l.first, r.first);
+                           if (t != kInvalidType)
+                             items.add(rules.pair(pn, l, r, t));
+                         });
+        break;
+      }
+      case PlanNode::Kind::Input:
+        if (pn.input >= static_cast<int>(inputs.size()))
+          throw std::invalid_argument("table fold: missing input table");
+        for (const auto& [t, value] : inputs[pn.input]) {
+          Item item{};  // an OPT input entry has no backpointer
+          item.t = t;
+          item.value = value;
+          items.add(item);
+        }
+        break;
+    }
+    for (const Item& item : items.merged()) {
+      tables[i][item.t] = item.value;  // ascending keys: appends
+      rules.keep(i, item);
+    }
+  }
+  return tables;
 }
+
+/// COUNT: a leaf counts one assignment, a pair the product of its entries'
+/// counts, and a class the sum of its terms. Unsigned partial sums only
+/// grow, so a class overflows in some order iff it overflows in this one.
+struct CountRules {
+  using Table = CountTable;
+  struct Item {
+    TypeId t;
+    std::uint32_t seq;
+    std::uint64_t value;
+    static void merge(Item& first, const Item& later) {
+      if (__builtin_add_overflow(first.value, later.value, &first.value))
+        throw std::overflow_error("fold_count: counter overflow");
+    }
+  };
+  Item leaf(const PlanNode&, const SlotBits&, TypeId t) const {
+    return {t, 0, 1};
+  }
+  template <typename E>
+  Item pair(const PlanNode&, const E& l, const E& r, TypeId t) const {
+    std::uint64_t prod = 0;
+    if (__builtin_mul_overflow(l.second, r.second, &prod))
+      throw std::overflow_error("fold_count: counter overflow");
+    return {t, 0, prod};
+  }
+  void keep(std::size_t, const Item&) const {}
+};
 
 }  // namespace
 
@@ -94,21 +229,34 @@ std::uint32_t edge_label_bits(const Engine& engine, const Graph& g, EdgeId e) {
 }
 
 TypeId fold_type(Engine& engine, const Plan& plan, const Graph& g,
-                 std::span<const TypeId> inputs) {
+                 std::span<const TypeId> inputs, const SlotMembership* fixed) {
   FoldTimer timer;
-  if (!engine.config().free_sorts.empty())
+  const auto& sorts = engine.config().free_sorts;
+  if (fixed == nullptr && !sorts.empty())
     throw std::invalid_argument("fold_type: engine must have no free slots");
+  if (fixed != nullptr && sorts.size() != 1)
+    throw std::invalid_argument("fold_type: a fixed membership needs one slot");
+  const bool vertex_sort = fixed && sorts[0] == mso::Sort::VertexSet;
+  auto in = [](const std::vector<bool>& flags, int id) {
+    return id < static_cast<int>(flags.size()) && flags[id];
+  };
+  SlotBits bits(sorts.size(), 0);  // no slots, or the fixed one's bits
   std::vector<TypeId> value(plan.nodes.size(), kInvalidType);
   for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
     const PlanNode& pn = plan.nodes[i];
     switch (pn.kind) {
       case PlanNode::Kind::K1:
-        value[i] = engine.k1(labels_of(engine, g, pn.v), {});
+        if (fixed) bits[0] = vertex_sort && in(fixed->vertices, pn.v);
+        value[i] = engine.k1(vertex_label_bits(engine, g, pn.v), bits);
         break;
       case PlanNode::Kind::K2:
-        value[i] = engine.k2(labels_of(engine, g, pn.v),
-                             labels_of(engine, g, pn.w),
-                             edge_label_bits(engine, g, pn.e), {});
+        if (fixed)
+          bits[0] = vertex_sort ? in(fixed->vertices, pn.v) |
+                                      (in(fixed->vertices, pn.w) << 1)
+                                : in(fixed->edges, pn.e);
+        value[i] = engine.k2(vertex_label_bits(engine, g, pn.v),
+                             vertex_label_bits(engine, g, pn.w),
+                             edge_label_bits(engine, g, pn.e), bits);
         break;
       case PlanNode::Kind::Glue:
         value[i] = engine.compose(pn.op, value[pn.left], value[pn.right]);
@@ -125,86 +273,68 @@ TypeId fold_type(Engine& engine, const Plan& plan, const Graph& g,
   return value[plan.root];
 }
 
-TypeId fold_assigned_type(Engine& engine, const Plan& plan, const Graph& g,
-                          const std::vector<bool>& vertex_in,
-                          const std::vector<bool>& edge_in,
-                          std::span<const TypeId> inputs) {
-  if (engine.config().free_sorts.size() != 1)
-    throw std::invalid_argument("fold_assigned_type: one free slot required");
-  const bool vertex_sort =
-      engine.config().free_sorts[0] == mso::Sort::VertexSet;
-  auto vin = [&](VertexId v) {
-    return vertex_sort && v < static_cast<VertexId>(vertex_in.size()) &&
-           vertex_in[v];
-  };
-  auto ein = [&](EdgeId e) {
-    return !vertex_sort && e < static_cast<EdgeId>(edge_in.size()) &&
-           edge_in[e];
-  };
-  std::vector<TypeId> value(plan.nodes.size(), kInvalidType);
-  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    switch (pn.kind) {
-      case PlanNode::Kind::K1:
-        value[i] = engine.k1(labels_of(engine, g, pn.v),
-                             {static_cast<std::uint8_t>(vin(pn.v) ? 1 : 0)});
-        break;
-      case PlanNode::Kind::K2: {
-        std::uint8_t bits = 0;
-        if (vertex_sort)
-          bits = static_cast<std::uint8_t>((vin(pn.v) ? 1 : 0) |
-                                           (vin(pn.w) ? 2 : 0));
-        else
-          bits = ein(pn.e) ? 1 : 0;
-        value[i] = engine.k2(labels_of(engine, g, pn.v),
-                             labels_of(engine, g, pn.w),
-                             edge_label_bits(engine, g, pn.e), {bits});
-        break;
-      }
-      case PlanNode::Kind::Glue:
-        value[i] = engine.compose(pn.op, value[pn.left], value[pn.right]);
-        if (value[i] == kInvalidType)
-          throw std::logic_error("fold_assigned_type: inconsistent composition");
-        break;
-      case PlanNode::Kind::Input:
-        if (pn.input >= static_cast<int>(inputs.size()))
-          throw std::invalid_argument("fold_assigned_type: missing input");
-        value[i] = inputs[pn.input];
-        break;
+// --- optimization ---------------------------------------------------------------
+
+/// OPT: an item's value is the weight of its assignment. A leaf weighs its
+/// selected elements, a pair the sum of its entries' weights less what the
+/// two sides share, and per class the first maximum wins. Each item carries
+/// its ARGOPT backpointer, kept for reconstruction.
+struct OptSolver::Rules {
+  using Table = OptTable;
+  struct Item {
+    TypeId t;
+    std::uint32_t seq;
+    Weight value;
+    Back back;
+    static void merge(Item& first, const Item& later) {
+      if (later.value > first.value) first = later;
     }
+  };
+
+  const Engine& engine;
+  const Graph& g;
+  bool vertex_sort;
+  std::vector<FlatMap<TypeId, Back>>& backs;
+
+  /// K1 enumerates bits 0..1 only and edge slots never set bit 0 at a K1,
+  /// so one formula weighs both leaf kinds.
+  Item leaf(const PlanNode& pn, const SlotBits& bits, TypeId t) const {
+    const std::uint8_t b = bits[0];
+    Weight w = 0;
+    if (vertex_sort) {
+      if (b & 1) w += g.vertex_weight(pn.v);
+      if (b & 2) w += g.vertex_weight(pn.w);
+    } else if (b & 1) {
+      w += g.edge_weight(pn.e);
+    }
+    return {t, 0, w, Back{b, kInvalidType, kInvalidType}};
   }
-  return value[plan.root];
-}
+  template <typename E>
+  Item pair(const PlanNode& pn, const E& l, const E& r, TypeId t) const {
+    return {t, 0, l.second + r.second - overlap(pn, l.first, r.first),
+            Back{0, l.first, r.first}};
+  }
+  void keep(std::size_t node, const Item& item) const {
+    backs[node][item.t] = item.back;
+  }
 
-// --- OptSolver ----------------------------------------------------------------
-
-OptSolver::OptSolver(Engine& engine, const Plan& plan, const Graph& g,
-                     std::vector<OptTable> input_tables)
-    : engine_(engine), plan_(plan), g_(g), inputs_(std::move(input_tables)) {
-  if (engine_.config().free_sorts.size() != 1)
-    throw std::invalid_argument("OptSolver: exactly one free slot required");
-  tables_.resize(plan_.nodes.size());
-  backs_.resize(plan_.nodes.size());
-  Scratch scratch;
-  for (std::size_t i = 0; i < plan_.nodes.size(); ++i)
-    solve(static_cast<int>(i), scratch);
-}
-
-Weight OptSolver::glue_overlap(const PlanNode& pn, TypeId left,
-                               TypeId right) const {
-  const mso::Sort sort = engine_.config().free_sorts[0];
-  const TypeNode& L = engine_.node(left);
-  const TypeNode& R = engine_.node(right);
-  const int tau_p = pn.op.parent_tau();
-  Weight overlap = 0;
-  if (sort == mso::Sort::VertexSet) {
-    for (int r = 0; r < tau_p; ++r) {
-      const int cl = pn.op.rows[r][0], cr = pn.op.rows[r][1];
-      if (cl < 0 || cr < 0) continue;
-      if ((L.atoms.vars[0].mask >> cl) & 1)  // == right bit by consistency
-        overlap += g_.vertex_weight(pn.terminals[r]);
+  /// Weight of the selected elements both sides of a glue node count: the
+  /// identified terminals (vertex slot) or the edges present on both sides
+  /// between identified terminals (edge slot).
+  Weight overlap(const PlanNode& pn, TypeId left, TypeId right) const {
+    const TypeNode& L = engine.node(left);
+    const TypeNode& R = engine.node(right);
+    const int tau_p = pn.op.parent_tau();
+    Weight sum = 0;
+    if (vertex_sort) {
+      for (int r = 0; r < tau_p; ++r) {
+        const int cl = pn.op.rows[r][0], cr = pn.op.rows[r][1];
+        if (cl < 0 || cr < 0) continue;
+        if ((L.atoms.vars[0].mask >> cl) & 1)  // == right bit by consistency
+          sum += g.vertex_weight(pn.terminals[r]);
+      }
+      return sum;
     }
-  } else {
     const int tau_l = L.atoms.tau, tau_r = R.atoms.tau;
     for (int i = 0; i < tau_p; ++i) {
       for (int j = i + 1; j < tau_p; ++j) {
@@ -215,75 +345,27 @@ Weight OptSolver::glue_overlap(const PlanNode& pn, TypeId left,
         const bool er = (R.atoms.term_adj >> pair_index(ri, rj, tau_r)) & 1;
         if (!el || !er) continue;  // edge must exist on both sides
         if ((L.atoms.vars[0].pair_mask >> pair_index(li, lj, tau_l)) & 1) {
-          const EdgeId e = g_.edge_id(pn.terminals[i], pn.terminals[j]);
+          const EdgeId e = g.edge_id(pn.terminals[i], pn.terminals[j]);
           if (e < 0)
             throw std::logic_error("OptSolver: shared edge not in host graph");
-          overlap += g_.edge_weight(e);
+          sum += g.edge_weight(e);
         }
       }
     }
+    return sum;
   }
-  return overlap;
-}
+};
 
-void OptSolver::solve(int node, Scratch& scratch) {
-  const PlanNode& pn = plan_.nodes[node];
-  const mso::Sort sort = engine_.config().free_sorts[0];
-  auto& candidates = scratch.candidates;
-  candidates.clear();
-  switch (pn.kind) {
-    case PlanNode::Kind::K1:
-      for_each_assignment(engine_.config(), false, [&](const SlotBits& bits) {
-        const TypeId t = engine_.k1(labels_of(engine_, g_, pn.v), bits);
-        const Weight w = (sort == mso::Sort::VertexSet && (bits[0] & 1))
-                             ? g_.vertex_weight(pn.v)
-                             : 0;
-        candidates.add({t, 0, w, Back{bits[0], kInvalidType, kInvalidType}});
-      });
-      break;
-    case PlanNode::Kind::K2:
-      for_each_assignment(engine_.config(), true, [&](const SlotBits& bits) {
-        const TypeId t =
-            engine_.k2(labels_of(engine_, g_, pn.v), labels_of(engine_, g_, pn.w),
-                       edge_label_bits(engine_, g_, pn.e), bits);
-        Weight w = 0;
-        if (sort == mso::Sort::VertexSet) {
-          if (bits[0] & 1) w += g_.vertex_weight(pn.v);
-          if (bits[0] & 2) w += g_.vertex_weight(pn.w);
-        } else if (bits[0] & 1) {
-          w += g_.edge_weight(pn.e);
-        }
-        candidates.add({t, 0, w, Back{bits[0], kInvalidType, kInvalidType}});
-      });
-      break;
-    case PlanNode::Kind::Glue: {
-      int op = -1;
-      scratch.pairing.for_each(
-          engine_, pn.op, tables_[pn.left], tables_[pn.right],
-          [&](const auto& l, const auto& r) {
-            const auto& [tl, wl] = l;
-            const auto& [tr, wr] = r;
-            const TypeId t = compose_pair(engine_, pn.op, op, tl, tr);
-            if (t == kInvalidType) return;
-            candidates.add(
-                {t, 0, wl + wr - glue_overlap(pn, tl, tr), Back{0, tl, tr}});
-          });
-      break;
-    }
-    case PlanNode::Kind::Input: {
-      if (pn.input >= static_cast<int>(inputs_.size()))
-        throw std::invalid_argument("OptSolver: missing input table");
-      for (const auto& [t, w] : inputs_[pn.input])
-        candidates.add({t, 0, w, Back{}});
-      break;
-    }
-  }
-  OptTable& table = tables_[node];
-  auto& back = backs_[node];
-  for (const Candidate& c : candidates.merged()) {
-    table[c.t] = c.w;  // ascending keys: appends
-    back[c.t] = c.back;
-  }
+OptSolver::OptSolver(Engine& engine, const Plan& plan, const Graph& g,
+                     std::vector<OptTable> input_tables)
+    : engine_(engine), plan_(plan), g_(g) {
+  if (engine_.config().free_sorts.size() != 1)
+    throw std::invalid_argument("OptSolver: exactly one free slot required");
+  backs_.resize(plan_.nodes.size());
+  const bool vertex_sort =
+      engine_.config().free_sorts[0] == mso::Sort::VertexSet;
+  tables_ = fold_tables(engine_, plan_, g_, input_tables,
+                        Rules{engine_, g_, vertex_sort, backs_});
 }
 
 OptSolver::Solution OptSolver::reconstruct(TypeId root_choice) const {
@@ -291,7 +373,8 @@ OptSolver::Solution OptSolver::reconstruct(TypeId root_choice) const {
   sol.vertices.assign(g_.num_vertices(), false);
   sol.edges.assign(g_.num_edges(), false);
   sol.input_choices.assign(plan_.num_inputs, kInvalidType);
-  const mso::Sort sort = engine_.config().free_sorts[0];
+  const bool vertex_sort =
+      engine_.config().free_sorts[0] == mso::Sort::VertexSet;
   auto walk = [&](auto&& self, int node, TypeId t) -> void {
     const PlanNode& pn = plan_.nodes[node];
     auto it = backs_[node].find(t);
@@ -300,11 +383,8 @@ OptSolver::Solution OptSolver::reconstruct(TypeId root_choice) const {
     const Back& b = it->second;
     switch (pn.kind) {
       case PlanNode::Kind::K1:
-        if (sort == mso::Sort::VertexSet && (b.slot_bits & 1))
-          sol.vertices[pn.v] = true;
-        break;
-      case PlanNode::Kind::K2:
-        if (sort == mso::Sort::VertexSet) {
+      case PlanNode::Kind::K2:  // the bits Rules::leaf weighed
+        if (vertex_sort) {
           if (b.slot_bits & 1) sol.vertices[pn.v] = true;
           if (b.slot_bits & 2) sol.vertices[pn.w] = true;
         } else if (b.slot_bits & 1) {
@@ -326,68 +406,10 @@ OptSolver::Solution OptSolver::reconstruct(TypeId root_choice) const {
 
 // --- counting ------------------------------------------------------------------
 
-std::vector<CountTable> fold_count(Engine& engine, const Plan& plan,
-                                   const Graph& g,
-                                   std::vector<CountTable> input_tables) {
-  std::vector<CountTable> tables(plan.nodes.size());
-  // Per node: the (class, count) terms of its assignments, summed per
-  // class. Unsigned partial sums only grow, so a class overflows in some
-  // order iff it overflows in this one.
-  struct Term {
-    TypeId t;
-    std::uint32_t seq;
-    std::uint64_t count;
-    static void merge(Term& first, const Term& later) {
-      if (__builtin_add_overflow(first.count, later.count, &first.count))
-        throw std::overflow_error("fold_count: counter overflow");
-    }
-  };
-  detail::ClassAccumulator<Term> terms;
-  TracePairing pairing;
-  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    CountTable& table = tables[i];
-    terms.clear();
-    switch (pn.kind) {
-      case PlanNode::Kind::K1:
-        for_each_assignment(engine.config(), false, [&](const SlotBits& bits) {
-          terms.add({engine.k1(labels_of(engine, g, pn.v), bits), 0, 1});
-        });
-        break;
-      case PlanNode::Kind::K2:
-        for_each_assignment(engine.config(), true, [&](const SlotBits& bits) {
-          terms.add({engine.k2(labels_of(engine, g, pn.v),
-                               labels_of(engine, g, pn.w),
-                               edge_label_bits(engine, g, pn.e), bits),
-                     0, 1});
-        });
-        break;
-      case PlanNode::Kind::Glue: {
-        int op = -1;
-        pairing.for_each(
-            engine, pn.op, tables[pn.left], tables[pn.right],
-            [&](const auto& l, const auto& r) {
-              const auto& [tl, cl] = l;
-              const auto& [tr, cr] = r;
-              const TypeId t = compose_pair(engine, pn.op, op, tl, tr);
-              if (t == kInvalidType) return;
-              std::uint64_t prod = 0;
-              if (__builtin_mul_overflow(cl, cr, &prod))
-                throw std::overflow_error("fold_count: counter overflow");
-              terms.add({t, 0, prod});
-            });
-        break;
-      }
-      case PlanNode::Kind::Input:
-        if (pn.input >= static_cast<int>(input_tables.size()))
-          throw std::invalid_argument("fold_count: missing input table");
-        table = input_tables[pn.input];
-        continue;
-    }
-    for (const Term& term : terms.merged())
-      table[term.t] = term.count;  // ascending keys: appends
-  }
-  return tables;
+std::vector<CountTable> fold_count(
+    Engine& engine, const Plan& plan, const Graph& g,
+    std::vector<CountTable> input_tables) {
+  return fold_tables(engine, plan, g, input_tables, CountRules{});
 }
 
 std::vector<VertexId> selected_vertices(const Engine& engine, TypeId c,

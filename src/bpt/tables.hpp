@@ -2,12 +2,19 @@
 // Algorithm 1 in the paper (decision, optimization with OPT/ARGOPT tables,
 // and counting; Lemmas 4.3, 4.6 and the counting extension of Section 6).
 //
+// Two walks over a plan serve all of them. The class fold (fold_type) keeps
+// one class per node: decision, and the class of a fixed assignment of one
+// free slot (optmarked's marked set). The table fold keeps, per node, a
+// table from class to value. Its node loop is written once; COUNT (counts
+// multiply along pairs and add per class) and OPT (weights add along pairs
+// and the first maximum wins per class, with ARGOPT backpointers) are two
+// rule sets on it.
+//
 // The same folds serve the sequential algorithms (fold the global plan) and
 // the distributed protocols (each node folds its local plan, with Input
 // placeholders carrying the children's tables received as messages).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,59 +26,20 @@
 
 namespace dmc::bpt {
 
-/// Homomorphism class of the plan's root (decision problems: no free
-/// slots). `inputs` supplies the class of each Input placeholder.
-TypeId fold_type(Engine& engine, const Plan& plan, const Graph& g,
-                 std::span<const TypeId> inputs = {});
-
-namespace detail {
-
-/// A node's per-class contributions in visit order, merged per class:
-/// sorted by (class, visit order), each run folds into its first item
-/// through T::merge(first, later). It merges whenever the buffer doubles
-/// past its last merged size, so it holds O(classes) items however many
-/// pairs a glue node visits; the buffer is reused from node to node. T has
-/// fields `t` (the class) and `seq` (set here).
-template <typename T>
-class ClassAccumulator {
- public:
-  void clear() {
-    items_.clear();
-    merged_ = 0;
-    seq_ = 0;
-  }
-  void add(T item) {
-    item.seq = seq_++;
-    items_.push_back(item);
-    if (items_.size() >= 2 * merged_ + 256) merge();
-  }
-  /// The merged items, ascending by class.
-  const std::vector<T>& merged() {
-    merge();
-    return items_;
-  }
-
- private:
-  void merge() {
-    std::sort(items_.begin(), items_.end(), [](const T& a, const T& b) {
-      return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-    });
-    auto out = items_.begin();
-    for (auto it = items_.begin(); it != items_.end(); ++out) {
-      *out = *it;
-      for (++it; it != items_.end() && it->t == out->t; ++it)
-        T::merge(*out, *it);
-    }
-    items_.erase(out, items_.end());
-    merged_ = items_.size();
-  }
-
-  std::vector<T> items_;
-  std::size_t merged_ = 0;
-  std::uint32_t seq_ = 0;
+/// A fixed assignment of an engine's one free slot: membership flags over
+/// the host graph's vertex ids (vertex-set slot) or edge ids (edge-set
+/// slot). Ids past the end of a list are not members.
+struct SlotMembership {
+  std::vector<bool> vertices;
+  std::vector<bool> edges;
 };
 
-}  // namespace detail
+/// Homomorphism class of the plan's root. Without `fixed` the engine must
+/// have no free slots (decision problems); with it, exactly one, assigned
+/// as `fixed` says. `inputs` supplies the class of each Input placeholder.
+TypeId fold_type(Engine& engine, const Plan& plan, const Graph& g,
+                 std::span<const TypeId> inputs = {},
+                 const SlotMembership* fixed = nullptr);
 
 // --- optimization (one free set slot) ----------------------------------------
 
@@ -112,34 +80,11 @@ class OptSolver {
     std::uint8_t slot_bits = 0;        // K1/K2: membership bits
     TypeId left = kInvalidType, right = kInvalidType;  // Glue
   };
-
-  /// One (class, weight, backpointer) a node's assignments reach; per
-  /// class the first of maximum weight wins.
-  struct Candidate {
-    TypeId t;
-    std::uint32_t seq;
-    Weight w;
-    Back back;
-    static void merge(Candidate& first, const Candidate& later) {
-      if (later.w > first.w) first = later;
-    }
-  };
-
-  /// Per-node working storage, reused across one fold's nodes and freed
-  /// with it: a solver outlives its fold (ARGOPT reconstruction), and the
-  /// distributed protocol keeps one per vertex.
-  struct Scratch {
-    TracePairing pairing;
-    detail::ClassAccumulator<Candidate> candidates;
-  };
-
-  void solve(int node, Scratch& scratch);
-  Weight glue_overlap(const PlanNode& pn, TypeId left, TypeId right) const;
+  struct Rules;  // the OPT rules of the table fold (tables.cpp)
 
   Engine& engine_;
   const Plan& plan_;
   const Graph& g_;
-  std::vector<OptTable> inputs_;
   std::vector<OptTable> tables_;                  // per plan node
   std::vector<FlatMap<TypeId, Back>> backs_;      // per plan node
 };
@@ -150,18 +95,9 @@ using CountTable = FlatMap<TypeId, std::uint64_t>;
 
 /// COUNT table: per class, the number of assignments of the free slots with
 /// that class (Section 6, counting). Throws on std::uint64_t overflow.
-std::vector<CountTable> fold_count(Engine& engine, const Plan& plan,
-                                   const Graph& g,
-                                   std::vector<CountTable> input_tables = {});
-
-/// Class of the plan root under a *fixed* assignment of one free slot
-/// (vertex or edge set given by membership flags over the host graph's
-/// ids). Used by the optmarked protocol (Section 6): the marked set's own
-/// class is folded bottom-up alongside the OPT tables.
-TypeId fold_assigned_type(Engine& engine, const Plan& plan, const Graph& g,
-                          const std::vector<bool>& vertex_in,
-                          const std::vector<bool>& edge_in,
-                          std::span<const TypeId> inputs = {});
+std::vector<CountTable> fold_count(
+    Engine& engine, const Plan& plan, const Graph& g,
+    std::vector<CountTable> input_tables = {});
 
 // --- Selected(c, W) (remark after Definition 4.1) ----------------------------
 

@@ -89,8 +89,9 @@ struct ConformanceOptions {
   /// reversal renames classes, re-encodes the same tables under different
   /// ids, and shifts the send-time num_types() the declared class widths
   /// are derived from. Verdict, round count, and message count are always
-  /// compared. Turn this on for engine-free protocols (e.g. the congest
-  /// primitives), where the execution must be bit-identical either way.
+  /// compared. Turn this on for engine-free protocols (e.g. Algorithm 2's
+  /// elimination tree), where the execution must be bit-identical either
+  /// way.
   bool order_compare_content = false;
 };
 

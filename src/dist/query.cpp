@@ -665,24 +665,24 @@ struct OptMarkedAlgebra : AlgebraBase {
     }
     mine.opt = bpt::OptSolver(engine, *lc.plan, lc.graph, std::move(opt_inputs))
                    .root_table();
-    std::vector<bool> vin(lc.graph.num_vertices(), false);
-    std::vector<bool> ein(lc.graph.num_edges(), false);
+    bpt::SlotMembership mark{std::vector<bool>(lc.graph.num_vertices()),
+                             std::vector<bool>(lc.graph.num_edges())};
     for (VertexId lv = 0; lv < lc.graph.num_vertices(); ++lv)
-      vin[lv] = lc.graph.vertex_has_label(kMarkLabel, lv);
+      mark.vertices[lv] = lc.graph.vertex_has_label(kMarkLabel, lv);
     for (EdgeId le = 0; le < lc.graph.num_edges(); ++le)
-      ein[le] = lc.graph.edge_has_label(kMarkLabel, le);
-    mine.marked_class = bpt::fold_assigned_type(engine, *lc.plan, lc.graph,
-                                                vin, ein, class_inputs);
+      mark.edges[le] = lc.graph.edge_has_label(kMarkLabel, le);
+    mine.marked_class =
+        bpt::fold_type(engine, *lc.plan, lc.graph, class_inputs, &mark);
     // Own marked weight: the self vertex, or the bag edges incident to
     // self — each edge is counted at its deeper endpoint, the unique bag
     // member adjacent to it from below.
     const int self_local = lc.local_of(p.self());
     if (vertex_sort) {
-      if (vin[self_local])
+      if (mark.vertices[self_local])
         mine.marked_weight += lc.graph.vertex_weight(self_local);
     } else {
       for (auto [w, e] : lc.graph.incident(self_local))
-        if (ein[e]) mine.marked_weight += lc.graph.edge_weight(e);
+        if (mark.edges[e]) mine.marked_weight += lc.graph.edge_weight(e);
     }
     return mine;
   }

@@ -1,5 +1,6 @@
 // Unit tests of the BPT machinery: gluing matrices, plan compilation,
-// type interning, composition, Selected(), and the assigned-type fold.
+// type interning, composition, Selected(), the class fold of a fixed
+// assignment, and the table fold shared by COUNT and OPT.
 #include <gtest/gtest.h>
 
 #include "bpt/engine.hpp"
@@ -197,13 +198,44 @@ TEST(Tables, FoldAssignedMatchesBruteForceClassMembership) {
   const auto td = seq::decomposition_for(g);
   const auto plan = build_global_plan(g, td);
   for (std::uint64_t mask = 0; mask < (1u << g.num_vertices()); ++mask) {
-    std::vector<bool> vin(g.num_vertices());
-    for (int v = 0; v < g.num_vertices(); ++v) vin[v] = (mask >> v) & 1;
-    const TypeId c = fold_assigned_type(engine, plan, g, vin, {});
+    SlotMembership fixed;
+    for (int v = 0; v < g.num_vertices(); ++v)
+      fixed.vertices.push_back((mask >> v) & 1);
+    const TypeId c = fold_type(engine, plan, g, {}, &fixed);
     const bool via_engine = eval.eval(c);
     const bool via_brute = mso::evaluate(g, *mso::lib::dominating_set(),
                                          {{"S", mso::Value::vertex_set(mask)}});
     EXPECT_EQ(via_engine, via_brute) << "mask=" << mask;
+  }
+}
+
+TEST(Tables, CountAndOptTablesHoldTheSameClasses) {
+  // COUNT and OPT are one table fold under two rule sets: they enumerate
+  // the same assignments and glue pairs, so at every plan node the classes
+  // present (those with at least one assignment) must coincide.
+  const std::pair<mso::FormulaPtr, std::pair<std::string, Sort>> cases[] = {
+      {mso::lib::dominating_set(), {"S", Sort::VertexSet}},
+      {mso::lib::edge_dominating_set(), {"F", Sort::EdgeSet}},
+  };
+  gen::Rng rng(101);
+  for (int trial = 0; trial < 3; ++trial) {
+    const Graph g = gen::random_bounded_treedepth(8, 3, 0.5, rng);
+    const auto plan = build_global_plan(g, seq::decomposition_for(g));
+    for (const auto& [formula, free] : cases) {
+      const std::vector<std::pair<std::string, Sort>> frees{free};
+      Engine engine(config_for(*mso::lower(formula, frees), frees));
+      const auto counts = fold_count(engine, plan, g);
+      const OptSolver solver(engine, plan, g);
+      for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
+        std::vector<TypeId> counted, optimized;
+        for (const auto& [t, c] : counts[i]) counted.push_back(t);
+        for (const auto& [t, w] : solver.table(static_cast<int>(i)))
+          optimized.push_back(t);
+        EXPECT_FALSE(counted.empty()) << "node " << i;
+        EXPECT_EQ(counted, optimized)
+            << "trial " << trial << " slot " << free.first << " node " << i;
+      }
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 // against the sequential reference / exact oracles.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -21,6 +22,12 @@
 #include "td/elimination_forest.hpp"
 
 namespace dmc::dist {
+
+// Prints a kind by its phase name, so the names of tests over kinds hold no
+// object bytes. Outside the unnamed namespace, where lookup by argument
+// finds it.
+inline void PrintTo(Kind kind, std::ostream* os) { *os << phase_name(kind); }
+
 namespace {
 
 using mso::Sort;

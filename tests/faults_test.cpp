@@ -21,7 +21,6 @@
 #include "congest/faults.hpp"
 #include "congest/fragment.hpp"
 #include "congest/network.hpp"
-#include "congest/primitives.hpp"
 #include "dist/elim_tree.hpp"
 #include "dist/query.hpp"
 #include "graph/generators.hpp"
@@ -537,9 +536,9 @@ TEST(CrashFaults, CrashIdAbsentFromNetworkIsInert) {
   const Graph g = gen::path(5);  // ids 0..4: crash id 99 never fires
   NetworkConfig cfg = faulty_cfg("crash=99@r2");
   congest::Network net(g, cfg);
-  const auto leader = congest::run_leader_election(net, 6);
-  EXPECT_TRUE(leader.run.ok());
-  EXPECT_EQ(leader.leader, 0);
+  const auto tree = dist::run_elim_tree(net, 3);
+  EXPECT_TRUE(tree.run.ok());
+  EXPECT_TRUE(tree.success);
 }
 
 // --- round budget: degraded outcome names the stalled phase -------------------

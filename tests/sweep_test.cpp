@@ -3,6 +3,9 @@
 // exact oracles.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "congest/network.hpp"
 #include "dist/query.hpp"
 #include "graph/exact.hpp"
@@ -21,12 +24,20 @@ enum class Problem { MaxIS, MinVC, MinDS, MinTDS };
 struct SweepParam {
   Problem problem;
   unsigned seed;
+
+  std::string name() const {
+    const char* names[] = {"MaxIS", "MinVC", "MinDS", "MinTDS"};
+    return std::string(names[static_cast<int>(problem)]) + "_s" +
+           std::to_string(seed);
+  }
+  // Printing shows the name, so the test names hold no object bytes.
+  friend void PrintTo(const SweepParam& p, std::ostream* os) {
+    *os << p.name();
+  }
 };
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
-  const char* names[] = {"MaxIS", "MinVC", "MinDS", "MinTDS"};
-  return std::string(names[static_cast<int>(info.param.problem)]) + "_s" +
-         std::to_string(info.param.seed);
+  return info.param.name();
 }
 
 mso::FormulaPtr formula_of(Problem p) {

@@ -13,7 +13,6 @@
 
 #include "congest/fragment.hpp"
 #include "congest/network.hpp"
-#include "congest/primitives.hpp"
 #include "congest/wire.hpp"
 #include "dist/baseline.hpp"
 #include "dist/hfreeness.hpp"
@@ -52,7 +51,7 @@ TEST(WireBits, UintBitsMatchesCountBits) {
 }
 
 TEST(WireBits, IdEncodingOccupiesIdBits) {
-  // The "congest::id" codec (registered by congest/primitives.cpp) must
+  // The "congest::id" codec (registered by congest/wire.cpp) must
   // produce exactly id_bits(n) bits for any id valid in an n-node network,
   // including the degenerate n = 1.
   for (int n : {1, 2, 3, 4, 5, 16, 17, 100, 1000}) {
@@ -266,17 +265,6 @@ void expect_fully_audited(const Network& net) {
   EXPECT_GT(net.stats().encoded_bits, 0);
   EXPECT_LE(net.stats().encoded_bits, net.stats().total_bits);
   EXPECT_NE(net.audit_digest(), 0u);
-}
-
-TEST(AuditProtocols, PrimitivesAuditClean) {
-  const Graph g = btd_graph(3, 10, 3, 0.5);
-  Network net(g, {.id_seed = 7, .audit = true});
-  const auto leader = congest::run_leader_election(net, 2 * g.num_vertices());
-  EXPECT_EQ(leader.leader, 0);
-  const auto tree = congest::run_bfs_tree(net, 2 * g.num_vertices());
-  congest::run_broadcast(net, tree, -123456789);
-  congest::run_aggregate(net, tree, std::vector<std::int64_t>(g.num_vertices(), -7));
-  expect_fully_audited(net);
 }
 
 TEST(AuditProtocols, DecisionAuditClean) {
