@@ -340,7 +340,7 @@ StepOutcome ChurnEngine::resolve(const std::vector<VertexId>& old_to_new,
       tree_ = std::move(patch.tree);
       bump(opts_.net, out.status == StepStatus::kRefolded ? "churn.refolds"
                                                           : "churn.rebuilds");
-    } else if (opts_.fallback_full) {
+    } else {
       // Faults defeated the incremental solve; recover with a full
       // distributed recompute under the same fault plan.
       bump(opts_.net, "churn.fallbacks");
@@ -353,11 +353,6 @@ StepOutcome ChurnEngine::resolve(const std::vector<VertexId>& old_to_new,
       out = std::move(full);
       // The repaired tree is still valid for the new graph.
       if (!out.ok()) tree_ = std::move(patch.tree);
-    } else {
-      // Structured degraded outcome; the repaired tree stays (it is valid
-      // for the new graph) and the stale refold flags persist, so the next
-      // epoch re-folds everything this one failed to refresh.
-      tree_ = std::move(patch.tree);
     }
   }
   if (!out.ok()) bump(opts_.net, "churn.degraded");

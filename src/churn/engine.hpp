@@ -125,8 +125,7 @@ struct Options {
   /// pure function of its own rounds).
   congest::NetworkConfig net;
   int d = 3;  // treedepth budget (repair budget is 2^d - 1, as Alg. 2)
-  bool verify = true;         // clean from-scratch oracle per step
-  bool fallback_full = true;  // degraded incremental -> full retry
+  bool verify = true;  // clean from-scratch oracle per step
 };
 
 /// Coordinator-side mirror of the bags protocol (Lemma 5.3): bag of v =

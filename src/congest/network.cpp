@@ -159,8 +159,7 @@ void Network::audit_send(int vertex, int port, const Message& msg) {
 
 Network::Network(Graph g, NetworkConfig cfg)
     : graph_(std::move(g)),
-      cfg_(std::move(cfg)),
-      flight_(cfg_.flight_capacity) {
+      cfg_(std::move(cfg)) {
   derive();
 }
 

@@ -157,12 +157,6 @@ struct NetworkConfig {
   /// scale-labelled tests assert that equivalence pipeline by pipeline.
   /// false = legacy dense stepping (every node, every round).
   bool sparse_stepping = true;
-  /// Capacity of the always-on flight recorder (obs/flight_recorder.hpp):
-  /// the last N round/fault/phase events retained for post-mortem dumps of
-  /// degraded runs. The ring is pre-allocated once in the constructor and
-  /// recording is a few POD stores per round, so the zero-allocation and
-  /// determinism contracts are unaffected.
-  std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
 };
 
 struct NetworkStats {
@@ -589,8 +583,8 @@ class Network {
                                             // (size n+1; always built)
   std::vector<long long> link_total_bits_;  // per directed link, lifetime
                                             // (metrics only)
-  // Always-on post-mortem ring (cfg_.flight_capacity POD slots, allocated
-  // once here). Fed on every path — perfect, fault, fast-forward — so a
+  // Always-on post-mortem ring (FlightRecorder::kDefaultCapacity POD
+  // slots, allocated once here). Fed on every path — perfect, fault, fast-forward — so a
   // degraded run can always be dumped.
   obs::FlightRecorder flight_;
   // Stats at the last round close (or run begin): RoundEvent deltas.

@@ -274,9 +274,12 @@ std::int64_t apply_sign(bool neg, std::uint64_t mag) {
 
 // Core codecs for the two bare payload types the whole codebase shares:
 // a node identifier (fixed id_bits(n) width) and a signed 64-bit value
-// (sign bit + frame-sized magnitude). Registered here — not in
-// primitives.cpp — so that *every* binary linking the audit layer has
-// them, independent of which protocol translation units the linker pulls.
+// (sign bit + frame-sized magnitude). Registered here so that *every*
+// binary linking the audit layer has them, independent of which protocol
+// translation units the linker pulls. The dmc-mc transport scenarios
+// (src/mc/congest_system.cpp) send bare std::int64_t payloads with audit
+// on: PairSender's payload, FloodProgram's ids, and the value FragSource
+// and FragRelay carry in a Fragment's final chunk.
 [[maybe_unused]] const bool core_codecs_registered = [] {
   register_codec<VertexId>(
       "congest::id",

@@ -1,28 +1,20 @@
 #include "mc/congest_system.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "congest/fragment.hpp"
 #include "congest/sched_hook.hpp"
+#include "graph/graph.hpp"
 
 namespace dmc::mc {
 
 namespace {
-
-std::uint64_t fold64(std::uint64_t h, std::uint64_t x) {
-  h ^= x;
-  h *= 1099511628211ull;
-  return h;
-}
-
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-
-/// Crash processes live above every edge process (scenario graphs are
-/// tiny; edge ids are small).
-constexpr int kCrashProcessBase = 1'000'000;
 
 // --- transport-pair programs -------------------------------------------
 
@@ -149,14 +141,13 @@ class FloodProgram : public congest::NodeProgram {
   }
 };
 
-}  // namespace
-
 // --- the System --------------------------------------------------------
 
-CongestSystem::CongestSystem(CongestScenario scenario, Options options)
-    : scenario_(std::move(scenario)), options_(options) {}
+/// Crash processes live above every edge process (scenario graphs are
+/// tiny; edge ids are small).
+constexpr int kCrashProcessBase = 1'000'000;
 
-Action CongestSystem::to_action(const congest::SchedChoice& c) const {
+Action to_action(const congest::SchedChoice& c) {
   Action a;
   a.key = c.key();
   a.label = c.label();
@@ -179,8 +170,6 @@ Action CongestSystem::to_action(const congest::SchedChoice& c) const {
   return a;
 }
 
-namespace {
-
 /// SchedulerHook adapter: converts choice sets to mc::Actions, enforces
 /// the per-execution adversary budgets by filtering optional offers
 /// *before* the choice point is recorded (so budget-exhausted offers
@@ -188,11 +177,9 @@ namespace {
 /// invariant breaches into the execution's violation list.
 class Hook : public congest::SchedulerHook {
  public:
-  Hook(const CongestSystem::Options& opts, const PickFn& pick,
-       const std::function<Action(const congest::SchedChoice&)>& to_action,
+  Hook(const ScenarioOptions& opts, const PickFn& pick,
        std::vector<std::string>& violations)
       : pick_(pick),
-        to_action_(to_action),
         violations_(violations),
         defers_left_(opts.defer_bound),
         extra_tx_left_(opts.extra_tx_bound) {}
@@ -207,7 +194,7 @@ class Hook : public congest::SchedulerHook {
       if (c.kind == Kind::kDefer && defers_left_ <= 0) continue;
       if (c.kind == Kind::kRetransmit && extra_tx_left_ <= 0) continue;
       offered.push_back(i);
-      actions.push_back(to_action_(c));
+      actions.push_back(to_action(c));
     }
     if (offered.empty()) return -1;  // only budget-exhausted options left
     const int picked = pick_(actions);
@@ -224,53 +211,67 @@ class Hook : public congest::SchedulerHook {
 
  private:
   const PickFn& pick_;
-  const std::function<Action(const congest::SchedChoice&)>& to_action_;
   std::vector<std::string>& violations_;
   int defers_left_;
   int extra_tx_left_;
 };
 
+using Programs = std::vector<std::unique_ptr<congest::NodeProgram>>;
+
+/// Oracle of a program scenario: inspects the outcome and final program
+/// states, appends violations, and folds the scenario part of the digest.
+using Check = std::function<void(const congest::RunOutcome&, const Programs&,
+                                 std::vector<std::string>&, std::uint64_t&)>;
+
+/// The body of a program scenario: one Network over `graph` runs the
+/// programs, then the oracle and the logical traffic totals make the
+/// digest.
+std::function<void(const congest::NetworkConfig&, Execution&)> program_body(
+    Graph graph, std::function<Programs()> make_programs, Check check) {
+  return [graph = std::move(graph), make_programs = std::move(make_programs),
+          check = std::move(check)](const congest::NetworkConfig& cfg,
+                                    Execution& e) {
+    congest::Network net(graph, cfg);
+    Programs programs = make_programs();
+    const congest::RunOutcome outcome = net.run_outcome(programs);
+    e.outcome = congest::to_string(outcome.status);
+    std::uint64_t digest = kFnvBasis;
+    check(outcome, programs, e.violations, digest);
+    // Fold the logical traffic totals: the protocol-level message count
+    // and declared bits must not depend on the delivery schedule
+    // (retransmitted *frames* may; those are excluded deliberately).
+    digest = fold64(digest, static_cast<std::uint64_t>(net.stats().messages));
+    digest =
+        fold64(digest, static_cast<std::uint64_t>(net.stats().total_bits));
+    e.digest = digest;
+  };
+}
+
 }  // namespace
+
+CongestSystem::CongestSystem(CongestScenario scenario, ScenarioOptions options)
+    : scenario_(std::move(scenario)), options_(options) {}
 
 Execution CongestSystem::run(const PickFn& pick) {
   Execution e;
-  std::function<Action(const congest::SchedChoice&)> conv =
-      [this](const congest::SchedChoice& c) { return to_action(c); };
-  Hook hook(options_, pick, conv, e.violations);
-
+  Hook hook(options_, pick, e.violations);
   congest::NetworkConfig cfg;
   cfg.audit = scenario_.audit;
   cfg.max_rounds = scenario_.max_rounds;
   cfg.stall_quiet_rounds = scenario_.stall_quiet_rounds;
-  congest::FaultPlan plan;  // lossless links: nondeterminism is the hook's
-  plan.crashes = scenario_.crashes;
-  plan.mc_planted_ack_before_dup_check = scenario_.planted_bug;
-  cfg.faults = plan;
+  cfg.faults = scenario_.plan;  // engages the hooked transport path
   cfg.scheduler = &hook;
-
-  congest::Network net(scenario_.graph, cfg);
-  auto programs = scenario_.make_programs();
-  congest::RunOutcome outcome;
   try {
-    outcome = net.run_outcome(programs);
+    scenario_.body(cfg, e);
   } catch (const std::exception& ex) {
-    // Audit failures (declared-vs-encoded bit mismatch) and transport
-    // assertions surface here; PruneExecution passes through untouched.
+    // Audit failures (declared-vs-encoded bit mismatch), transport
+    // assertions and anything escaping the churn engine (whose degradation
+    // is structured) surface here; PruneExecution is not a std::exception
+    // and passes through to the explorer untouched.
     e.violations.push_back(std::string("transport exception: ") + ex.what());
     e.outcome = "exception";
     return e;
   }
-
-  e.outcome = congest::to_string(outcome.status);
-  std::uint64_t digest = kFnvBasis;
-  scenario_.check(outcome, programs, e.violations, digest);
-  // Fold the logical traffic totals: the protocol-level message count and
-  // declared bits must not depend on the delivery schedule (retransmitted
-  // *frames* may; those are excluded deliberately).
-  digest = fold64(digest, static_cast<std::uint64_t>(net.stats().messages));
-  digest =
-      fold64(digest, static_cast<std::uint64_t>(net.stats().total_bits));
-  e.digest = digest;
   e.digest_valid = scenario_.check_digest;
   return e;
 }
@@ -307,20 +308,19 @@ CongestScenario scenario_transport_pair(bool planted_bug) {
             "every interleaving";
   Graph g(2);
   g.add_edge(0, 1);
-  s.graph = std::move(g);
-  s.planted_bug = planted_bug;
+  s.plan.mc_planted_ack_before_dup_check = planted_bug;
   // The buggy schedule stalls the receiver forever; digests diverge by
   // construction, so only the oracle + runtime invariants apply.
   s.check_digest = !planted_bug;
-  s.make_programs = [] {
-    std::vector<std::unique_ptr<congest::NodeProgram>> p;
+  auto make_programs = [] {
+    Programs p;
     p.push_back(std::make_unique<PairSender>());
     p.push_back(std::make_unique<PairReceiver>());
     return p;
   };
-  s.check = [](const congest::RunOutcome& out,
-               const std::vector<std::unique_ptr<congest::NodeProgram>>& p,
-               std::vector<std::string>& violations, std::uint64_t& digest) {
+  Check check = [](const congest::RunOutcome& out, const Programs& p,
+                   std::vector<std::string>& violations,
+                   std::uint64_t& digest) {
     const auto* rx = dynamic_cast<const PairReceiver*>(p[1].get());
     if (out.ok()) {
       if (rx->receives != 1)
@@ -339,6 +339,7 @@ CongestScenario scenario_transport_pair(bool planted_bug) {
     digest = fold64(digest, static_cast<std::uint64_t>(rx->value + 2));
     digest = fold64(digest, static_cast<std::uint64_t>(rx->receives));
   };
+  s.body = program_body(std::move(g), make_programs, check);
   return s;
 }
 
@@ -351,18 +352,17 @@ CongestScenario scenario_transport_chain3() {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  s.graph = std::move(g);
   s.max_rounds = 96;
-  s.make_programs = [] {
-    std::vector<std::unique_ptr<congest::NodeProgram>> p;
+  auto make_programs = [] {
+    Programs p;
     p.push_back(std::make_unique<FragSource>(1, std::int64_t{777}, 100));
     p.push_back(std::make_unique<FragRelay>(0, 2));
     p.push_back(std::make_unique<FragSink>(1));
     return p;
   };
-  s.check = [](const congest::RunOutcome& out,
-               const std::vector<std::unique_ptr<congest::NodeProgram>>& p,
-               std::vector<std::string>& violations, std::uint64_t& digest) {
+  Check check = [](const congest::RunOutcome& out, const Programs& p,
+                   std::vector<std::string>& violations,
+                   std::uint64_t& digest) {
     const auto* relay = dynamic_cast<const FragRelay*>(p[1].get());
     const auto* sink = dynamic_cast<const FragSink*>(p[2].get());
     if (out.ok()) {
@@ -387,6 +387,7 @@ CongestScenario scenario_transport_chain3() {
     digest = fold64(digest, static_cast<std::uint64_t>(relay->commits));
     digest = fold64(digest, static_cast<std::uint64_t>(sink->commits));
   };
+  s.body = program_body(std::move(g), make_programs, check);
   return s;
 }
 
@@ -399,19 +400,18 @@ CongestScenario scenario_transport_crash3() {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  s.graph = std::move(g);
-  s.crashes.push_back(congest::CrashFault{2, 3});
+  s.plan.crashes.push_back(congest::CrashFault{2, 3});
   // Where the crash lands among the deliveries legitimately changes what
   // the survivors received; only the taxonomy invariants below hold.
   s.check_digest = false;
-  s.make_programs = [] {
-    std::vector<std::unique_ptr<congest::NodeProgram>> p;
+  auto make_programs = [] {
+    Programs p;
     for (int i = 0; i < 3; ++i) p.push_back(std::make_unique<FloodProgram>());
     return p;
   };
-  s.check = [](const congest::RunOutcome& out,
-               const std::vector<std::unique_ptr<congest::NodeProgram>>&,
-               std::vector<std::string>& violations, std::uint64_t& digest) {
+  Check check = [](const congest::RunOutcome& out, const Programs&,
+                   std::vector<std::string>& violations,
+                   std::uint64_t& digest) {
     if (out.status == congest::RunStatus::kCompleted)
       violations.push_back(
           "crash scheduled inside the run but outcome is completed "
@@ -423,6 +423,7 @@ CongestScenario scenario_transport_crash3() {
           "kCrashed outcome without node 2 in the crashed set");
     digest = 0;
   };
+  s.body = program_body(std::move(g), make_programs, check);
   return s;
 }
 

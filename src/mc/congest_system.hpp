@@ -1,89 +1,75 @@
-// CONGEST-layer model-checking scenarios (dmc-mc).
+// The dmc-mc System for every scenario on the hooked reliable transport.
 //
-// A CongestScenario is a tiny 2–4-node protocol run on the
-// reliable-transport fault path with a SchedulerHook installed
-// (congest/sched_hook.hpp): every frame delivery, link defer, early
-// retransmit-timer firing, and crash event becomes a choice point the
-// explorer (explorer.hpp) drives. Each execution constructs a fresh
-// Network — stateless replay — and ends with the scenario's oracle check
-// plus a canonical digest (protocol outputs, virtual rounds, logical
-// message/bit totals) that must be identical on every interleaving
-// whenever the scenario declares its outcome schedule-independent.
+// A CongestScenario runs on the reliable-transport fault path with a
+// SchedulerHook installed (congest/sched_hook.hpp): every frame delivery,
+// link defer, early retransmit-timer firing, and crash event becomes a
+// choice point the explorer (explorer.hpp) drives. The scenario supplies
+// the network configuration parts (fault plan, audit, round limits) and
+// one body; CongestSystem builds the hooked config from them and runs the
+// body once per execution — stateless replay. The body constructs what it
+// runs from scratch: the 2–3-node program scenarios below run one Network
+// and check the programs' final states; the churn scenarios
+// (churn_system.hpp) run a whole churn::ChurnEngine episode, whose epoch
+// networks all carry the hook. Every execution ends with a canonical
+// digest that must be identical on every interleaving whenever the
+// scenario declares its outcome schedule-independent.
 //
 // DPOR structure: the *process* of a link action (deliver / defer /
 // retransmit) is its directed link. Delivery on a link also touches the
 // reverse channel's piggybacked-ack state, so the two directions of one
 // edge are dependent (distinct processes — no program order relates
 // them) while distinct edges commute. A crash's process is the crashed
-// node; it is dependent with every action on an incident edge. Adversary
-// budgets (defers and extra transmissions per execution) keep the
-// optional-action branching finite.
+// node; it is dependent with every action on an incident edge. Choice
+// points of different networks (a churn episode's epochs) never race: the
+// networks run one after another, so DPOR sees them causally ordered.
+// Adversary budgets (ScenarioOptions: defers and extra transmissions per
+// execution) keep the optional-action branching finite.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
+#include "congest/faults.hpp"
 #include "congest/network.hpp"
-#include "congest/sched_hook.hpp"
-#include "graph/graph.hpp"
 #include "mc/explorer.hpp"
+#include "mc/scenarios.hpp"
 
 namespace dmc::mc {
 
 struct CongestScenario {
   std::string name;
   std::string description;
-  Graph graph;  // node ids are graph vertices (id_seed 0)
-  std::vector<congest::CrashFault> crashes;
+  /// Lossless links: the nondeterminism is the hook's. Crashes and the
+  /// planted ordering bug (FaultPlan::mc_planted_ack_before_dup_check,
+  /// the dmc-mc --self-check target) go here.
+  congest::FaultPlan plan;
   /// Wire-format audit on every interleaving (declared-vs-encoded bits).
   bool audit = true;
-  /// dmc-mc --self-check: engage the planted ordering bug
-  /// (congest::FaultPlan::mc_planted_ack_before_dup_check).
-  bool planted_bug = false;
   /// Off when the outcome legitimately depends on the schedule (crash
-  /// positioning); the oracle `check` is then the only cross-schedule
+  /// positioning); the body's checks are then the only cross-schedule
   /// invariant.
   bool check_digest = true;
   int max_rounds = 48;
   int stall_quiet_rounds = 4;
-  std::function<std::vector<std::unique_ptr<congest::NodeProgram>>()>
-      make_programs;
-  /// Oracle: inspects the outcome and final program states, appends
-  /// violations, and produces the scenario part of the digest.
-  std::function<void(const congest::RunOutcome&,
-                     const std::vector<std::unique_ptr<congest::NodeProgram>>&,
-                     std::vector<std::string>&, std::uint64_t&)>
-      check;
+  /// One execution under `cfg`, the hooked transport config: fills the
+  /// outcome, violations and digest of the Execution.
+  std::function<void(const congest::NetworkConfig& cfg, Execution&)> body;
 };
 
 class CongestSystem : public System {
  public:
-  struct Options {
-    /// Per-execution adversary budgets: how many link-hold choices and
-    /// early retransmit firings a schedule may contain. Offers beyond the
-    /// budget are filtered before the choice point is recorded, so the
-    /// schedule space stays finite.
-    int defer_bound = 1;
-    int extra_tx_bound = 1;
-  };
-
-  CongestSystem(CongestScenario scenario, Options options);
+  CongestSystem(CongestScenario scenario, ScenarioOptions options);
 
   Execution run(const PickFn& pick) override;
   bool dependent(const Action& a, const Action& b) const override;
   std::string name() const override { return scenario_.name; }
 
  private:
-  Action to_action(const congest::SchedChoice& choice) const;
-
   CongestScenario scenario_;
-  Options options_;
+  ScenarioOptions options_;
 };
 
-/// The built-in congest scenarios (see scenarios.cpp for the registry):
+/// The built-in program scenarios (see scenarios.cpp for the registry):
 CongestScenario scenario_transport_pair(bool planted_bug);
 CongestScenario scenario_transport_chain3();
 CongestScenario scenario_transport_crash3();

@@ -147,23 +147,22 @@ class Driver {
     if (stack_.size() > depth_) stack_.resize(depth_);
     if (static_cast<long>(depth_) > result_.max_depth)
       result_.max_depth = static_cast<long>(depth_);
-    if (pruned) {
-      result_.pruned += 1;
-    } else {
-      result_.schedules += 1;
-      if (result_.schedules >= o_.max_schedules)
-        result_.hit_schedule_cap = true;
-      if (e.digest_valid) {
-        if (!result_.have_reference_digest) {
-          result_.have_reference_digest = true;
-          result_.reference_digest = e.digest;
-        } else if (e.digest != result_.reference_digest) {
-          result_.digest_divergence = true;
-          e.violations.push_back(
-              "digest divergence: schedule-dependent outcome (got " +
-              std::to_string(e.digest) + ", reference " +
-              std::to_string(result_.reference_digest) + ")");
-        }
+    // Pruned executions count toward the cap too: a depth bound below
+    // every execution's depth would otherwise never reach it. A pruned
+    // execution's Execution stays empty (no digest, no violations).
+    (pruned ? result_.pruned : result_.schedules) += 1;
+    if (result_.schedules + result_.pruned >= o_.max_schedules)
+      result_.hit_schedule_cap = true;
+    if (e.digest_valid) {
+      if (!result_.have_reference_digest) {
+        result_.have_reference_digest = true;
+        result_.reference_digest = e.digest;
+      } else if (e.digest != result_.reference_digest) {
+        result_.digest_divergence = true;
+        e.violations.push_back(
+            "digest divergence: schedule-dependent outcome (got " +
+            std::to_string(e.digest) + ", reference " +
+            std::to_string(result_.reference_digest) + ")");
       }
     }
     if (!e.violations.empty()) {

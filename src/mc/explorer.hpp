@@ -2,9 +2,11 @@
 //
 // A System under test is anything that can re-execute itself from its
 // initial state while routing every nondeterministic decision through a
-// pick callback: the reliable-transport CONGEST runs (congest_system.*,
-// via the SchedulerHook seam of src/congest/sched_hook.hpp) and the serve
-// scheduler's admission/deadline/drain state machine (serve_system.*).
+// pick callback. There are two: CongestSystem (congest_system.*) runs
+// every scenario on the hooked reliable transport — the program scenarios
+// and the churn episodes alike — through the SchedulerHook seam of
+// src/congest/sched_hook.hpp, and ServeSystem (serve_system.*) runs the
+// serve scheduler's admission/deadline/drain state machine.
 // Executions are *replayed*, never checkpointed — the classic stateless
 // approach of VeriSoft/SimGrid — so the System needs no snapshot support,
 // only determinism: the same picks must produce the same run.
@@ -27,6 +29,10 @@
 //     and the budget filtering in the System keeps that finite. Sleep
 //     sets prune re-exploring an action that an earlier sibling branch
 //     already covered.
+//
+// Every execution counts toward ExplorerOptions::max_schedules, completed
+// or pruned at the depth bound, so a bound that prunes every execution
+// still stops at the cap (and ExploreResult::schedules reads 0).
 //
 // Safety checks per execution: System-reported invariant violations,
 // uncaught exceptions, and cross-schedule digest equality (the canonical
@@ -88,6 +94,12 @@ struct Execution {
 
 using PickFn = std::function<int(const std::vector<Action>&)>;
 
+/// The FNV-1a fold every System builds its Execution::digest with.
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+inline std::uint64_t fold64(std::uint64_t h, std::uint64_t x) {
+  return (h ^ x) * 1099511628211ull;
+}
+
 class System {
  public:
   virtual ~System() = default;
@@ -106,7 +118,8 @@ struct ExplorerOptions {
   /// Max choice points per execution; deeper runs are pruned (counted,
   /// not explored further).
   int depth_bound = 512;
-  /// Hard cap on executions; exploration stops (hit_schedule_cap) there.
+  /// Hard cap on executions, completed and pruned alike; exploration stops
+  /// (hit_schedule_cap) there.
   long max_schedules = 20000;
   bool stop_on_violation = false;
   int max_counterexamples = 4;

@@ -19,18 +19,7 @@ struct Entry {
 
 std::unique_ptr<System> make_congest(CongestScenario scenario,
                                      const ScenarioOptions& o) {
-  CongestSystem::Options opts;
-  opts.defer_bound = o.defer_bound;
-  opts.extra_tx_bound = o.extra_tx_bound;
-  return std::make_unique<CongestSystem>(std::move(scenario), opts);
-}
-
-std::unique_ptr<System> make_churn(ChurnScenario scenario,
-                                   const ScenarioOptions& o) {
-  ChurnSystem::Options opts;
-  opts.defer_bound = o.defer_bound;
-  opts.extra_tx_bound = o.extra_tx_bound;
-  return std::make_unique<ChurnSystem>(std::move(scenario), opts);
+  return std::make_unique<CongestSystem>(std::move(scenario), o);
 }
 
 const std::vector<Entry>& registry() {
@@ -64,14 +53,14 @@ const std::vector<Entry>& registry() {
        "repair) under hooked lossless transport; oracle digest equality on "
        "every interleaving",
        [](const ScenarioOptions& o) {
-         return make_churn(scenario_churn_repair(), o);
+         return make_congest(scenario_churn_repair(), o);
        }},
       {"churn-crash",
        "churn-repair with a crash-stop fault at an explored position in "
        "every epoch network (degradation taxonomy, full-recompute "
        "fallback)",
        [](const ScenarioOptions& o) {
-         return make_churn(scenario_churn_crash(), o);
+         return make_congest(scenario_churn_crash(), o);
        }},
       {"serve-sched",
        "serve scheduler admission/deadline/drain state machine over the "

@@ -10,8 +10,11 @@
 
 namespace dmc::mc {
 
-/// Bounds the CLI passes through to the congest scenarios (the serve
-/// model bounds itself via its tick budget).
+/// Per-execution adversary budgets of the hooked-transport scenarios: how
+/// many link-hold choices and early retransmit firings a schedule may
+/// contain. CongestSystem filters offers beyond the budget before the
+/// choice point is recorded, so the schedule space stays finite. (The
+/// serve model bounds itself via its tick budget.)
 struct ScenarioOptions {
   int defer_bound = 1;
   int extra_tx_bound = 1;

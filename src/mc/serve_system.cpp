@@ -14,12 +14,6 @@ namespace dmc::mc {
 
 namespace {
 
-std::uint64_t fold64(std::uint64_t h, std::uint64_t x) {
-  h ^= x;
-  h *= 1099511628211ull;
-  return h;
-}
-
 std::uint64_t fold_str(std::uint64_t h, const std::string& s) {
   for (char c : s) h = fold64(h, static_cast<unsigned char>(c));
   return h;
@@ -44,7 +38,7 @@ constexpr int kWorkerProcBase = 10;
 Action make_action(ActKind kind, int worker, int detail,
                    const std::string& label) {
   Action a;
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvBasis;
   h = fold64(h, static_cast<std::uint64_t>(kind));
   h = fold64(h, static_cast<std::uint64_t>(worker + 1));
   h = fold64(h, static_cast<std::uint64_t>(detail + 1));
@@ -233,7 +227,7 @@ Execution ServeSystem::run(const PickFn& pick) {
       e.violations.push_back("query " + std::to_string(i) +
                              " never answered (drain incomplete)");
   e.outcome = stopped ? "drained" : "quiescent";
-  std::uint64_t digest = 1469598103934665603ull;
+  std::uint64_t digest = kFnvBasis;
   for (const std::string& r : responses) digest = fold_str(digest, r);
   e.digest = digest;
   // Tick placement legitimately decides deadline-vs-ok outcomes; the

@@ -1097,15 +1097,13 @@ TEST(ChurnEngine, FrameLossFallsBackAndStaysCorrect) {
 }
 
 TEST(ChurnEngine, DegradedStepKeepsStaleMarksForNextEpoch) {
-  // Crash-stop defeats epoch 1's solve *and* its fallback; epoch 2 runs
-  // fault-free (plan crashes at a round only reached when the crash node
-  // still exists)... simplest deterministic variant: disable fallback and
-  // check the stale refold flags force a full-strength refold once a later
-  // clean engine run happens. Covered via: degraded step -> next step with
-  // same engine completes and verifies against the oracle.
+  // Two checks. A crash-stop at round 2 defeats the initial full compute,
+  // so init() reports a degraded step. Separately, a clean engine over the
+  // same graph completes one edge-insertion epoch that the from-scratch
+  // oracle verifies. (init() runs no incremental repair, so the fallback to
+  // a full recompute is not reached here.)
   Options opts;
   opts.d = 3;
-  opts.fallback_full = false;
   opts.net.faults = congest::parse_fault_plan("crash=3@r2,seed=4");
   ChurnEngine faulty(gen::path(8), decision_query(), opts);
   EXPECT_FALSE(faulty.init().ok());

@@ -114,6 +114,20 @@ TEST(McExplorer, ChurnCrashTaxonomyHoldsAtEveryPosition) {
   EXPECT_EQ(r.pruned, 0);
 }
 
+TEST(McExplorer, PrunedExecutionsCountTowardTheCap) {
+  // Depth bound 5 prunes every chain3 execution (each is ~40 choice points
+  // deep). The cap must still stop the exploration: it counts pruned
+  // executions, not only completed ones.
+  auto sys = dmc::mc::make_scenario("transport-chain3", ScenarioOptions{});
+  ExplorerOptions eo;
+  eo.depth_bound = 5;
+  eo.max_schedules = 10;
+  ExploreResult r = dmc::mc::explore(*sys, eo);
+  EXPECT_LE(r.schedules + r.pruned, 10);
+  EXPECT_TRUE(r.hit_schedule_cap);
+  EXPECT_EQ(r.schedules, 0);
+}
+
 TEST(McExplorer, ServeSchedulerInvariantsHold) {
   ExploreResult full = explore_scenario("serve-sched", /*dpor=*/false);
   ExploreResult dpor = explore_scenario("serve-sched", /*dpor=*/true);

@@ -15,7 +15,9 @@
 //
 // Exit codes: 0 = explored clean (or replay reproduced no violation),
 // 9 = counterexample found (or replay reproduced one), 1 = self-check
-// failed, 2 = usage / unknown scenario.
+// failed, 2 = usage / unknown scenario, 3 = no execution completed: every
+// one was pruned at the depth bound, so nothing was checked (raise
+// --depth-bound; the churn scenarios need 1024 or more).
 
 #include <cstring>
 #include <iostream>
@@ -30,6 +32,7 @@
 namespace {
 
 constexpr int kExitCounterexample = 9;
+constexpr int kExitNoneCompleted = 3;
 
 struct Args {
   std::string scenario;
@@ -192,6 +195,13 @@ int run_explore(const Args& args) {
   if (args.dpor && !args.compare) print_result("dpor", dpor_result);
 
   const dmc::mc::ExploreResult& r = dpor_result;
+  if (r.schedules == 0) {
+    std::cout << "no execution completed: all " << r.pruned
+              << " explored executions were pruned at --depth-bound "
+              << args.depth_bound
+              << "; raise --depth-bound to check this scenario\n";
+    return kExitNoneCompleted;
+  }
   if (r.clean()) {
     std::cout << "explored clean: no invariant violations, "
               << (r.have_reference_digest
