@@ -21,10 +21,16 @@
 // The coordinator-side work of an epoch follows the refold closure too. A
 // replaying vertex's table depends only on its subtree (Lemma 4.3, Thm
 // 6.1), so it needs neither its bag nor its local bag graph: the engine
-// builds bags, and dist::solve builds fold contexts, for the refold flags
-// alone. What still costs O(n) per epoch is tight array passes: the graph
-// copy, the network's re-derived tables, the repair's parent and depth
-// arrays, and the fold's verdict broadcast to every vertex.
+// builds bags, and dist::solve builds fold contexts and fold state, for
+// the refold flags alone, and reuses the node plans of earlier epochs
+// (dist::FoldCache). A replaying vertex costs one slot in the run's
+// contiguous program array, the tree ports found in one pass over the
+// incidence lists, and its verdict message; its allocations are none
+// (an epoch allocates a fixed number of buffers plus per refolded
+// vertex). What still costs O(n) per epoch is the n verdict messages of
+// the fold's broadcast and tight array passes: the graph copy, the
+// network's re-derived tables, and the repair's parent, depth and
+// children arrays.
 //
 // A tree deeper than the fold engine's terminal limit (bpt::kMaxTerminals)
 // is never folded: a repaired one counts as a failed repair, and if the
@@ -165,6 +171,9 @@ class ChurnEngine {
   /// Current elimination tree; engaged only after a completed epoch.
   const std::optional<dist::ElimTreeResult>& tree() const { return tree_; }
   const dist::Query& query() const { return query_; }
+  /// The fold cache carried across epochs: tables, refold flags and the
+  /// node plans compiled so far.
+  const dist::FoldCache& fold_cache() const { return cache_; }
 
  private:
   void invalidate_caches();

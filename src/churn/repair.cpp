@@ -1,6 +1,7 @@
 #include "churn/repair.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace dmc::churn {
 
@@ -368,7 +369,8 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
   // Defensive validation: the repaired tree must be exactly what Algorithm 2
   // could have produced — a single tree, valid for and a subgraph of the
   // new graph, within the depth bound. It also settles the final depths.
-  const dist::TreeChildren children(parent);
+  patch.tree.children = dist::TreeChildren(parent);
+  const dist::TreeChildren& children = patch.tree.children;
   switch (dist::validate_tree(new_g, parent, children, budget, depth)) {
     case dist::TreeDefect::kNone: break;
     case dist::TreeDefect::kCycle:
@@ -387,11 +389,6 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
 
   patch.kind = structural ? RepairKind::kStructural : RepairKind::kRefold;
   patch.tree.success = true;
-  patch.tree.parent = parent;
-  patch.tree.depth = depth;
-  patch.tree.children.resize(n_new);
-  for (VertexId v = 0; v < n_new; ++v)
-    patch.tree.children[v].assign(children.begin(v), children.end(v));
 
   // Dirty set: fold contexts that changed. Rule 1 — children arity/identity
   // (the plan's Input slots); rule 2 — the bag itself (root path, including
@@ -437,6 +434,8 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
   }
   for (const auto& [a, b] : delta.inserted)
     mark_new_subtree(children, depth[a] >= depth[b] ? a : b, patch.dirty);
+  patch.tree.parent = std::move(parent);
+  patch.tree.depth = std::move(depth);
   return patch;
 }
 

@@ -11,7 +11,6 @@
 #include "congest/net_metrics.hpp"
 #include "congest/reliable.hpp"
 #include "congest/wire.hpp"
-#include "graph/algorithms.hpp"
 
 namespace dmc::congest {
 
@@ -171,7 +170,25 @@ void Network::reset(Graph g) {
 void Network::derive() {
   const int n_ = graph_.num_vertices();
   if (n_ == 0) throw std::invalid_argument("Network: empty graph");
-  if (!is_connected(graph_))
+  // Our private copy of the graph serves every per-round incidence query;
+  // finalize its CSR arena now so run() never hits the lazy rebuild (the
+  // per-round path stays allocation-free).
+  graph_.finalize();
+  // Connectivity: one BFS with the scheduler's step list as its queue and
+  // its stamps as the visited marks (both re-initialised below), so a
+  // re-derive allocates nothing for the check.
+  active_mark_.assign(n_, 0);
+  active_.clear();
+  active_.reserve(n_);
+  active_.push_back(0);
+  active_mark_[0] = 1;
+  for (std::size_t i = 0; i < active_.size(); ++i)
+    for (const VertexId w : graph_.neighbors(active_[i]))
+      if (!active_mark_[w]) {
+        active_mark_[w] = 1;
+        active_.push_back(w);
+      }
+  if (static_cast<int>(active_.size()) != n_)
     throw std::invalid_argument("Network: CONGEST networks are connected");
   bandwidth_ = std::max(cfg_.min_bandwidth,
                         cfg_.bandwidth_multiplier * id_bits(n_));
@@ -190,10 +207,6 @@ void Network::derive() {
   round_max_message_bits_ = 0;
   audit_digest_ = 0;
   audit_round_acc_ = 0;
-  // Our private copy of the graph serves every per-round incidence query;
-  // finalize its CSR arena now so run() never hits the lazy rebuild (the
-  // per-round path stays allocation-free).
-  graph_.finalize();
   link_offset_.resize(n_ + 1);
   link_offset_[0] = 0;
   for (int v = 0; v < n_; ++v)
@@ -477,7 +490,7 @@ void Network::close_annotation() {
   cfg_.sink->phase(ev);
 }
 
-long Network::run(std::vector<std::unique_ptr<NodeProgram>>& programs) {
+long Network::run(std::span<NodeProgram* const> programs) {
   RunOutcome outcome = run_outcome(programs);
   switch (outcome.status) {
     case RunStatus::kCompleted:
@@ -500,8 +513,7 @@ long Network::run(std::vector<std::unique_ptr<NodeProgram>>& programs) {
   return outcome.rounds;
 }
 
-RunOutcome Network::run_outcome(
-    std::vector<std::unique_ptr<NodeProgram>>& programs) {
+RunOutcome Network::run_outcome(std::span<NodeProgram* const> programs) {
   if (static_cast<int>(programs.size()) != n())
     throw std::invalid_argument("Network::run: one program per vertex needed");
   // Publishes the run's metrics however it ends: completed, degraded or
@@ -593,7 +605,7 @@ RunOutcome Network::end_run(RunStatus status, long virtual_rounds,
 }
 
 template <bool kSkipCrashed>
-void Network::step(std::vector<std::unique_ptr<NodeProgram>>& programs) {
+void Network::step(std::span<NodeProgram* const> programs) {
   // Rounds are simultaneous in the model, so the step order must be
   // immaterial; kReverse exists so the conformance harness can prove that
   // for each protocol.
@@ -641,8 +653,7 @@ detail::Carried Network::deliver_perfect(bool sparse, int done_count) {
 }
 
 template <Network::Delivery kDelivery>
-RunOutcome Network::run_rounds(
-    std::vector<std::unique_ptr<NodeProgram>>& programs) {
+RunOutcome Network::run_rounds(std::span<NodeProgram* const> programs) {
   constexpr bool kFaulty = kDelivery != Delivery::kPerfect;
   detail::FaultRuntime* const rt = fault_rt_.get();
   const int n_ = n();

@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -318,6 +319,22 @@ class NodeProgram {
   virtual bool done(const NodeCtx& ctx) const = 0;
 };
 
+/// The non-owning pointers Network::run takes, one per vertex in vertex
+/// order, over programs held by value (one contiguous vector per run) or
+/// by owning pointer.
+template <class Programs>
+std::vector<NodeProgram*> program_ptrs(Programs& programs) {
+  std::vector<NodeProgram*> ptrs;
+  ptrs.reserve(std::size(programs));
+  for (auto& p : programs) {
+    if constexpr (requires { p.get(); })
+      ptrs.push_back(p.get());
+    else
+      ptrs.push_back(&p);
+  }
+  return ptrs;
+}
+
 class Network {
  public:
   /// Takes its own copy of the graph (pass an rvalue to move it in).
@@ -363,22 +380,24 @@ class Network {
   std::uint64_t audit_digest() const { return audit_digest_; }
 
   /// Runs one protocol to completion (all programs done) under the round
-  /// cap; `programs[v]` is the program of graph vertex v. The caller keeps
-  /// ownership (protocol outputs are read from the programs afterwards).
+  /// cap; `programs[v]` is the program of graph vertex v. The pointers are
+  /// non-owning: the caller holds the programs however it likes (one
+  /// contiguous vector per run, see program_ptrs) and reads the protocol
+  /// outputs from them afterwards.
   /// Returns the number of rounds this run took (stats accumulate across
   /// runs). Throws std::runtime_error if max_rounds is exceeded — a
   /// RoundLimitError — and CrashedError on crash-stop faults; prefer
   /// run_outcome() where degraded outcomes are expected. With metrics on,
   /// the run's metrics reach the registry when it returns or throws (and
   /// at each metrics_interval flush before that).
-  long run(std::vector<std::unique_ptr<NodeProgram>>& programs);
+  long run(std::span<NodeProgram* const> programs);
 
   /// Like run(), but degraded endings come back as a structured RunOutcome
   /// instead of an exception: round-budget exhaustion and crash-stop faults
   /// report their status, per-phase progress (stalled_phase), and the
   /// crashed node set. Protocol outputs are only meaningful when
   /// outcome.ok().
-  RunOutcome run_outcome(std::vector<std::unique_ptr<NodeProgram>>& programs);
+  RunOutcome run_outcome(std::span<NodeProgram* const> programs);
 
   /// True iff a trace sink is configured.
   bool traced() const { return cfg_.sink != nullptr; }
@@ -422,11 +441,11 @@ class Network {
   // round and delivers the due copies (the last two in reliable.hpp).
   enum class Delivery { kPerfect, kReliable, kRaw };
   template <Delivery kDelivery>
-  RunOutcome run_rounds(std::vector<std::unique_ptr<NodeProgram>>& programs);
+  RunOutcome run_rounds(std::span<NodeProgram* const> programs);
   /// Steps the vertices in active_ (ascending; kReverse iterates it
   /// backwards), skipping crashed ones when kSkipCrashed.
   template <bool kSkipCrashed>
-  void step(std::vector<std::unique_ptr<NodeProgram>>& programs);
+  void step(std::span<NodeProgram* const> programs);
   /// Clears the inbox slots delivered last round (inbox_links_).
   void clear_inbox();
   /// Perfect delivery: swaps the mailboxes, queues the traffic triggers

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 
 #include "congest/fragment.hpp"
@@ -81,12 +82,14 @@ using congest::NodeCtx;
 
 class BagsProgram : public congest::NodeProgram {
  public:
-  BagsProgram(VertexId parent_id, std::vector<VertexId> children_ids,
+  /// `parent_port` is -1 at the root; `child_ports` are in children order
+  /// (TreePorts, resolved once per run).
+  BagsProgram(int parent_port, std::span<const int> child_ports,
               Weight own_weight, std::uint32_t own_vlabels,
               std::vector<std::tuple<VertexId, Weight, std::uint32_t>>
                   incident_edges)
-      : parent_id_(parent_id),
-        children_ids_(std::move(children_ids)),
+      : parent_port_(parent_port),
+        child_ports_(child_ports),
         own_weight_(own_weight),
         own_vlabels_(own_vlabels),
         incident_edges_(std::move(incident_edges)) {}
@@ -97,15 +100,14 @@ class BagsProgram : public congest::NodeProgram {
 
   void on_round(NodeCtx& ctx) override {
     if (!has_bag_) {
-      if (parent_id_ < 0) {
+      if (parent_port_ < 0) {
         // Root: B = {self}.
         bag_.bag = {ctx.id()};
         bag_.weights = {own_weight_};
         bag_.vlabel_bits = {own_vlabels_};
         adopt_bag(ctx);
       } else {
-        const int pport = ctx.port_of(parent_id_);
-        if (auto payload = reasm_.poll(ctx, pport)) {
+        if (auto payload = reasm_.poll(ctx, parent_port_)) {
           extend_from(std::move(payload->get<LocalBag>()), ctx);
           adopt_bag(ctx);
         }
@@ -132,12 +134,8 @@ class BagsProgram : public congest::NodeProgram {
       std::snprintf(label, sizeof(label), "level=%zu", bag_.bag.size());
       ctx.annotate(label);
     }
-    const long bits = children_ids_.empty() ? 0 : bag_.wire_bits(ctx.n());
-    for (VertexId child : children_ids_) {
-      const int port = ctx.port_of(child);
-      if (port < 0) throw std::logic_error("BagsProgram: child not adjacent");
-      sender_.enqueue(port, bag_, bits);
-    }
+    const long bits = child_ports_.empty() ? 0 : bag_.wire_bits(ctx.n());
+    for (const int port : child_ports_) sender_.enqueue(port, bag_, bits);
   }
 
   /// B_self = B_parent ∪ {self}; edges gain self's links into the bag.
@@ -174,8 +172,8 @@ class BagsProgram : public congest::NodeProgram {
               });
   }
 
-  VertexId parent_id_;
-  std::vector<VertexId> children_ids_;
+  int parent_port_;
+  std::span<const int> child_ports_;
   Weight own_weight_;
   std::uint32_t own_vlabels_;
   std::vector<std::tuple<VertexId, Weight, std::uint32_t>> incident_edges_;
@@ -210,30 +208,25 @@ BagsResult run_bags(congest::Network& net, const ElimTreeResult& tree,
       if (g.edge_has_label(elabel_names[i], e)) bits |= 1u << i;
     return bits;
   };
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  std::vector<BagsProgram*> handles;
+  const TreePorts ports(g, tree.parent, tree.children);
+  std::vector<BagsProgram> programs;
+  programs.reserve(net.n());
   for (int v = 0; v < net.n(); ++v) {
     std::vector<std::tuple<VertexId, Weight, std::uint32_t>> incident;
     for (auto [w, e] : g.incident(v))
       incident.emplace_back(net.id_of_vertex(w), g.edge_weight(e), ebits(e));
-    std::vector<VertexId> children_ids;
-    for (int c : tree.children[v]) children_ids.push_back(net.id_of_vertex(c));
-    auto p = std::make_unique<BagsProgram>(
-        tree.parent[v] < 0 ? -1 : net.id_of_vertex(tree.parent[v]),
-        std::move(children_ids), g.vertex_weight(v), vbits(v),
-        std::move(incident));
-    handles.push_back(p.get());
-    programs.push_back(std::move(p));
+    programs.emplace_back(ports.parent[v], ports.children_of(tree.children, v),
+                          g.vertex_weight(v), vbits(v), std::move(incident));
   }
   BagsResult result;
-  result.run = net.run_outcome(programs);
+  result.run = net.run_outcome(congest::program_ptrs(programs));
   result.rounds = result.run.rounds;
   if (!result.run.ok()) return result;  // degraded: bags incomplete
   result.bags.resize(net.n());
   for (int v = 0; v < net.n(); ++v) {
-    if (!handles[v]->has_bag())
+    if (!programs[v].has_bag())
       throw std::logic_error("run_bags: node finished without a bag");
-    result.bags[v] = handles[v]->take_bag();
+    result.bags[v] = programs[v].take_bag();
   }
   return result;
 }

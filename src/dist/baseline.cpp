@@ -230,22 +230,20 @@ class GatherProgram : public congest::NodeProgram {
 BaselineOutcome run_gather_baseline(congest::Network& net,
                                     const mso::FormulaPtr& formula) {
   congest::PhaseScope trace_scope(net, "baseline");
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  std::vector<GatherProgram*> handles;
+  std::vector<GatherProgram> programs;
+  programs.reserve(net.n());
   for (int v = 0; v < net.n(); ++v) {
     std::vector<VertexId> nbrs;
     for (auto [w, e] : net.graph().incident(v))
       nbrs.push_back(net.id_of_vertex(w));
-    auto p = std::make_unique<GatherProgram>(formula, std::move(nbrs));
-    handles.push_back(p.get());
-    programs.push_back(std::move(p));
+    programs.emplace_back(formula, std::move(nbrs));
   }
   BaselineOutcome out;
-  out.run = net.run_outcome(programs);
+  out.run = net.run_outcome(congest::program_ptrs(programs));
   out.rounds = out.run.rounds;
   if (!out.run.ok()) return out;  // degraded: verdict untrusted
   out.holds = true;
-  for (const auto* h : handles) out.holds = out.holds && h->verdict();
+  for (const GatherProgram& p : programs) out.holds = out.holds && p.verdict();
   return out;
 }
 

@@ -251,24 +251,25 @@ ElimTreeResult run_elim_tree(congest::Network& net, int d,
                              const ElimTreeOptions& opts) {
   if (d < 1) throw std::invalid_argument("run_elim_tree: d >= 1 required");
   congest::PhaseScope trace_scope(net, "elim-tree");
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  std::vector<ElimTreeProgram*> handles;
-  const int id_bits = congest::id_bits(net.n());
-  for (int v = 0; v < net.n(); ++v) {
-    auto p = std::make_unique<ElimTreeProgram>(d, opts.sparse_flood, id_bits);
-    handles.push_back(p.get());
-    programs.push_back(std::move(p));
-  }
+  const int n = net.n();
+  std::vector<ElimTreeProgram> programs;
+  programs.reserve(n);
+  const int id_bits = congest::id_bits(n);
+  for (int v = 0; v < n; ++v)
+    programs.emplace_back(d, opts.sparse_flood, id_bits);
   ElimTreeResult result;
-  result.run = net.run_outcome(programs);
+  result.run = net.run_outcome(congest::program_ptrs(programs));
   result.rounds = result.run.rounds;
   if (!result.run.ok()) return result;  // degraded: outputs untrusted
   result.success = true;
-  result.parent.assign(net.n(), -1);
-  result.depth.assign(net.n(), 0);
-  result.children.assign(net.n(), {});
-  for (int v = 0; v < net.n(); ++v) {
-    const ElimTreeProgram& p = *handles[v];
+  result.parent.assign(n, -1);
+  result.depth.assign(n, 0);
+  // Children as one CSR, in each node's adoption order.
+  TreeChildren& children = result.children;
+  children.off.assign(n + 1, 0);
+  for (int v = 0; v < n; ++v) {
+    const ElimTreeProgram& p = programs[v];
+    children.off[v + 1] = children.off[v];
     if (!p.marked()) {
       result.success = false;  // this node rejects: td(G) > d
       continue;
@@ -276,9 +277,13 @@ ElimTreeResult run_elim_tree(congest::Network& net, int d,
     result.depth[v] = p.depth();
     result.parent[v] =
         p.parent_id() < 0 ? -1 : net.vertex_of_id(p.parent_id());
-    for (VertexId cid : p.children_ids())
-      result.children[v].push_back(net.vertex_of_id(cid));
+    children.off[v + 1] += static_cast<int>(p.children_ids().size());
   }
+  children.kids.reserve(children.off[n]);
+  for (const ElimTreeProgram& p : programs)
+    if (p.marked())
+      for (VertexId cid : p.children_ids())
+        children.kids.push_back(net.vertex_of_id(cid));
   return result;
 }
 
@@ -292,6 +297,33 @@ TreeChildren::TreeChildren(const std::vector<VertexId>& parent) {
   std::vector<int> cursor(off.begin(), off.end() - 1);
   for (VertexId v = 0; v < n; ++v)
     if (parent[v] >= 0) kids[cursor[parent[v]]++] = v;
+}
+
+TreePorts::TreePorts(const Graph& g, const std::vector<VertexId>& tree_parent,
+                     const TreeChildren& children) {
+  const int n = g.num_vertices();
+  parent.assign(n, -1);
+  child.assign(children.kids.size(), -1);
+  // kid_index[w]: w's position in the kids array (its child port's slot).
+  std::vector<int> kid_index(n, -1);
+  for (std::size_t k = 0; k < children.kids.size(); ++k)
+    kid_index[children.kids[k]] = static_cast<int>(k);
+  for (VertexId v = 0; v < n; ++v) {
+    int port = 0;
+    for (const VertexId w : g.neighbors(v)) {
+      if (w == tree_parent[v])
+        parent[v] = port;
+      else if (tree_parent[w] == v && kid_index[w] >= 0)
+        child[kid_index[w]] = port;
+      ++port;
+    }
+    // Each tree edge is seen from both ends: the child finds its parent
+    // port exactly when the parent finds the child's.
+    if (tree_parent[v] >= 0 && parent[v] < 0)
+      throw std::invalid_argument("tree edge " + std::to_string(v) + "-" +
+                                  std::to_string(tree_parent[v]) +
+                                  " is not a graph edge");
+  }
 }
 
 TreeDefect validate_tree(const Graph& g, const std::vector<VertexId>& parent,

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,13 +23,32 @@
 
 namespace dmc::dist {
 
+/// Children of every vertex of a tree, as one CSR: the children of v are
+/// kids[off[v] .. off[v + 1]).
+struct TreeChildren {
+  std::vector<int> off, kids;
+
+  TreeChildren() = default;
+  /// From a parent array, children ascending. Entries with parent < 0
+  /// (roots, unplaced) are nobody's child.
+  explicit TreeChildren(const std::vector<VertexId>& parent);
+  std::span<const int> operator[](VertexId v) const {
+    return {kids.data() + off[v], kids.data() + off[v + 1]};
+  }
+  const int* begin(VertexId v) const { return kids.data() + off[v]; }
+  const int* end(VertexId v) const { return kids.data() + off[v + 1]; }
+  int count(VertexId v) const { return off[v + 1] - off[v]; }
+};
+
 struct ElimTreeResult {
   bool success = false;  // false => some node rejected: td(G) > d
   /// Per graph vertex (not id): parent vertex (-1 for the root), depth
-  /// (1-based), and children (graph vertices). Valid only on success.
+  /// (1-based), and children (graph vertices; Algorithm 2's trees list
+  /// them in adoption order, which the fold's Input slots follow). Valid
+  /// only on success.
   std::vector<int> parent;
   std::vector<int> depth;
-  std::vector<std::vector<int>> children;
+  TreeChildren children;
   long rounds = 0;
   /// How the underlying run ended. When !run.ok() (round budget exhausted
   /// or crash-stop faults) the protocol outputs are untrusted: success is
@@ -54,16 +74,20 @@ struct ElimTreeOptions {
 ElimTreeResult run_elim_tree(congest::Network& net, int d,
                              const ElimTreeOptions& opts = {});
 
-/// Children of every vertex of a parent array, as one CSR: the children
-/// of v are kids[off[v] .. off[v + 1]), ascending. Entries with parent < 0
-/// (roots, unplaced) are nobody's child.
-struct TreeChildren {
-  std::vector<int> off, kids;
+/// The ports of every tree edge, found in one pass over the incidence
+/// lists: parent[v] is v's port to its parent (-1 at a root), and
+/// child[k] is the port of the tree edge to children.kids[k], so the child
+/// ports of v are child[off[v] .. off[v + 1]), in children order. Throws
+/// std::invalid_argument when a tree edge is not a graph edge.
+struct TreePorts {
+  std::vector<int> parent, child;
 
-  explicit TreeChildren(const std::vector<VertexId>& parent);
-  const int* begin(VertexId v) const { return kids.data() + off[v]; }
-  const int* end(VertexId v) const { return kids.data() + off[v + 1]; }
-  int count(VertexId v) const { return off[v + 1] - off[v]; }
+  TreePorts(const Graph& g, const std::vector<VertexId>& parent,
+            const TreeChildren& children);
+  std::span<const int> children_of(const TreeChildren& children,
+                                   VertexId v) const {
+    return {child.data() + children.off[v], child.data() + children.off[v + 1]};
+  }
 };
 
 enum class TreeDefect { kNone, kCycle, kRoots, kEdges, kDepth };

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -13,7 +14,6 @@
 #include "bpt/tables.hpp"
 #include "congest/fragment.hpp"
 #include "congest/wire.hpp"
-#include "dist/child_slots.hpp"
 #include "dist/local.hpp"
 #include "mso/lower.hpp"
 #include "mso/parser.hpp"
@@ -234,6 +234,27 @@ class Link {
 
 // --- the fold ---------------------------------------------------------------
 
+template <class A>
+using InputOf = decltype(A::input(std::declval<typename A::Up>()));
+
+/// What only a folding node holds: its bag graph and plan, its children's
+/// tables as fold inputs, and the algebra's per-node state. A replaying
+/// node (Lemma 4.3: its table depends only on its subtree) has none of it.
+template <class A>
+struct FoldState {
+  FoldState(LocalContext lctx, std::size_t children)
+      : local(std::move(lctx)),
+        inputs(children),
+        have(children, 0),
+        missing(children) {}
+
+  LocalContext local;
+  std::vector<InputOf<A>> inputs;  // by child slot
+  std::vector<char> have;
+  std::size_t missing;
+  typename A::Node node;
+};
+
 /// One node of the fold. The algebra A supplies the table type (Up), the
 /// answer type (Down), a child table's fold input (Input), per-node state
 /// (Node) and the kind's rules:
@@ -245,84 +266,67 @@ class Link {
 ///   Down root(FoldProgram&)      the answer, computed at the root
 ///   Down to_child(FoldProgram&, const Down&, i)  child i's answer
 ///   int down_bits(const Down&)   declared size of an answer
-///   collect(Outcome&, nodes, net)  the answer fields after the run
+///   collect(Outcome&, programs, net)  the answer fields after the run
 ///   localize(LocalContext&)      per-kind edits of a node's bag graph
 /// plus kUpNote / kDownNote (trace annotations), kCached (FoldCache
 /// replay), kTableUp (the upward payload always streams in fragments) and
 /// to_wire / from_wire (an answer's message form). AlgebraBase supplies
 /// defaults for Node, localize (none), input (the table itself), to_child
 /// (forward the node's own answer) and the wire forms (the answer itself).
+///
+/// Fold traffic runs on tree edges only, so a node reads just its parent
+/// port and its child ports (TreePorts, resolved once per run).
 template <class A>
 class FoldProgram final : public congest::NodeProgram {
  public:
   using Up = typename A::Up;
   using Down = typename A::Down;
-  using Input = decltype(A::input(std::declval<Up>()));
 
-  /// `local` is disengaged exactly for a node that will replay(): its
-  /// table depends only on its subtree (Lemma 4.3), so it never reads its
-  /// bag graph.
-  FoldProgram(A& algebra, std::optional<LocalContext> local, VertexId self,
-              VertexId parent, std::vector<VertexId> children)
+  /// Exactly one of `state` (a node that folds) and `replayed` (a node
+  /// that replays its cached table) is non-null. `send_up` is false when
+  /// the parent replays too (it never reads this node's table), saving
+  /// the upward message. `parent_port` is -1 at the root.
+  FoldProgram(A& algebra, FoldState<A>* state, const Up* replayed,
+              bool send_up, VertexId self, int parent_port,
+              std::span<const int> child_ports)
       : algebra_(algebra),
-        local_(std::move(local)),
+        state_(state),
+        replayed_(replayed),
+        child_ports_(child_ports),
         self_(self),
-        parent_(parent),
-        children_(std::move(children)),
-        child_slots_(children_),
-        inputs_(children_.size()),
-        have_(children_.size(), 0),
-        missing_(children_.size()) {}
+        parent_port_(parent_port),
+        send_up_(send_up) {}
 
-  /// Incremental refold: replay `cached` instead of folding. `send_up` is
-  /// false when the parent replays its own table too (it will never read
-  /// this node's), saving the upward message.
-  void replay(Up cached, bool send_up) {
-    cached_ = std::move(cached);
-    send_up_ = send_up;
-  }
-
-  const LocalContext& local() const {
-    if (!local_)
-      throw std::logic_error("fold: replaying node has no local context");
-    return *local_;
-  }
+  const LocalContext& local() const { return folding().local; }
   VertexId self() const { return self_; }
-  std::vector<Input>& inputs() { return inputs_; }
-  const Up& up() const { return up_; }
+  std::vector<InputOf<A>>& inputs() { return folding().inputs; }
+  typename A::Node& node() { return folding().node; }
+  const Up& up() const { return replayed_ != nullptr ? *replayed_ : up_; }
+  /// A folded node's table, moved out (call once, after the run).
+  Up take_up() { return std::move(up_); }
   const std::optional<Down>& down() const { return down_; }
   bool folded() const { return folded_; }
-  typename A::Node node;  // per-node algebra state
 
   void on_round(NodeCtx& ctx) override {
     if (first_round_) {
       first_round_ = false;
       ctx.annotate(A::kUpNote);
     }
-    for (int p = 0, degree = ctx.degree(); p < degree; ++p) {
-      // A port carries at most one logical message each way, so a payload
-      // can only complete in a round that delivers to it. A single message
-      // is tried as the expected type first (a pointer compare either way).
-      const Message* msg = ctx.recv(p);
-      if (msg == nullptr || receive(ctx, p, msg->value)) continue;
-      if (const auto value = link_.reassemble(ctx, p))
-        receive(ctx, p, *value);
-    }
-    if (!solved_ && (cached_ || missing_ == 0)) {
+    if (parent_port_ >= 0) poll(ctx, parent_port_, -1);
+    for (std::size_t i = 0; i < child_ports_.size(); ++i)
+      poll(ctx, child_ports_[i], static_cast<int>(i));
+    if (!solved_ && (replayed_ != nullptr || state_->missing == 0)) {
       solved_ = true;
-      if (cached_) {
-        up_ = std::move(*cached_);
-      } else {
+      if (replayed_ == nullptr) {
         up_ = algebra_.fold(*this);
         folded_ = true;
       }
-      if (parent_ < 0) {
+      if (parent_port_ < 0) {
         answer(ctx, algebra_.root(*this));
       } else if (send_up_) {
-        Payload wire(up_);  // up_ stays: callers read it after the run
+        Payload wire(up());  // the table stays: callers read it after
         const long bits = algebra_.up_bits(wire, ctx);
-        link_.send(ctx, ctx.port_of(parent_), std::move(wire), bits,
-                   A::kTableUp);
+        link_.send(ctx, parent_port_, std::move(wire), bits, A::kTableUp);
       }
     }
     link_.pump(ctx);
@@ -336,24 +340,39 @@ class FoldProgram final : public congest::NodeProgram {
   }
 
  private:
-  /// Takes `value` from port `port` as the parent's answer or a child's
-  /// table; false when it is neither (e.g. a fragment chunk).
-  bool receive(NodeCtx& ctx, int port, const Payload& value) {
-    const VertexId from = ctx.neighbor_id(port);
-    if (from == parent_) {
+  FoldState<A>& folding() const {
+    if (state_ == nullptr)
+      throw std::logic_error("fold: replaying node has no local context");
+    return *state_;
+  }
+
+  /// Reads this round's message on `port`, from the parent (slot -1) or
+  /// child `slot`. A port carries at most one logical message each way,
+  /// so a payload can only complete in a round that delivers to it. A
+  /// single message is tried as the expected type first (a pointer
+  /// compare either way).
+  void poll(NodeCtx& ctx, int port, int slot) {
+    const Message* msg = ctx.recv(port);
+    if (msg == nullptr || receive(ctx, slot, msg->value)) return;
+    if (const auto value = link_.reassemble(ctx, port))
+      receive(ctx, slot, *value);
+  }
+
+  /// Takes `value` as the parent's answer (slot -1) or child `slot`'s
+  /// table; false when it is neither (e.g. a fragment chunk). A repeated
+  /// table (a raw transport's duplicate) is ignored.
+  bool receive(NodeCtx& ctx, int slot, const Payload& value) {
+    if (slot < 0) {
       std::optional<Down> d = A::template from_wire<Down>(value);
       if (d && !down_) answer(ctx, std::move(*d));
       return d.has_value();
     }
     const Up* t = value.get_if<Up>();
     if (t == nullptr) return false;
-    const int slot = child_slots_.slot(from);
-    if (slot >= 0) {
-      inputs_[slot] = A::input(*t);
-      if (!have_[slot]) {
-        have_[slot] = 1;
-        --missing_;
-      }
+    if (state_ != nullptr && !state_->have[slot]) {
+      state_->inputs[slot] = A::input(*t);
+      state_->have[slot] = 1;
+      --state_->missing;
     }
     return true;
   }
@@ -361,31 +380,27 @@ class FoldProgram final : public congest::NodeProgram {
   void answer(NodeCtx& ctx, Down d) {
     ctx.annotate(A::kDownNote);
     down_ = std::move(d);
-    for (std::size_t i = 0; i < children_.size(); ++i) {
+    for (std::size_t i = 0; i < child_ports_.size(); ++i) {
       Down msg = algebra_.to_child(*this, *down_, i);
       const long bits = algebra_.down_bits(msg);
-      link_.send(ctx, ctx.port_of(children_[i]), A::to_wire(std::move(msg)),
-                 bits, false);
+      link_.send(ctx, child_ports_[i], A::to_wire(std::move(msg)), bits,
+                 false);
     }
   }
 
   A& algebra_;
-  std::optional<LocalContext> local_;
+  FoldState<A>* state_;
+  const Up* replayed_;
+  std::span<const int> child_ports_;
   VertexId self_;
-  VertexId parent_;
-  std::vector<VertexId> children_;
-  ChildSlots child_slots_;
-  std::vector<Input> inputs_;
-  std::vector<char> have_;
-  std::size_t missing_;
-  std::optional<Up> cached_;
-  Up up_{};
-  std::optional<Down> down_;
-  Link link_;
-  bool send_up_ = true;
+  int parent_port_;
+  bool send_up_;
   bool folded_ = false;
   bool first_round_ = true;
   bool solved_ = false;
+  Up up_{};
+  std::optional<Down> down_;
+  Link link_;
 };
 
 /// Shared by the algebras: the engine and the root's accept test.
@@ -471,12 +486,12 @@ struct DecideAlgebra : AlgebraBase {
   int down_bits(const Down&) const { return 1; }
 
   void collect(Outcome& out,
-               const std::vector<FoldProgram<DecideAlgebra>*>& nodes,
+               const std::vector<FoldProgram<DecideAlgebra>>& nodes,
                const congest::Network&) const {
     // Distributed decision semantics: G |= phi iff every node accepts; all
     // nodes received the root's verdict.
     out.holds = true;
-    for (const auto* p : nodes) out.holds = out.holds && p->down()->holds;
+    for (const auto& p : nodes) out.holds = out.holds && p.down()->holds;
     out.max_class_bits = max_class_bits;
   }
 };
@@ -514,11 +529,11 @@ struct CountAlgebra : AlgebraBase {
   int down_bits(const Down& d) const { return congest::count_bits(d.total); }
 
   void collect(Outcome& out,
-               const std::vector<FoldProgram<CountAlgebra>*>& nodes,
+               const std::vector<FoldProgram<CountAlgebra>>& nodes,
                const congest::Network&) const {
-    out.count = nodes[0]->down()->total;
-    for (const auto* p : nodes)
-      if (p->down()->total != out.count)
+    out.count = nodes[0].down()->total;
+    for (const auto& p : nodes)
+      if (p.down()->total != out.count)
         throw std::logic_error("count: inconsistent totals");
   }
 };
@@ -552,9 +567,9 @@ struct OptimizeAlgebra : AlgebraBase {
   }
   static bpt::OptTable input(Up up) { return std::move(up.table); }
   Up fold(FoldProgram<OptimizeAlgebra>& p) {
-    p.node.solver = std::make_unique<bpt::OptSolver>(
+    p.node().solver = std::make_unique<bpt::OptSolver>(
         engine, *p.local().plan, p.local().graph, std::move(p.inputs()));
-    const bpt::OptTable& table = p.node.solver->root_table();
+    const bpt::OptTable& table = p.node().solver->root_table();
     max_table_entries =
         std::max(max_table_entries, static_cast<int>(table.size()));
     return {table};
@@ -571,8 +586,8 @@ struct OptimizeAlgebra : AlgebraBase {
                 std::size_t i) {
     if (d.type == bpt::kInvalidType) return d;  // infeasible
     if (i == 0)
-      p.node.choices = p.node.solver->reconstruct(d.type).input_choices;
-    return {p.node.choices[i]};
+      p.node().choices = p.node().solver->reconstruct(d.type).input_choices;
+    return {p.node().choices[i]};
   }
   int down_bits(const Down& d) const {
     return d.type == bpt::kInvalidType ? 1 : class_bits(engine);
@@ -590,10 +605,10 @@ struct OptimizeAlgebra : AlgebraBase {
   }
 
   void collect(Outcome& out,
-               const std::vector<FoldProgram<OptimizeAlgebra>*>& nodes,
+               const std::vector<FoldProgram<OptimizeAlgebra>>& nodes,
                const congest::Network& net) const {
     out.max_table_entries = max_table_entries;
-    if (nodes[0]->down()->type == bpt::kInvalidType) return;  // infeasible
+    if (nodes[0].down()->type == bpt::kInvalidType) return;  // infeasible
     out.best_weight = sign * best_weight;
     // The selected set is the union of per-node markings (Algorithm 1's
     // top-down phase: each node marks itself and its incident bag edges).
@@ -601,7 +616,7 @@ struct OptimizeAlgebra : AlgebraBase {
     out.vertices.assign(g.num_vertices(), false);
     out.edges.assign(g.num_edges(), false);
     for (int v = 0; v < net.n(); ++v) {
-      const auto& p = *nodes[v];
+      const auto& p = nodes[v];
       const bpt::TypeId c = p.down()->type;
       if (c == bpt::kInvalidType) continue;
       const LocalContext& lc = p.local();
@@ -704,71 +719,84 @@ struct OptMarkedAlgebra : AlgebraBase {
   int down_bits(const Down&) const { return 2; }
 
   void collect(Outcome& out,
-               const std::vector<FoldProgram<OptMarkedAlgebra>*>& nodes,
+               const std::vector<FoldProgram<OptMarkedAlgebra>>& nodes,
                const congest::Network&) const {
-    out.holds = nodes[0]->down()->satisfies;
-    out.is_optimal = nodes[0]->down()->is_optimal;
+    out.holds = nodes[0].down()->satisfies;
+    out.is_optimal = nodes[0].down()->is_optimal;
     out.marked_weight = marked_weight;
     out.best_weight = best_weight;
   }
 };
 
 /// Builds one FoldProgram per vertex, runs the fold, and collects the
-/// answer. Only a vertex that folds gets a bag graph and plan; a replaying
-/// vertex reads neither, so an incremental epoch builds contexts for its
-/// refold closure alone. Vertices whose bags have one shape share one plan.
+/// answer. Only a vertex that folds gets a bag graph, plan and fold state;
+/// a replaying vertex reads none of them, so an incremental epoch builds
+/// contexts for its refold closure alone and otherwise pays for receiving
+/// and forwarding the answer. Vertices whose bags have one shape share one
+/// plan, across epochs when the cache carries it. Programs and fold states
+/// each sit in one contiguous vector.
 template <class A>
 void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
               const std::vector<LocalBag>& bags,
               const std::vector<std::string>& vlabels,
               const std::vector<std::string>& elabels, FoldCache* cache,
               Outcome& out) {
+  using Up = typename A::Up;
   const int n = net.n();
   const bool incremental =
       A::kCached && cache != nullptr &&
       cache->refold.size() == static_cast<std::size_t>(n) &&
       cache->tables.size() == static_cast<std::size_t>(n);
-  auto cached = [&](int v) -> const typename A::Up* {
+  auto cached = [&](int v) -> const Up* {
     if (v < 0 || !incremental || cache->refold[v]) return nullptr;
-    return cache->tables[v].template get_if<typename A::Up>();
+    return cache->tables[v].template get_if<Up>();
   };
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  std::vector<FoldProgram<A>*> nodes;
+  const TreePorts ports(net.graph(), tree.parent, tree.children);
+  PlanCache own_plans;
+  PlanCache& plans = cache != nullptr ? cache->plans : own_plans;
+  int folding = 0;
+  for (int v = 0; v < n; ++v) folding += cached(v) == nullptr;
+  std::vector<FoldState<A>> states;  // programs point into it: sized once
+  states.reserve(folding);
+  std::vector<FoldProgram<A>> programs;
   programs.reserve(n);
-  nodes.reserve(n);
-  PlanCache plans;
+  std::vector<VertexId> children;  // a folding vertex's children, by id
   for (int v = 0; v < n; ++v) {
-    std::vector<VertexId> children;
-    for (int c : tree.children[v]) children.push_back(net.id_of_vertex(c));
     const int parent = tree.parent[v];
-    const auto* table = cached(v);
-    std::optional<LocalContext> lctx;
+    const Up* table = cached(v);
+    FoldState<A>* state = nullptr;
     if (table == nullptr) {
       // A bag always holds its own vertex; an empty one was never built.
       if (bags[v].bag.empty())
         throw std::logic_error("fold: vertex " + std::to_string(v) +
                                " must fold but has no bag");
-      lctx = make_local_context(bags[v], children, vlabels, elabels, plans);
-      algebra.localize(*lctx);
+      children.clear();
+      for (const int c : tree.children[v])
+        children.push_back(net.id_of_vertex(c));
+      state = &states.emplace_back(
+          make_local_context(bags[v], children, vlabels, elabels, plans),
+          children.size());
+      algebra.localize(state->local);
     }
-    auto p = std::make_unique<FoldProgram<A>>(
-        algebra, std::move(lctx), net.id_of_vertex(v),
-        parent < 0 ? -1 : net.id_of_vertex(parent), std::move(children));
-    if (table != nullptr)
-      p->replay(*table, parent >= 0 && cached(parent) == nullptr);
-    nodes.push_back(p.get());
-    programs.push_back(std::move(p));
+    programs.emplace_back(
+        algebra, state, table,
+        table == nullptr || (parent >= 0 && cached(parent) == nullptr),
+        net.id_of_vertex(v), ports.parent[v],
+        ports.children_of(tree.children, v));
   }
-  out.run = net.run_outcome(programs);
+  out.run = net.run_outcome(congest::program_ptrs(programs));
   out.rounds_solve = out.run.rounds;
   out.num_classes = algebra.engine.num_types();
   if (!out.run.ok()) return;  // degraded: answer untrusted
-  algebra.collect(out, nodes, net);
+  algebra.collect(out, programs, net);
   if constexpr (A::kCached) {
-    for (const auto* p : nodes) out.folds += p->folded() ? 1 : 0;
+    for (const auto& p : programs) out.folds += p.folded() ? 1 : 0;
     if (cache != nullptr) {
-      cache->tables.assign(n, Payload());
-      for (int v = 0; v < n; ++v) cache->tables[v] = nodes[v]->up();
+      // A replayed table is the cached one already: write fresh folds only.
+      if (!incremental) cache->tables.assign(n, Payload());
+      for (int v = 0; v < n; ++v)
+        if (programs[v].folded())
+          cache->tables[v] = Payload(programs[v].take_up());
       cache->refold.assign(n, 0);
     }
   }
@@ -854,6 +882,11 @@ void FoldCache::reset(int n) {
 
 void FoldCache::remap(const std::vector<VertexId>& old_to_new, int new_n) {
   const std::size_t old_n = old_to_new.size();
+  bool identity = old_n == static_cast<std::size_t>(new_n) &&
+                  tables.size() == old_n && refold.size() == old_n;
+  for (std::size_t v = 0; identity && v < old_n; ++v)
+    identity = old_to_new[v] == static_cast<VertexId>(v);
+  if (identity) return;
   std::vector<congest::Payload> t(new_n);
   std::vector<char> r(new_n, 1);  // new vertices always refold
   if (tables.size() == old_n && refold.size() == old_n) {

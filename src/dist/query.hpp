@@ -37,6 +37,7 @@
 #include "congest/network.hpp"
 #include "dist/bags.hpp"
 #include "dist/elim_tree.hpp"
+#include "dist/local.hpp"
 #include "graph/graph.hpp"
 #include "mso/ast.hpp"
 
@@ -119,14 +120,19 @@ struct Outcome {
 /// decide which bags exist, which stays right for every kind because
 /// solve() clears them only for the cacheable ones: under optimize and
 /// optmarked they stay all-set from reset(), so every vertex gets its bag.
+///
+/// The cache also carries the fold's node plans. A plan depends on its
+/// bag's shape alone (PlanCache), so every kind reuses them across epochs,
+/// renumberings and reset().
 struct FoldCache {
   std::vector<congest::Payload> tables;  // by graph vertex; empty = none
   std::vector<char> refold;      // by graph vertex; set = must fold
+  PlanCache plans;
 
   /// Forgets every table: all n vertices fold.
   void reset(int n);
   /// Carries tables and refold flags across a renumbering; vertices
-  /// without a preimage refold.
+  /// without a preimage refold. An identity map changes nothing.
   void remap(const std::vector<VertexId>& old_to_new, int new_n);
 };
 

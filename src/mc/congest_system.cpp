@@ -233,7 +233,8 @@ std::function<void(const congest::NetworkConfig&, Execution&)> program_body(
                                     Execution& e) {
     congest::Network net(graph, cfg);
     Programs programs = make_programs();
-    const congest::RunOutcome outcome = net.run_outcome(programs);
+    const congest::RunOutcome outcome =
+        net.run_outcome(congest::program_ptrs(programs));
     e.outcome = congest::to_string(outcome.status);
     std::uint64_t digest = kFnvBasis;
     check(outcome, programs, e.violations, digest);

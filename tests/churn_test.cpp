@@ -250,7 +250,8 @@ std::vector<char> reference_dirty(const Graph& old_g,
     std::vector<VertexId> old_kids;
     for (int c : old_tree.children[ov]) old_kids.push_back(old_to_new[c]);
     std::sort(old_kids.begin(), old_kids.end());
-    std::vector<VertexId> new_kids = new_tree.children[nv];
+    std::vector<VertexId> new_kids(new_tree.children.begin(nv),
+                                   new_tree.children.end(nv));
     std::sort(new_kids.begin(), new_kids.end());
     std::vector<VertexId> old_path, new_path;
     for (VertexId x = ov; x >= 0; x = old_tree.parent[x])
@@ -411,7 +412,8 @@ void expect_dirty_covers_changed_contexts(
       for (VertexId x = ov; x >= 0; x = old_tree.parent[x])
         old_path.push_back(old_to_new[x]);
       for (VertexId x = nv; x >= 0; x = tree.parent[x]) new_path.push_back(x);
-      std::vector<VertexId> old_kids, new_kids = tree.children[nv];
+      std::vector<VertexId> old_kids,
+          new_kids(tree.children.begin(nv), tree.children.end(nv));
       for (int c : old_tree.children[ov]) old_kids.push_back(old_to_new[c]);
       std::sort(old_kids.begin(), old_kids.end());
       std::sort(new_kids.begin(), new_kids.end());

@@ -49,7 +49,7 @@ TEST(Congest, MinFloodConvergesOnPath) {
     handles.push_back(p.get());
     programs.push_back(std::move(p));
   }
-  net.run(programs);
+  net.run(program_ptrs(programs));
   for (auto* h : handles) EXPECT_EQ(h->result, 0);
 }
 
@@ -58,7 +58,7 @@ TEST(Congest, RoundsAndStatsAccounted) {
   Network net(g);
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (int v = 0; v < 6; ++v) programs.push_back(std::make_unique<MinFlood>(3));
-  const long rounds = net.run(programs);
+  const long rounds = net.run(program_ptrs(programs));
   EXPECT_GE(rounds, 3);
   EXPECT_GT(net.stats().messages, 0);
   EXPECT_GT(net.stats().total_bits, 0);
@@ -92,7 +92,8 @@ TEST(Congest, EnforcesBandwidth) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   programs.push_back(std::make_unique<Oversender>());
   programs.push_back(std::make_unique<Oversender>());
-  EXPECT_THROW(net.run(programs), std::invalid_argument);
+  EXPECT_THROW(net.run(program_ptrs(programs)),
+               std::invalid_argument);
 }
 
 TEST(Congest, RejectsDoubleSendOnPort) {
@@ -110,7 +111,7 @@ TEST(Congest, RejectsDoubleSendOnPort) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   programs.push_back(std::make_unique<DoubleSender>());
   programs.push_back(std::make_unique<DoubleSender>());
-  EXPECT_THROW(net.run(programs), std::logic_error);
+  EXPECT_THROW(net.run(program_ptrs(programs)), std::logic_error);
 }
 
 TEST(Congest, RoundLimitGuards) {
@@ -122,7 +123,7 @@ TEST(Congest, RoundLimitGuards) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   programs.push_back(std::make_unique<Forever>());
   programs.push_back(std::make_unique<Forever>());
-  EXPECT_THROW(net.run(programs), std::runtime_error);
+  EXPECT_THROW(net.run(program_ptrs(programs)), std::runtime_error);
 }
 
 TEST(Congest, NeighborIdsAndPorts) {
@@ -140,7 +141,7 @@ TEST(Congest, NeighborIdsAndPorts) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (int v = 0; v < g.num_vertices(); ++v)
     programs.push_back(std::make_unique<Check>());
-  net.run(programs);
+  net.run(program_ptrs(programs));
 }
 
 // --- the send contract -------------------------------------------------------
@@ -176,7 +177,7 @@ NetworkStats expect_throw_from_center(const std::function<void(NodeCtx&)>& act,
   programs.push_back(std::make_unique<Scripted>(act));
   for (int v = 1; v < 4; ++v)
     programs.push_back(std::make_unique<Scripted>(nullptr));
-  EXPECT_THROW(net.run(programs), Exception);
+  EXPECT_THROW(net.run(program_ptrs(programs)), Exception);
   return net.stats();
 }
 
@@ -297,7 +298,7 @@ TEST(Congest, FragmentationPaysProportionalRounds) {
     std::vector<std::unique_ptr<NodeProgram>> programs;
     programs.push_back(std::move(s));
     programs.push_back(std::move(r));
-    net.run(programs);
+    net.run(program_ptrs(programs));
     EXPECT_EQ(rh->received, "payload");
     (mode == 0 ? small_round : big_round) = rh->arrival_round;
   }
@@ -340,7 +341,7 @@ TEST(Congest, FragmentQueuesDeliverInOrder) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   programs.push_back(std::move(s));
   programs.push_back(std::move(r));
-  net.run(programs);
+  net.run(program_ptrs(programs));
   ASSERT_EQ(rh->received.size(), 3u);
   EXPECT_EQ(rh->received[0], "first");
   EXPECT_EQ(rh->received[1], "second");
@@ -481,7 +482,7 @@ TEST(Payload, OneWordFloodRoundsDoNotAllocate) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (int v = 0; v < g.num_vertices(); ++v)
     programs.push_back(std::make_unique<ProbedFlood>(kRounds, &first, &last));
-  net.run(programs);
+  net.run(program_ptrs(programs));
   ASSERT_GE(first, 0);
   ASSERT_GE(last, 0);
   EXPECT_GT(net.stats().messages, 0);

@@ -246,7 +246,8 @@ TEST(FaultMailboxes, DeliveredMessagesAreTheOnesPosted) {
       nodes.push_back(p.get());
       programs.push_back(std::move(p));
     }
-    const congest::RunOutcome outcome = net.run_outcome(programs);
+    const congest::RunOutcome outcome =
+        net.run_outcome(congest::program_ptrs(programs));
     ASSERT_TRUE(outcome.ok());
     int received = 0;
     for (const TaggedExchange* node : nodes) {
@@ -480,13 +481,15 @@ TEST(CrashFaults, LegacyRunThrowsCrashedError) {
   };
   for (int v = 0; v < g.num_vertices(); ++v)
     programs.push_back(std::make_unique<Chatter>());
-  EXPECT_THROW(net.run(programs), congest::CrashedError);
+  EXPECT_THROW(net.run(congest::program_ptrs(programs)),
+               congest::CrashedError);
   // CrashedError must remain catchable as std::runtime_error (the
   // historical Network::run contract).
   congest::Network net2(gen::path(6), cfg);
   std::vector<std::unique_ptr<congest::NodeProgram>> programs2;
   for (int v = 0; v < 6; ++v) programs2.push_back(std::make_unique<Chatter>());
-  EXPECT_THROW(net2.run(programs2), std::runtime_error);
+  EXPECT_THROW(net2.run(congest::program_ptrs(programs2)),
+               std::runtime_error);
 }
 
 TEST(CrashFaults, ReorderComposedWithSameRoundCrashesStaysStructured) {
@@ -616,7 +619,7 @@ TEST(FragmentReassembly, DupAndReorderDeliverEachMessageOnceInOrder) {
   Receiver* handle = receiver.get();
   programs.push_back(std::move(sender));
   programs.push_back(std::move(receiver));
-  const auto outcome = net.run_outcome(programs);
+  const auto outcome = net.run_outcome(congest::program_ptrs(programs));
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(handle->got, (std::vector<int>{10, 20, 30}));
   EXPECT_GT(net.stats().faults_duplicated, 0);

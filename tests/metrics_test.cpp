@@ -200,11 +200,11 @@ TEST(MetricsDisabled, NetworkRunDoesNotAllocate) {
   };
   const Graph g = gen::cycle(8);
   Network net(g);  // no registry, no sink
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (int v = 0; v < 8; ++v) programs.push_back(std::make_unique<Quiet>());
+  std::vector<Quiet> programs(8);
+  const std::vector<NodeProgram*> ptrs = congest::program_ptrs(programs);
 
   const long before = g_allocations.load(std::memory_order_relaxed);
-  const long rounds = net.run(programs);
+  const long rounds = net.run(ptrs);
   const long after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_GE(rounds, 64);
   EXPECT_EQ(after - before, 0)
@@ -358,7 +358,8 @@ TEST(MetricsReconcile, ProgramThrowingMidRunStillPublishes) {
     Network net(gen::cycle(10), cfg);
     std::vector<std::unique_ptr<NodeProgram>> programs;
     for (int v = 0; v < 10; ++v) programs.push_back(std::make_unique<Thrower>());
-    EXPECT_THROW(net.run(programs), std::runtime_error);
+    EXPECT_THROW(net.run(congest::program_ptrs(programs)),
+                 std::runtime_error);
     EXPECT_GT(net.stats().messages, 0);
     expect_counters_equal(reg, net.stats());
   }

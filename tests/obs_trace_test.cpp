@@ -252,7 +252,7 @@ TEST(ObsTrace, AnnotationsDeduplicateAcrossNodes) {
   Network net(g, cfg);
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (int v = 0; v < 6; ++v) programs.push_back(std::make_unique<Annotating>());
-  net.run(programs);
+  net.run(congest::program_ptrs(programs));
 
   int begins_a = 0, begins_b = 0;
   for (const auto& ev : buffer.phases())
@@ -308,11 +308,11 @@ TEST(ObsTrace, DisabledPathDoesNotAllocatePerRound) {
   };
   const Graph g = gen::cycle(8);
   Network net(g);  // no sink
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (int v = 0; v < 8; ++v) programs.push_back(std::make_unique<Quiet>());
+  std::vector<Quiet> programs(8);
+  const std::vector<NodeProgram*> ptrs = congest::program_ptrs(programs);
 
   const long before = g_allocations.load(std::memory_order_relaxed);
-  const long rounds = net.run(programs);
+  const long rounds = net.run(ptrs);
   const long after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_GE(rounds, 64);
   EXPECT_EQ(after - before, 0)

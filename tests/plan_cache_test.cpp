@@ -8,17 +8,20 @@
 
 #include <algorithm>
 #include <numeric>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bpt/plan.hpp"
+#include "churn/engine.hpp"
 #include "congest/network.hpp"
 #include "dist/bags.hpp"
 #include "dist/elim_tree.hpp"
 #include "dist/local.hpp"
 #include "graph/generators.hpp"
+#include "mso/parser.hpp"
 
 namespace dmc::dist {
 namespace {
@@ -43,6 +46,31 @@ void expect_same_plan(const bpt::Plan& cached, const bpt::Plan& fresh,
   }
 }
 
+/// Vertex v's context through `plans`, as the fold builds it, with its
+/// plan checked against one compiled afresh from its own local graph.
+LocalContext checked_context(const congest::Network& net,
+                             const ElimTreeResult& tree,
+                             const std::vector<LocalBag>& bags, int v,
+                             PlanCache& plans,
+                             const std::vector<std::string>& vlabels = {},
+                             const std::vector<std::string>& elabels = {}) {
+  std::vector<VertexId> children;
+  for (int c : tree.children[v]) children.push_back(net.id_of_vertex(c));
+  LocalContext ctx =
+      make_local_context(bags[v], children, vlabels, elabels, plans);
+  std::vector<std::vector<VertexId>> child_bags;
+  for (VertexId c : children) {
+    std::vector<VertexId> cb = ctx.bag_local;
+    cb.push_back(ctx.local_of(c));
+    std::sort(cb.begin(), cb.end());
+    child_bags.push_back(std::move(cb));
+  }
+  const bpt::Plan fresh =
+      bpt::build_node_plan(ctx.graph, ctx.bag_local, child_bags);
+  expect_same_plan(*ctx.plan, fresh, v);
+  return ctx;
+}
+
 /// Builds every vertex's context through one cache, as the fold does, and
 /// checks each shared plan against a fresh one. Returns the number of
 /// distinct plans. A nonzero `id_seed` permutes the ids, so children
@@ -60,23 +88,10 @@ std::size_t check_every_vertex(const Graph& g, int d,
   if (!bags.run.ok()) return 0;
   PlanCache plans;
   std::set<const bpt::Plan*> distinct;
-  for (int v = 0; v < net.n(); ++v) {
-    std::vector<VertexId> children;
-    for (int c : tree.children[v]) children.push_back(net.id_of_vertex(c));
-    const LocalContext ctx =
-        make_local_context(bags.bags[v], children, vlabels, elabels, plans);
-    std::vector<std::vector<VertexId>> child_bags;
-    for (VertexId c : children) {
-      std::vector<VertexId> cb = ctx.bag_local;
-      cb.push_back(ctx.local_of(c));
-      std::sort(cb.begin(), cb.end());
-      child_bags.push_back(std::move(cb));
-    }
-    const bpt::Plan fresh =
-        bpt::build_node_plan(ctx.graph, ctx.bag_local, child_bags);
-    expect_same_plan(*ctx.plan, fresh, v);
-    distinct.insert(ctx.plan.get());
-  }
+  for (int v = 0; v < net.n(); ++v)
+    distinct.insert(
+        checked_context(net, tree, bags.bags, v, plans, vlabels, elabels)
+            .plan.get());
   EXPECT_EQ(distinct.size(), plans.size());
   return plans.size();
 }
@@ -111,10 +126,10 @@ TEST(PlanCache, StarHubPlansEqualFreshPlans) {
   congest::Network net(g);
   const ElimTreeResult tree = run_elim_tree(net, 2);
   ASSERT_TRUE(tree.success);
-  std::size_t widest = 0;
-  for (const auto& kids : tree.children)
-    widest = std::max(widest, kids.size());
-  EXPECT_GE(widest, 299u);
+  int widest = 0;
+  for (VertexId v = 0; v < net.n(); ++v)
+    widest = std::max(widest, tree.children.count(v));
+  EXPECT_GE(widest, 299);
   EXPECT_GT(check_every_vertex(g, 2), 0u);
 }
 
@@ -201,6 +216,93 @@ TEST(PlanCache, ChildInsideTheBagThrowsAfterTheValidShapeIsCached) {
   EXPECT_THROW(make_local_context(invalid, {5}, {}, {}, plans),
                std::invalid_argument);
   EXPECT_EQ(plans.size(), 1u);
+}
+
+/// Shapes of every vertex of the churn engine's current tree that `plans`
+/// does not hold yet, and each vertex's plan checked against a fresh
+/// compile. `held` maps a vertex whose shape `plans` held to that plan.
+std::size_t probe_engine_tree(const churn::ChurnEngine& engine,
+                              PlanCache plans,
+                              std::vector<const bpt::Plan*>* held) {
+  // Ids are the identity (id_seed 0), as in the engine's own network.
+  const congest::Network net(engine.graph());
+  const ElimTreeResult& tree = *engine.tree();
+  const std::vector<LocalBag> bags = churn::bags_for_tree(net, tree, {}, {});
+  std::set<const bpt::Plan*> compiled;  // by this probe, not held
+  if (held != nullptr) held->assign(net.n(), nullptr);
+  for (int v = 0; v < net.n(); ++v) {
+    const std::size_t size = plans.size();
+    const LocalContext ctx = checked_context(net, tree, bags, v, plans);
+    if (plans.size() != size) compiled.insert(ctx.plan.get());
+    if (held != nullptr && !compiled.count(ctx.plan.get()))
+      (*held)[v] = ctx.plan.get();
+  }
+  return compiled.size();
+}
+
+TEST(PlanCache, ChurnEpochsCompileEachShapeOnce) {
+  // A churn engine keeps its plans across epochs (dist::FoldCache): init
+  // compiles one plan per shape of its tree, and an edge epoch compiles
+  // only shapes no earlier epoch met. A plan already held is reused as
+  // the same object, and still equals a fresh compile.
+  gen::Rng rng(3);
+  const Graph g = gen::random_bounded_treedepth(300, 3, 0.25, rng);
+  churn::Options opts;
+  opts.d = 4;
+  opts.verify = false;
+  churn::ChurnEngine engine(
+      g,
+      Query{Kind::kDecision,
+            mso::parse("!exists vertex x, y, z. adj(x,y) & adj(y,z) & "
+                       "adj(x,z)")},
+      opts);
+  ASSERT_TRUE(engine.init().ok());
+  const PlanCache& plans = engine.fold_cache().plans;
+  EXPECT_EQ(plans.size(), probe_engine_tree(engine, PlanCache{}, nullptr));
+  EXPECT_EQ(probe_engine_tree(engine, plans, nullptr), 0u);
+
+  std::mt19937_64 pick(3);
+  std::vector<churn::ChurnEvent> deleted;
+  int incremental = 0;
+  for (int epoch = 0; epoch < 40; ++epoch) {
+    const PlanCache before = plans;
+    churn::ChurnEvent ev;
+    if (!deleted.empty() && (deleted.size() >= 4 || pick() % 2 == 0)) {
+      ev = deleted.back();
+      deleted.pop_back();
+      ev.kind = churn::ChurnEvent::Kind::kAddEdge;
+    } else {
+      const Graph& cur = engine.graph();
+      ev.kind = churn::ChurnEvent::Kind::kDelEdge;
+      const Edge e = cur.edge(static_cast<EdgeId>(pick() % cur.num_edges()));
+      ev.u = e.u;
+      ev.v = e.v;
+      deleted.push_back(ev);
+    }
+    churn::StepOutcome out;
+    try {
+      out = engine.step({ev});
+    } catch (const std::invalid_argument&) {  // a bridge: graph unchanged
+      deleted.pop_back();
+      continue;
+    }
+    ASSERT_TRUE(out.ok()) << "epoch " << epoch;
+    incremental += out.status != churn::StepStatus::kRecomputed;
+    std::vector<const bpt::Plan*> held_before, held_after;
+    const std::size_t unseen = probe_engine_tree(engine, before, &held_before);
+    // A replaying vertex's shape is the one it last folded with, so the
+    // kept plans cover every vertex of the tree.
+    EXPECT_EQ(probe_engine_tree(engine, plans, &held_after), 0u)
+        << "epoch " << epoch;
+    EXPECT_GE(plans.size(), before.size()) << "epoch " << epoch;
+    EXPECT_LE(plans.size() - before.size(), unseen) << "epoch " << epoch;
+    for (std::size_t v = 0; v < held_before.size(); ++v) {
+      if (held_before[v] == nullptr) continue;
+      EXPECT_EQ(held_after[v], held_before[v])
+          << "epoch " << epoch << " recompiled the plan of vertex " << v;
+    }
+  }
+  EXPECT_GE(incremental, 20);
 }
 
 }  // namespace
