@@ -39,18 +39,6 @@ std::vector<dist::LocalBag> bags_for_tree(
   const int n = g.num_vertices();
   if (mask != nullptr && mask->size() != static_cast<std::size_t>(n))
     throw std::invalid_argument("churn::bags_for_tree: mask size != n");
-  auto vbits = [&](VertexId v) {
-    std::uint32_t bits = 0;
-    for (std::size_t i = 0; i < vlabel_names.size(); ++i)
-      if (g.vertex_has_label(vlabel_names[i], v)) bits |= 1u << i;
-    return bits;
-  };
-  auto ebits = [&](EdgeId e) {
-    std::uint32_t bits = 0;
-    for (std::size_t i = 0; i < elabel_names.size(); ++i)
-      if (g.edge_has_label(elabel_names[i], e)) bits |= 1u << i;
-    return bits;
-  };
   std::vector<dist::LocalBag> bags(n);
   std::vector<int> path;
   for (int v = 0; v < n; ++v) {
@@ -64,7 +52,7 @@ std::vector<dist::LocalBag> bags_for_tree(
     for (int x : path) {
       b.bag.push_back(net.id_of_vertex(x));
       b.weights.push_back(g.vertex_weight(x));
-      b.vlabel_bits.push_back(vbits(x));
+      b.vlabel_bits.push_back(g.vertex_label_bits(vlabel_names, x));
     }
     for (std::size_t i = 0; i < path.size(); ++i) {
       for (std::size_t j = i + 1; j < path.size(); ++j) {
@@ -74,7 +62,7 @@ std::vector<dist::LocalBag> bags_for_tree(
         edge.i = static_cast<int>(i);
         edge.j = static_cast<int>(j);
         edge.weight = g.edge_weight(e);
-        edge.elabel_bits = ebits(e);
+        edge.elabel_bits = g.edge_label_bits(elabel_names, e);
         b.edges.push_back(edge);
       }
     }

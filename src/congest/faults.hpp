@@ -16,9 +16,9 @@
 //
 // The injector only *decides* fates; the delivery machinery that enacts
 // them lives in reliable.hpp (shared by the raw faulty path and the
-// reliable-transport path of Network::run). Injected faults surface as
-// dmc::obs FaultEvents and NetworkStats fault counters, so traces show
-// exactly what was injected. See docs/ROBUSTNESS.md.
+// reliable-transport path of Network::run_outcome). Injected faults
+// surface as dmc::obs FaultEvents and NetworkStats fault counters, so
+// traces show exactly what was injected. See docs/ROBUSTNESS.md.
 #pragma once
 
 #include <cstdint>

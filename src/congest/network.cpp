@@ -171,8 +171,8 @@ void Network::derive() {
   const int n_ = graph_.num_vertices();
   if (n_ == 0) throw std::invalid_argument("Network: empty graph");
   // Our private copy of the graph serves every per-round incidence query;
-  // finalize its CSR arena now so run() never hits the lazy rebuild (the
-  // per-round path stays allocation-free).
+  // finalize its CSR arena now so run_outcome() never hits the lazy rebuild
+  // (the per-round path stays allocation-free).
   graph_.finalize();
   // Connectivity: one BFS with the scheduler's step list as its queue and
   // its stamps as the visited marks (both re-initialised below), so a
@@ -233,9 +233,9 @@ void Network::derive() {
       }
     }
   }
-  // Pre-size every per-round buffer to its worst case so run() performs no
-  // allocation on the perfect path (the obs/metrics zero-allocation tests
-  // pin this down).
+  // Pre-size every per-round buffer to its worst case so run_outcome()
+  // performs no allocation on the perfect path (the obs/metrics
+  // zero-allocation tests pin this down).
   sent_links_.resize(links);
   sent_count_ = 0;
   inbox_links_.resize(links);
@@ -490,32 +490,10 @@ void Network::close_annotation() {
   cfg_.sink->phase(ev);
 }
 
-long Network::run(std::span<NodeProgram* const> programs) {
-  RunOutcome outcome = run_outcome(programs);
-  switch (outcome.status) {
-    case RunStatus::kCompleted:
-      return outcome.rounds;
-    case RunStatus::kRoundLimit: {
-      std::string msg = "Network::run: round limit exceeded";
-      if (!outcome.stalled_phase.empty())
-        msg += " in phase '" + outcome.stalled_phase + "'";
-      throw RoundLimitError(msg, std::move(outcome));
-    }
-    case RunStatus::kCrashed: {
-      std::string msg = "Network::run: " +
-                        std::to_string(outcome.crashed.size()) +
-                        " node(s) crash-stopped; outputs untrusted";
-      if (!outcome.stalled_phase.empty())
-        msg += " (stalled in phase '" + outcome.stalled_phase + "')";
-      throw CrashedError(msg, std::move(outcome));
-    }
-  }
-  return outcome.rounds;
-}
-
 RunOutcome Network::run_outcome(std::span<NodeProgram* const> programs) {
   if (static_cast<int>(programs.size()) != n())
-    throw std::invalid_argument("Network::run: one program per vertex needed");
+    throw std::invalid_argument(
+        "Network::run_outcome: one program per vertex needed");
   // Publishes the run's metrics however it ends: completed, degraded or
   // thrown out of by a program.
   struct PublishOnExit {
@@ -749,10 +727,11 @@ RunOutcome Network::run_rounds(std::span<NodeProgram* const> programs) {
                          ? RunStatus::kCrashed
                          : RunStatus::kCompleted,
                      round_ - first_round, false);
-    // Fault-mode stall detector; the perfect path has none.
-    if (kFaulty && carried.closed) {
-      quiet = carried.progress || all_done ? 0 : quiet + 1;
-      if (quiet >= cfg_.stall_quiet_rounds)
+    // Fault-mode stall detector; the perfect path has none. A frame
+    // barrier counts its own quiet physical rounds and reports `stalled`.
+    if constexpr (kFaulty) {
+      if (carried.closed) quiet = carried.progress || all_done ? 0 : quiet + 1;
+      if (carried.stalled || quiet >= cfg_.stall_quiet_rounds)
         return end_run(rt->crashed_ids_.empty() ? RunStatus::kRoundLimit
                                                 : RunStatus::kCrashed,
                        round_ - first_round, true);

@@ -55,13 +55,16 @@ struct NetMetrics;    // net_metrics.hpp: metric handles and state of a network
 /// What a transport reports to the run loop after carrying one virtual
 /// round's messages.
 struct Carried {
-  /// The virtual round closed. False only when the round cap cut the
-  /// reliable transport's frame barrier short.
+  /// The virtual round closed. False only when the round cap or a stall
+  /// cut the reliable transport's frame barrier short.
   bool closed = true;
   /// Messages are still on their way, so the run cannot complete yet.
   bool in_motion = false;
   /// Traffic moved this round; resets the fault paths' stall count.
   bool progress = false;
+  /// The frame barrier completed no link for stall_quiet_rounds physical
+  /// rounds in a row: the run ends degraded.
+  bool stalled = false;
 };
 
 /// Throws std::out_of_range("<where>: bad port"); kept out of line and cold
@@ -89,11 +92,12 @@ struct NetworkConfig {
   int min_bandwidth = 32;
   /// Seed for the id permutation; 0 = identity ids.
   unsigned id_seed = 0;
-  /// Hard cap on rounds per run() call (guards non-terminating protocols).
+  /// Hard cap on rounds per run_outcome() call (guards non-terminating
+  /// protocols).
   int max_rounds = 1'000'000;
   /// Optional trace sink (not owned; must outlive the network). When null
-  /// — the default — run() takes no tracing branches and performs no
-  /// allocation for observability. Rounds, phases, faults and quiescent
+  /// — the default — run_outcome() takes no tracing branches and performs
+  /// no allocation for observability. Rounds, phases, faults and quiescent
   /// skips reach the sink as the same events the flight ring records.
   obs::TraceSink* sink = nullptr;
   /// Wire-format audit mode (src/congest/wire.hpp): every send encodes its
@@ -109,10 +113,10 @@ struct NetworkConfig {
   /// runs both to expose cross-node shared state.
   enum class StepOrder { kForward, kReverse };
   StepOrder step_order = StepOrder::kForward;
-  /// Fault injection (faults.hpp). Engaging this makes run() hand each
-  /// round's messages to a fault transport instead of the perfect mailbox
-  /// swap: by default the reliable-transport shim (reliable.hpp) carries
-  /// every protocol step over the lossy links, so protocols run
+  /// Fault injection (faults.hpp). Engaging this makes run_outcome() hand
+  /// each round's messages to a fault transport instead of the perfect
+  /// mailbox swap: by default the reliable-transport shim (reliable.hpp)
+  /// carries every protocol step over the lossy links, so protocols run
   /// unmodified; with FaultPlan::raw_transport the faults hit the protocol
   /// messages directly. Disengaged (the default), delivery is the perfect
   /// path's swap, byte for byte the pre-fault simulator.
@@ -120,9 +124,10 @@ struct NetworkConfig {
   /// Fault-mode stall detector: a run that makes no protocol progress (no
   /// payload traffic, nodes not done) for this many consecutive protocol
   /// rounds stops with a degraded outcome instead of burning max_rounds.
-  /// Generous default: quiet stretches of honest protocols (e.g. the
-  /// elimination-tree phase schedule) are far shorter on the graphs in
-  /// scope.
+  /// So does a reliable-transport frame barrier in which no link completes
+  /// for this many consecutive physical rounds. Generous default: quiet
+  /// stretches of honest protocols (e.g. the elimination-tree phase
+  /// schedule) are far shorter on the graphs in scope.
   int stall_quiet_rounds = 1024;
   /// Aggregate metrics registry (src/metrics/metrics.hpp; not owned, must
   /// outlive the network). nullptr — the default — falls back to
@@ -221,24 +226,6 @@ struct RunOutcome {
   bool ok() const { return status == RunStatus::kCompleted; }
 };
 
-/// Thrown by the legacy Network::run() wrapper on a degraded outcome (both
-/// derive from std::runtime_error, preserving the historical contract that
-/// run() throws std::runtime_error when max_rounds is exhausted). Callers
-/// wanting graceful degradation use run_outcome() instead.
-class RoundLimitError : public std::runtime_error {
- public:
-  explicit RoundLimitError(const std::string& msg, RunOutcome outcome_)
-      : std::runtime_error(msg), outcome(std::move(outcome_)) {}
-  RunOutcome outcome;
-};
-
-class CrashedError : public std::runtime_error {
- public:
-  explicit CrashedError(const std::string& msg, RunOutcome outcome_)
-      : std::runtime_error(msg), outcome(std::move(outcome_)) {}
-  RunOutcome outcome;
-};
-
 class Network;
 
 /// Per-node view during a round. The per-message accessors are defined
@@ -319,9 +306,9 @@ class NodeProgram {
   virtual bool done(const NodeCtx& ctx) const = 0;
 };
 
-/// The non-owning pointers Network::run takes, one per vertex in vertex
-/// order, over programs held by value (one contiguous vector per run) or
-/// by owning pointer.
+/// The non-owning pointers Network::run_outcome takes, one per vertex in
+/// vertex order, over programs held by value (one contiguous vector per
+/// run) or by owning pointer.
 template <class Programs>
 std::vector<NodeProgram*> program_ptrs(Programs& programs) {
   std::vector<NodeProgram*> ptrs;
@@ -383,20 +370,15 @@ class Network {
   /// cap; `programs[v]` is the program of graph vertex v. The pointers are
   /// non-owning: the caller holds the programs however it likes (one
   /// contiguous vector per run, see program_ptrs) and reads the protocol
-  /// outputs from them afterwards.
-  /// Returns the number of rounds this run took (stats accumulate across
-  /// runs). Throws std::runtime_error if max_rounds is exceeded — a
-  /// RoundLimitError — and CrashedError on crash-stop faults; prefer
-  /// run_outcome() where degraded outcomes are expected. With metrics on,
-  /// the run's metrics reach the registry when it returns or throws (and
-  /// at each metrics_interval flush before that).
-  long run(std::span<NodeProgram* const> programs);
-
-  /// Like run(), but degraded endings come back as a structured RunOutcome
-  /// instead of an exception: round-budget exhaustion and crash-stop faults
-  /// report their status, per-phase progress (stalled_phase), and the
-  /// crashed node set. Protocol outputs are only meaningful when
-  /// outcome.ok().
+  /// outputs from them afterwards, which are only meaningful when
+  /// outcome.ok(). Degraded endings come back in the RunOutcome: an
+  /// exhausted round budget or a stall (kRoundLimit) and crash-stop faults
+  /// (kCrashed) report their status, physical rounds, the open phase
+  /// (stalled_phase) and the crashed node set; stats accumulate across
+  /// runs. An exception a program raises (a bad port, an oversize send)
+  /// propagates unchanged. With metrics on, the run's metrics reach the
+  /// registry when it returns or throws (and at each metrics_interval
+  /// flush before that).
   RunOutcome run_outcome(std::span<NodeProgram* const> programs);
 
   /// True iff a trace sink is configured.
@@ -414,9 +396,9 @@ class Network {
   /// (stalled_phase), and a sink gets PhaseEvents. Spans nest and must
   /// close in LIFO order (prefer the PhaseScope RAII helper); phase_end
   /// without an open phase throws std::logic_error. Phase calls happen
-  /// between runs, so run() itself stays allocation-free. phase_end closes
-  /// any open NodeCtx annotation first, so annotations never leak across
-  /// phases; annotate() is a no-op without a sink.
+  /// between runs, so run_outcome() itself stays allocation-free. phase_end
+  /// closes any open NodeCtx annotation first, so annotations never leak
+  /// across phases; annotate() is a no-op without a sink.
   void phase_begin(std::string_view name);
   void phase_end();
   void annotate(std::string_view name);

@@ -372,6 +372,10 @@ Carried FaultRuntime::carry_reliable(int done_count, bool all_done) {
   }
   // Transport the frames over the faulty physical links until every live
   // link delivered (the synchronizer barrier). Cost: >= 1 physical round.
+  // A barrier that completes no link for stall_quiet_rounds physical rounds
+  // in a row (every frame lost, say) stalls rather than run to the cap.
+  int pending = links;  // live links not yet delivered
+  int quiet = 0;        // consecutive physical rounds completing none
   for (;;) {
     for (int k = 0; k < links; ++k) {
       const Channel& ch = channels_[k];
@@ -390,12 +394,16 @@ Carried FaultRuntime::carry_reliable(int done_count, bool all_done) {
       // apply any it was never offered, e.g. absent ids): idempotent.
       apply_scheduled_crashes();
     }
-    const bool all_delivered =
-        std::none_of(channels_.begin(), channels_.end(),
-                     [](const Channel& ch) {
-                       return ch.active && !ch.delivered;
-                     });
-    if (all_delivered) break;
+    const int still_pending = static_cast<int>(
+        std::count_if(channels_.begin(), channels_.end(),
+                      [](const Channel& ch) {
+                        return ch.active && !ch.delivered;
+                      }));
+    if (still_pending == 0) break;
+    quiet = still_pending < pending ? 0 : quiet + 1;
+    pending = still_pending;
+    if (quiet >= net_.cfg_.stall_quiet_rounds)
+      return {.closed = false, .in_motion = true, .stalled = true};
     if (net_.over_round_cap()) return {.closed = false, .in_motion = true};
   }
   // Barrier-integrity invariant (hook mode only): a completed barrier must

@@ -66,7 +66,8 @@ inline constexpr int kMaxRto = 16;
 namespace detail {
 
 /// Fault-mode transports, owned by Network (one per network, persistent
-/// across run() calls so crash state carries over a protocol pipeline).
+/// across run_outcome() calls so crash state carries over a protocol
+/// pipeline).
 /// Directed link k is Network's link k: it leaves link_src_[k] and lands
 /// in inbox slot peer_link_[k], the reverse link.
 struct FaultRuntime {
@@ -109,8 +110,10 @@ struct FaultRuntime {
   /// Reliable delivery of one virtual round: loads every live link's frame
   /// from the outbox, then runs the frame barrier — transmit, close a
   /// physical round, deliver — until every live link delivered (at least
-  /// one physical round) or the round cap cuts it. A round where every
-  /// live node is done and nothing is queued settles in one round.
+  /// one physical round), the round cap cuts it, or it stalls: no link
+  /// completes for stall_quiet_rounds physical rounds in a row. A round
+  /// where every live node is done and nothing is queued settles in one
+  /// round.
   Carried carry_reliable(int done_count, bool all_done);
   /// Raw delivery of one round: launches the queued messages onto the
   /// faulty links, closes the round, then delivers the due copies.

@@ -196,27 +196,18 @@ BagsResult run_bags(congest::Network& net, const ElimTreeResult& tree,
     throw std::invalid_argument("run_bags: elimination tree construction failed");
   congest::PhaseScope trace_scope(net, "bags");
   const Graph& g = net.graph();
-  auto vbits = [&](VertexId v) {
-    std::uint32_t bits = 0;
-    for (std::size_t i = 0; i < vlabel_names.size(); ++i)
-      if (g.vertex_has_label(vlabel_names[i], v)) bits |= 1u << i;
-    return bits;
-  };
-  auto ebits = [&](EdgeId e) {
-    std::uint32_t bits = 0;
-    for (std::size_t i = 0; i < elabel_names.size(); ++i)
-      if (g.edge_has_label(elabel_names[i], e)) bits |= 1u << i;
-    return bits;
-  };
   const TreePorts ports(g, tree.parent, tree.children);
   std::vector<BagsProgram> programs;
   programs.reserve(net.n());
   for (int v = 0; v < net.n(); ++v) {
     std::vector<std::tuple<VertexId, Weight, std::uint32_t>> incident;
     for (auto [w, e] : g.incident(v))
-      incident.emplace_back(net.id_of_vertex(w), g.edge_weight(e), ebits(e));
+      incident.emplace_back(net.id_of_vertex(w), g.edge_weight(e),
+                            g.edge_label_bits(elabel_names, e));
     programs.emplace_back(ports.parent[v], ports.children_of(tree.children, v),
-                          g.vertex_weight(v), vbits(v), std::move(incident));
+                          g.vertex_weight(v),
+                          g.vertex_label_bits(vlabel_names, v),
+                          std::move(incident));
   }
   BagsResult result;
   result.run = net.run_outcome(congest::program_ptrs(programs));

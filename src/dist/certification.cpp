@@ -73,20 +73,13 @@ LabelArrays labels_for(const Graph& g, const std::vector<VertexId>& path,
                        const std::vector<std::string>& enames) {
   LabelArrays out;
   const int tau = static_cast<int>(path.size());
-  for (VertexId v : path) {
-    std::uint32_t bits = 0;
-    for (std::size_t l = 0; l < vnames.size(); ++l)
-      if (g.vertex_has_label(vnames[l], v)) bits |= 1u << l;
-    out.vlabels.push_back(bits);
-  }
+  for (VertexId v : path)
+    out.vlabels.push_back(g.vertex_label_bits(vnames, v));
   for (int i = 0; i < tau; ++i)
     for (int j = i + 1; j < tau; ++j) {
       if (!((bag_adj >> bpt::pair_index(i, j, tau)) & 1)) continue;
-      std::uint32_t bits = 0;
       const EdgeId e = g.edge_id(path[i], path[j]);
-      for (std::size_t l = 0; l < enames.size(); ++l)
-        if (e >= 0 && g.edge_has_label(enames[l], e)) bits |= 1u << l;
-      out.elabels.push_back(bits);
+      out.elabels.push_back(e >= 0 ? g.edge_label_bits(enames, e) : 0u);
     }
   return out;
 }
@@ -229,12 +222,8 @@ VerifyResult verify_mso(const Graph& g, const MsoCertification& cert) {
           c.elabels.size() !=
               static_cast<std::size_t>(std::popcount(c.bag_adj)))
         ok = false;
-      if (ok) {
-        std::uint32_t own = 0;
-        for (std::size_t l = 0; l < cfg.vertex_labels.size(); ++l)
-          if (g.vertex_has_label(cfg.vertex_labels[l], v)) own |= 1u << l;
-        ok = c.vlabels.back() == own;
-      }
+      if (ok)
+        ok = c.vlabels.back() == g.vertex_label_bits(cfg.vertex_labels, v);
       if (ok) {
         // own incident bag edges carry truthful edge labels
         int ordinal = 0;
@@ -243,11 +232,8 @@ VerifyResult verify_mso(const Graph& g, const MsoCertification& cert) {
             if (!((c.bag_adj >> bpt::pair_index(i, j, tau)) & 1)) continue;
             if (j == tau - 1) {
               const EdgeId e = g.edge_id(c.path[i], v);
-              std::uint32_t bits = 0;
-              for (std::size_t l = 0; l < cfg.edge_labels.size(); ++l)
-                if (e >= 0 && g.edge_has_label(cfg.edge_labels[l], e))
-                  bits |= 1u << l;
-              ok = c.elabels[ordinal] == bits;
+              ok = c.elabels[ordinal] ==
+                   (e >= 0 ? g.edge_label_bits(cfg.edge_labels, e) : 0u);
             }
             ++ordinal;
           }

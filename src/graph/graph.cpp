@@ -31,6 +31,19 @@ const std::vector<bool>* find_label(const LabelColumns& cols,
   return find_label(const_cast<LabelColumns&>(cols), name);
 }
 
+bool has_label(const LabelColumns& cols, const std::string& name, int x) {
+  const auto* bits = find_label(cols, name);
+  return bits != nullptr && x < static_cast<int>(bits->size()) && (*bits)[x];
+}
+
+std::uint32_t label_bits(const LabelColumns& cols,
+                         const std::vector<std::string>& names, int x) {
+  std::uint32_t bits = 0;
+  for (std::size_t i = 0; i < names.size(); ++i)
+    if (has_label(cols, names[i], x)) bits |= 1u << i;
+  return bits;
+}
+
 std::vector<bool>& ensure_label(LabelColumns& cols, const std::string& name) {
   auto it = std::lower_bound(
       cols.begin(), cols.end(), name,
@@ -216,16 +229,24 @@ void Graph::set_edge_label(const std::string& name, EdgeId e, bool on) {
 
 bool Graph::vertex_has_label(const std::string& name, VertexId v) const {
   check_vertex(v);
-  const auto* bits = find_label(vertex_labels_, name);
-  if (bits == nullptr) return false;
-  return v < static_cast<int>(bits->size()) && (*bits)[v];
+  return has_label(vertex_labels_, name, v);
 }
 
 bool Graph::edge_has_label(const std::string& name, EdgeId e) const {
   check_edge(e);
-  const auto* bits = find_label(edge_labels_, name);
-  if (bits == nullptr) return false;
-  return e < static_cast<int>(bits->size()) && (*bits)[e];
+  return has_label(edge_labels_, name, e);
+}
+
+std::uint32_t Graph::vertex_label_bits(const std::vector<std::string>& names,
+                                       VertexId v) const {
+  check_vertex(v);
+  return label_bits(vertex_labels_, names, v);
+}
+
+std::uint32_t Graph::edge_label_bits(const std::vector<std::string>& names,
+                                     EdgeId e) const {
+  check_edge(e);
+  return label_bits(edge_labels_, names, e);
 }
 
 std::vector<std::string> Graph::vertex_label_names() const {

@@ -172,6 +172,13 @@ class Graph {
   void set_edge_label(const std::string& name, EdgeId e, bool on = true);
   bool vertex_has_label(const std::string& name, VertexId v) const;
   bool edge_has_label(const std::string& name, EdgeId e) const;
+  /// The labels of v (of e) over an ordered list of names, as bits: bit i
+  /// is set iff it carries names[i]. Bags and certificates carry labels in
+  /// this encoding.
+  std::uint32_t vertex_label_bits(const std::vector<std::string>& names,
+                                  VertexId v) const;
+  std::uint32_t edge_label_bits(const std::vector<std::string>& names,
+                                EdgeId e) const;
   std::vector<std::string> vertex_label_names() const;
   std::vector<std::string> edge_label_names() const;
 

@@ -3,10 +3,11 @@
 // Tests and benches query it directly; summary.hpp reduces it to per-phase
 // totals. The buffer keeps the interleaving of round and phase events
 // (phase attribution of a round depends on which spans were open when the
-// round executed), plus flat per-kind views for convenience.
+// round executed), plus flat per-kind views over it for convenience.
 #pragma once
 
 #include <cstddef>
+#include <ranges>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -46,7 +47,6 @@ class TraceBuffer final : public TraceSink {
     item.kind = Item::Kind::Round;
     item.round = ev;
     items_.push_back(std::move(item));
-    rounds_.push_back(ev);
   }
 
   void phase(const PhaseEvent& ev) override {
@@ -54,7 +54,6 @@ class TraceBuffer final : public TraceSink {
     item.kind = Item::Kind::Phase;
     item.phase = ev;
     items_.push_back(std::move(item));
-    phases_.push_back(ev);
   }
 
   void fault(const FaultEvent& ev) override {
@@ -62,7 +61,6 @@ class TraceBuffer final : public TraceSink {
     item.kind = Item::Kind::Fault;
     item.fault = ev;
     items_.push_back(std::move(item));
-    faults_.push_back(ev);
   }
 
   // Stored compactly, not expanded: a million-vertex fast-forwarded run
@@ -72,7 +70,6 @@ class TraceBuffer final : public TraceSink {
     item.kind = Item::Kind::Quiescent;
     item.quiescent = ev;
     items_.push_back(std::move(item));
-    quiescents_.push_back(ev);
   }
 
   void run_end() override {
@@ -81,33 +78,41 @@ class TraceBuffer final : public TraceSink {
     items_.push_back(std::move(item));
   }
 
+ private:
+  // Defined ahead of the accessors below, which deduce their type from it.
+  /// The `field` of every item of `kind`, in emission order.
+  template <class Event>
+  auto events(Item::Kind kind, Event Item::*field) const {
+    const auto of_kind = [kind](const Item& i) { return i.kind == kind; };
+    const auto event = [field](const Item& i) -> const Event& {
+      return i.*field;
+    };
+    return items_ | std::views::filter(of_kind) |
+           std::views::transform(event);
+  }
+
+ public:
   /// Full stream in emission order.
   const std::vector<Item>& items() const { return items_; }
-  /// All round events, in order.
-  const std::vector<RoundEvent>& rounds() const { return rounds_; }
+  /// All round events, in order (a view over items()).
+  auto rounds() const { return events(Item::Kind::Round, &Item::round); }
   /// All phase events, in order.
-  const std::vector<PhaseEvent>& phases() const { return phases_; }
+  auto phases() const { return events(Item::Kind::Phase, &Item::phase); }
   /// All injected-fault events, in order.
-  const std::vector<FaultEvent>& faults() const { return faults_; }
+  auto faults() const { return events(Item::Kind::Fault, &Item::fault); }
   /// All coalesced quiescent stretches, in order.
-  const std::vector<QuiescentEvent>& quiescents() const { return quiescents_; }
+  auto quiescents() const {
+    return events(Item::Kind::Quiescent, &Item::quiescent);
+  }
   int num_runs() const { return num_runs_; }
 
   void clear() {
     items_.clear();
-    rounds_.clear();
-    phases_.clear();
-    faults_.clear();
-    quiescents_.clear();
     num_runs_ = 0;
   }
 
  private:
   std::vector<Item> items_;
-  std::vector<RoundEvent> rounds_;
-  std::vector<PhaseEvent> phases_;
-  std::vector<FaultEvent> faults_;
-  std::vector<QuiescentEvent> quiescents_;
   int num_runs_ = 0;
 };
 

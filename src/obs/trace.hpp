@@ -4,7 +4,7 @@
 // exposes *where* rounds and bits go. A TraceSink receives three event
 // streams from a traced Network:
 //
-//   - RunInfo / run_end markers bracketing every Network::run() call;
+//   - RunInfo / run_end markers bracketing every Network::run_outcome() call;
 //   - one RoundEvent per executed round (message/bit deltas of that round
 //     plus how many nodes were already done at its end);
 //   - PhaseEvents forming properly nested named spans. Driver code opens
@@ -35,7 +35,7 @@
 
 namespace dmc::obs {
 
-/// Metadata of one Network::run() call.
+/// Metadata of one Network::run_outcome() call.
 struct RunInfo {
   int n = 0;          // number of nodes
   int bandwidth = 0;  // bits per edge per round

@@ -408,7 +408,7 @@ TEST(ConformanceViolations, IdDependentVerdictDetected) {
     std::vector<std::unique_ptr<congest::NodeProgram>> programs;
     for (int v = 0; v < net.n(); ++v)
       programs.push_back(std::make_unique<IdLeakProgram>());
-    net.run(congest::program_ptrs(programs));
+    EXPECT_TRUE(net.run_outcome(congest::program_ptrs(programs)).ok());
     // "Verdict" derived from an id, not from the graph property.
     return std::to_string(net.id_of_vertex(0));
   };
@@ -451,7 +451,7 @@ TEST(ConformanceViolations, RandDependentProtocolDetected) {
     std::vector<std::unique_ptr<congest::NodeProgram>> programs;
     for (int v = 0; v < net.n(); ++v)
       programs.push_back(std::make_unique<RandProgram>());
-    net.run(congest::program_ptrs(programs));
+    EXPECT_TRUE(net.run_outcome(congest::program_ptrs(programs)).ok());
     return std::string("done");
   };
   ConformanceOptions opts;
@@ -497,7 +497,7 @@ TEST(ConformanceViolations, StepOrderDependenceDetected) {
     std::vector<std::unique_ptr<congest::NodeProgram>> programs;
     for (int v = 0; v < net.n(); ++v)
       programs.push_back(std::make_unique<OrderLeakProgram>(&shared));
-    net.run(congest::program_ptrs(programs));
+    EXPECT_TRUE(net.run_outcome(congest::program_ptrs(programs)).ok());
     const auto* first = static_cast<OrderLeakProgram*>(programs[0].get());
     return "recv=" + std::to_string(first->received());
   };

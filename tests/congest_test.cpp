@@ -49,7 +49,7 @@ TEST(Congest, MinFloodConvergesOnPath) {
     handles.push_back(p.get());
     programs.push_back(std::move(p));
   }
-  net.run(program_ptrs(programs));
+  EXPECT_TRUE(net.run_outcome(program_ptrs(programs)).ok());
   for (auto* h : handles) EXPECT_EQ(h->result, 0);
 }
 
@@ -58,8 +58,9 @@ TEST(Congest, RoundsAndStatsAccounted) {
   Network net(g);
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (int v = 0; v < 6; ++v) programs.push_back(std::make_unique<MinFlood>(3));
-  const long rounds = net.run(program_ptrs(programs));
-  EXPECT_GE(rounds, 3);
+  const RunOutcome out = net.run_outcome(program_ptrs(programs));
+  ASSERT_TRUE(out.ok());
+  EXPECT_GE(out.rounds, 3);
   EXPECT_GT(net.stats().messages, 0);
   EXPECT_GT(net.stats().total_bits, 0);
   EXPECT_LE(net.stats().max_message_bits, net.bandwidth());
@@ -92,7 +93,7 @@ TEST(Congest, EnforcesBandwidth) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   programs.push_back(std::make_unique<Oversender>());
   programs.push_back(std::make_unique<Oversender>());
-  EXPECT_THROW(net.run(program_ptrs(programs)),
+  EXPECT_THROW(net.run_outcome(program_ptrs(programs)),
                std::invalid_argument);
 }
 
@@ -111,7 +112,7 @@ TEST(Congest, RejectsDoubleSendOnPort) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   programs.push_back(std::make_unique<DoubleSender>());
   programs.push_back(std::make_unique<DoubleSender>());
-  EXPECT_THROW(net.run(program_ptrs(programs)), std::logic_error);
+  EXPECT_THROW(net.run_outcome(program_ptrs(programs)), std::logic_error);
 }
 
 TEST(Congest, RoundLimitGuards) {
@@ -123,7 +124,8 @@ TEST(Congest, RoundLimitGuards) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   programs.push_back(std::make_unique<Forever>());
   programs.push_back(std::make_unique<Forever>());
-  EXPECT_THROW(net.run(program_ptrs(programs)), std::runtime_error);
+  EXPECT_EQ(net.run_outcome(program_ptrs(programs)).status,
+            RunStatus::kRoundLimit);
 }
 
 TEST(Congest, NeighborIdsAndPorts) {
@@ -141,7 +143,7 @@ TEST(Congest, NeighborIdsAndPorts) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (int v = 0; v < g.num_vertices(); ++v)
     programs.push_back(std::make_unique<Check>());
-  net.run(program_ptrs(programs));
+  EXPECT_TRUE(net.run_outcome(program_ptrs(programs)).ok());
 }
 
 // --- the send contract -------------------------------------------------------
@@ -177,7 +179,7 @@ NetworkStats expect_throw_from_center(const std::function<void(NodeCtx&)>& act,
   programs.push_back(std::make_unique<Scripted>(act));
   for (int v = 1; v < 4; ++v)
     programs.push_back(std::make_unique<Scripted>(nullptr));
-  EXPECT_THROW(net.run(program_ptrs(programs)), Exception);
+  EXPECT_THROW(net.run_outcome(program_ptrs(programs)), Exception);
   return net.stats();
 }
 
@@ -298,7 +300,7 @@ TEST(Congest, FragmentationPaysProportionalRounds) {
     std::vector<std::unique_ptr<NodeProgram>> programs;
     programs.push_back(std::move(s));
     programs.push_back(std::move(r));
-    net.run(program_ptrs(programs));
+    EXPECT_TRUE(net.run_outcome(program_ptrs(programs)).ok());
     EXPECT_EQ(rh->received, "payload");
     (mode == 0 ? small_round : big_round) = rh->arrival_round;
   }
@@ -341,7 +343,7 @@ TEST(Congest, FragmentQueuesDeliverInOrder) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   programs.push_back(std::move(s));
   programs.push_back(std::move(r));
-  net.run(program_ptrs(programs));
+  EXPECT_TRUE(net.run_outcome(program_ptrs(programs)).ok());
   ASSERT_EQ(rh->received.size(), 3u);
   EXPECT_EQ(rh->received[0], "first");
   EXPECT_EQ(rh->received[1], "second");
@@ -482,7 +484,7 @@ TEST(Payload, OneWordFloodRoundsDoNotAllocate) {
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (int v = 0; v < g.num_vertices(); ++v)
     programs.push_back(std::make_unique<ProbedFlood>(kRounds, &first, &last));
-  net.run(program_ptrs(programs));
+  EXPECT_TRUE(net.run_outcome(program_ptrs(programs)).ok());
   ASSERT_GE(first, 0);
   ASSERT_GE(last, 0);
   EXPECT_GT(net.stats().messages, 0);

@@ -464,34 +464,6 @@ TEST(CrashFaults, CrashYieldsStructuredDegradedOutcome) {
   }
 }
 
-TEST(CrashFaults, LegacyRunThrowsCrashedError) {
-  const Graph g = gen::path(6);
-  NetworkConfig cfg = faulty_cfg("crash=1@r5");
-  congest::Network net(g, cfg);
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  struct Chatter final : congest::NodeProgram {
-    int sent = 0;
-    void on_round(congest::NodeCtx& ctx) override {
-      if (sent < 30 && ctx.degree() > 0) {
-        ctx.send(0, congest::Message(sent, 4));
-        ++sent;
-      }
-    }
-    bool done(const congest::NodeCtx&) const override { return sent >= 30; }
-  };
-  for (int v = 0; v < g.num_vertices(); ++v)
-    programs.push_back(std::make_unique<Chatter>());
-  EXPECT_THROW(net.run(congest::program_ptrs(programs)),
-               congest::CrashedError);
-  // CrashedError must remain catchable as std::runtime_error (the
-  // historical Network::run contract).
-  congest::Network net2(gen::path(6), cfg);
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs2;
-  for (int v = 0; v < 6; ++v) programs2.push_back(std::make_unique<Chatter>());
-  EXPECT_THROW(net2.run(congest::program_ptrs(programs2)),
-               std::runtime_error);
-}
-
 TEST(CrashFaults, ReorderComposedWithSameRoundCrashesStaysStructured) {
   // Reorder keeps frames in flight across round boundaries; two crash-stop
   // faults landing in the *same* round as delayed deliveries exercise the
@@ -570,6 +542,29 @@ TEST(RoundBudget, PerfectPathAlsoReportsStalledPhase) {
   EXPECT_FALSE(out.run.ok());
   EXPECT_EQ(out.run.status, RunStatus::kRoundLimit);
   EXPECT_EQ(out.run.stalled_phase, "elim-tree");
+}
+
+TEST(RoundBudget, FrameBarrierThatCannotFinishStalls) {
+  // drop=1 loses every frame, so the first virtual round's frame barrier
+  // never completes: the stall detector must end the run after about
+  // stall_quiet_rounds physical rounds, not at the max_rounds cap.
+  const Graph g = gen::family("btd:200:3");
+  const struct {
+    const char* spec;
+    RunStatus status;
+  } cases[] = {{"drop=1,seed=7", RunStatus::kRoundLimit},
+               {"drop=1,crash=5@r3,seed=7", RunStatus::kCrashed}};
+  for (const auto& [spec, status] : cases) {
+    SCOPED_TRACE(spec);
+    const NetworkConfig cfg = faulty_cfg(spec);
+    congest::Network net(g, cfg);
+    const auto out = dist::run_elim_tree(net, 3);
+    EXPECT_EQ(out.run.status, status);
+    EXPECT_LE(out.run.rounds, 2L * cfg.stall_quiet_rounds);
+    EXPECT_EQ(out.run.virtual_rounds, 0);
+    EXPECT_EQ(out.run.stalled_phase, "elim-tree");
+    EXPECT_FALSE(out.success);
+  }
 }
 
 // --- fragment reassembly under duplication and reordering ---------------------

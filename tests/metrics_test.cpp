@@ -4,8 +4,9 @@
 //   - a Registry name is a stable identity: re-requesting returns the same
 //     instrument, requesting it as a different kind throws;
 //   - Histogram log2 bucket edges are exact at the powers of two;
-//   - with no registry configured, Network::run() performs no allocation
-//     (the same zero-overhead-when-disabled contract as the obs null sink);
+//   - with no registry configured, Network::run_outcome() performs no
+//     allocation (the same zero-overhead-when-disabled contract as the obs
+//     null sink);
 //   - concurrent increments from four par::Threads lose nothing
 //     (run under TSan by the `par` ctest label);
 //   - after a full dist pipeline, the congest.* / transport.* counters
@@ -191,7 +192,7 @@ TEST(MetricsExport, JsonFieldsAreSpliceable) {
 TEST(MetricsDisabled, NetworkRunDoesNotAllocate) {
   // Mirror of ObsTrace.DisabledPathDoesNotAllocatePerRound: with neither a
   // per-network registry nor a global one, every metrics branch is a single
-  // skipped null check and run() must not allocate at all.
+  // skipped null check and run_outcome() must not allocate at all.
   ASSERT_EQ(metrics::global(), nullptr);
   class Quiet : public NodeProgram {
    public:
@@ -204,12 +205,14 @@ TEST(MetricsDisabled, NetworkRunDoesNotAllocate) {
   const std::vector<NodeProgram*> ptrs = congest::program_ptrs(programs);
 
   const long before = g_allocations.load(std::memory_order_relaxed);
-  const long rounds = net.run(ptrs);
+  const congest::RunOutcome out = net.run_outcome(ptrs);
   const long after = g_allocations.load(std::memory_order_relaxed);
+  const long rounds = out.rounds;
+  EXPECT_TRUE(out.ok());
   EXPECT_GE(rounds, 64);
   EXPECT_EQ(after - before, 0)
-      << "metrics-disabled Network::run() allocated " << (after - before)
-      << " times over " << rounds << " rounds";
+      << "metrics-disabled Network::run_outcome() allocated "
+      << (after - before) << " times over " << rounds << " rounds";
 }
 
 TEST(MetricsConcurrent, ParallelIncrementsLoseNothing) {
@@ -358,7 +361,7 @@ TEST(MetricsReconcile, ProgramThrowingMidRunStillPublishes) {
     Network net(gen::cycle(10), cfg);
     std::vector<std::unique_ptr<NodeProgram>> programs;
     for (int v = 0; v < 10; ++v) programs.push_back(std::make_unique<Thrower>());
-    EXPECT_THROW(net.run(congest::program_ptrs(programs)),
+    EXPECT_THROW(net.run_outcome(congest::program_ptrs(programs)),
                  std::runtime_error);
     EXPECT_GT(net.stats().messages, 0);
     expect_counters_equal(reg, net.stats());

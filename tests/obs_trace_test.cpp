@@ -5,8 +5,8 @@
 //   - traces are deterministic for a fixed id_seed;
 //   - the JSONL and Chrome exporters emit structurally valid output;
 //   - phase spans nest and close (LIFO, balanced, annotations dedup);
-//   - with no sink configured, Network::run() performs no allocation
-//     (the zero-overhead-when-disabled contract).
+//   - with no sink configured, Network::run_outcome() performs no
+//     allocation (the zero-overhead-when-disabled contract).
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <ranges>
 #include <sstream>
 #include <vector>
 
@@ -78,9 +79,9 @@ TEST(ObsTrace, RoundDeltasSumExactlyToNetworkStats) {
   EXPECT_EQ(bits, stats.total_bits);
   EXPECT_EQ(max_bits, stats.max_message_bits);
   // Round indices are consecutive across the pipeline's runs.
-  for (std::size_t i = 0; i < buffer.rounds().size(); ++i)
-    EXPECT_EQ(buffer.rounds()[i].round, static_cast<long>(i));
-  // One run_begin per Network::run() call, each matched by a run_end.
+  long index = 0;
+  for (const auto& ev : buffer.rounds()) EXPECT_EQ(ev.round, index++);
+  // One run_begin per Network::run_outcome() call, each matched by a run_end.
   EXPECT_GE(buffer.num_runs(), 3);  // elim-tree, bags, decide at minimum
 }
 
@@ -252,7 +253,7 @@ TEST(ObsTrace, AnnotationsDeduplicateAcrossNodes) {
   Network net(g, cfg);
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (int v = 0; v < 6; ++v) programs.push_back(std::make_unique<Annotating>());
-  net.run(congest::program_ptrs(programs));
+  EXPECT_TRUE(net.run_outcome(congest::program_ptrs(programs)).ok());
 
   int begins_a = 0, begins_b = 0;
   for (const auto& ev : buffer.phases())
@@ -294,13 +295,15 @@ TEST(ObsTrace, TeeSinkFansOutToAllSinks) {
   run_traced_decision(&tee);
   EXPECT_FALSE(a.items().empty());
   EXPECT_EQ(a.items().size(), b.items().size());
-  EXPECT_EQ(a.rounds().size(), b.rounds().size());
+  EXPECT_EQ(std::ranges::distance(a.rounds()),
+            std::ranges::distance(b.rounds()));
   EXPECT_EQ(a.num_runs(), b.num_runs());
 }
 
 TEST(ObsTrace, DisabledPathDoesNotAllocatePerRound) {
-  // A program that sends nothing: with no sink, run() must not allocate at
-  // all (the tracing branches are fully skipped, inboxes are pre-sized).
+  // A program that sends nothing: with no sink, run_outcome() must not
+  // allocate at all (the tracing branches are fully skipped, inboxes are
+  // pre-sized).
   class Quiet : public NodeProgram {
    public:
     void on_round(NodeCtx&) override {}
@@ -312,11 +315,13 @@ TEST(ObsTrace, DisabledPathDoesNotAllocatePerRound) {
   const std::vector<NodeProgram*> ptrs = congest::program_ptrs(programs);
 
   const long before = g_allocations.load(std::memory_order_relaxed);
-  const long rounds = net.run(ptrs);
+  const congest::RunOutcome out = net.run_outcome(ptrs);
   const long after = g_allocations.load(std::memory_order_relaxed);
+  const long rounds = out.rounds;
+  EXPECT_TRUE(out.ok());
   EXPECT_GE(rounds, 64);
   EXPECT_EQ(after - before, 0)
-      << "untraced Network::run() allocated " << (after - before)
+      << "untraced Network::run_outcome() allocated " << (after - before)
       << " times over " << rounds << " rounds";
 }
 

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <ranges>
 #include <set>
 #include <sstream>
 #include <string>
@@ -316,7 +317,7 @@ TEST(ObsCoalescing, SparseTraceCoalescesAndExpandsToDenseTotals) {
     // The fast-forward guard must stay engaged with a sink attached: the
     // quiet stretches arrive coalesced, not one RoundEvent each.
     EXPECT_FALSE(sparse.buffer.quiescents().empty());
-    long expanded = static_cast<long>(sparse.buffer.rounds().size());
+    long expanded = std::ranges::distance(sparse.buffer.rounds());
     for (const auto& q : sparse.buffer.quiescents()) {
       EXPECT_GE(q.skipped_rounds, 1);
       expanded += q.skipped_rounds;

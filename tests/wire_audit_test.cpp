@@ -171,7 +171,7 @@ void send_one(Message msg, NetworkConfig cfg) {
   std::vector<std::unique_ptr<congest::NodeProgram>> programs;
   programs.push_back(std::make_unique<OneShotSender>(std::move(msg)));
   programs.push_back(std::make_unique<Sink>());
-  net.run(congest::program_ptrs(programs));
+  EXPECT_TRUE(net.run_outcome(congest::program_ptrs(programs)).ok());
 }
 
 TEST(AuditSend, RejectsNonPositiveDeclaredBits) {
@@ -384,7 +384,7 @@ long fragment_messages(long k_bits, int min_bandwidth, bool audit = true) {
   auto receiver = std::make_unique<FragmentReceiver>();
   FragmentReceiver* rx = receiver.get();
   programs.push_back(std::move(receiver));
-  net.run(congest::program_ptrs(programs));
+  EXPECT_TRUE(net.run_outcome(congest::program_ptrs(programs)).ok());
   EXPECT_EQ(rx->received_, 99);
   return net.stats().messages;
 }

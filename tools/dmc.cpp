@@ -356,10 +356,9 @@ void apply_fault_options(const Args& args, congest::NetworkConfig& cfg) {
   }
 }
 
-/// Degraded-run reporting: diagnostic to stderr (naming the stalled phase
-/// and the crashed nodes) and the dedicated exit code — 6 for an exhausted
-/// round budget, 7 for crash-stop faults.
-int report_degraded(const congest::RunOutcome& run) {
+/// Degraded-run diagnostic to stderr, naming the stalled phase and the
+/// crashed nodes; the exit code (6 or 7) is dist::Outcome::exit_code()'s.
+void report_degraded(const congest::RunOutcome& run) {
   const std::string where = run.stalled_phase.empty()
                                 ? std::string()
                                 : " in phase " + run.stalled_phase;
@@ -371,13 +370,12 @@ int report_degraded(const congest::RunOutcome& run) {
                  "degraded: %zu node(s) crash-stopped [%s]%s after %ld "
                  "rounds; outputs untrusted\n",
                  run.crashed.size(), nodes.c_str(), where.c_str(), run.rounds);
-    return 7;
+  } else {
+    std::fprintf(stderr,
+                 "degraded: round budget exhausted%s after %ld rounds "
+                 "(%ld protocol steps); no verdict\n",
+                 where.c_str(), run.rounds, run.virtual_rounds);
   }
-  std::fprintf(stderr,
-               "degraded: round budget exhausted%s after %ld rounds "
-               "(%ld protocol steps); no verdict\n",
-               where.c_str(), run.rounds, run.virtual_rounds);
-  return 6;
 }
 
 /// --flight-record DIR: persists a degraded run's flight-recorder ring
@@ -600,7 +598,8 @@ int cmd_query(const Args& args, dist::Kind kind) {
     print_phase_summary(trace->buffer, net.stats());
     print_fault_summary(net.stats(), out.run);
     finish_metrics(ms.get(), net.stats(), out.run);
-    const int rc = report_degraded(out.run);
+    report_degraded(out.run);
+    const int rc = out.exit_code();
     maybe_dump_flight(args, rc, net.flight_recorder().dump_string());
     return rc;
   }
@@ -611,7 +610,7 @@ int cmd_query(const Args& args, dist::Kind kind) {
                 *d);
     print_phase_summary(trace->buffer, net.stats());
     finish_metrics(ms.get(), net.stats(), out.run);
-    return 3;
+    return out.exit_code();
   }
   // Output formatting only: decide and count lead with their answer,
   // optimization prints answer and witness after the summaries.
@@ -656,12 +655,6 @@ int main(int argc, char** argv) {
       return cmd_query(args, *kind);
     if (args.command == "treedepth") return cmd_treedepth(args);
     usage("unknown command");
-  } catch (const congest::RoundLimitError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 6;
-  } catch (const congest::CrashedError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 7;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 4;
