@@ -37,23 +37,6 @@ long parse_long(std::string_view spec, std::string_view key,
   return v;
 }
 
-// The corrupted-payload marker carries no information; its codec exists so
-// audit-enabled networks can describe it by name (it is injected below the
-// send path and never audited as an outgoing payload).
-const bool kCorruptedPayloadCodec = [] {
-  audit::register_codec<CorruptedPayload>(
-      "congest.CorruptedPayload",
-      [](const CorruptedPayload&, const audit::WireContext&,
-         audit::BitWriter&) {},
-      [](const audit::WireContext&, audit::BitReader&) {
-        return CorruptedPayload{};
-      },
-      [](const CorruptedPayload& a, const CorruptedPayload& b) {
-        return a == b;
-      });
-  return true;
-}();
-
 }  // namespace
 
 FaultPlan parse_fault_plan(std::string_view spec) {
@@ -110,13 +93,6 @@ FaultPlan parse_fault_plan(std::string_view spec) {
       if (crash.node < 0) bad_spec(spec, "crash node id must be >= 0");
       if (crash.round < 0) bad_spec(spec, "crash round must be >= 0");
       plan.crashes.push_back(crash);
-    } else if (key == "transport") {
-      if (value == "raw")
-        plan.raw_transport = true;
-      else if (value == "reliable")
-        plan.raw_transport = false;
-      else
-        bad_spec(spec, "transport must be raw or reliable");
     } else {
       bad_spec(spec, "unknown key \"" + std::string(key) + "\"");
     }
@@ -148,7 +124,6 @@ std::string format_fault_plan(const FaultPlan& plan) {
   std::snprintf(buf, sizeof(buf), "%sseed=%llu", out.empty() ? "" : ",",
                 static_cast<unsigned long long>(plan.seed));
   out += buf;
-  if (plan.raw_transport) out += ",transport=raw";
   return out;
 }
 

@@ -3,9 +3,9 @@
 // A FaultPlan describes how the physical links and nodes misbehave:
 // per-delivery message drop, duplication, bounded reordering (a frame may
 // be delayed a few rounds and overtake later traffic), payload corruption
-// (flagged, so the transport checksum / audit layer can detect it — the
-// simulator moves C++ values, so corruption cannot literally flip payload
-// bits), and crash-stop node faults scheduled at explicit rounds.
+// (flagged, so the transport checksum can detect it — the simulator moves
+// C++ values, so corruption cannot literally flip payload bits), and
+// crash-stop node faults scheduled at explicit rounds.
 //
 // Every probabilistic decision is a pure hash of (seed, sender id,
 // receiver id, physical round, purpose) — a counter-based RNG rather than
@@ -14,11 +14,10 @@
 // of how many other links carry messages (dmc-lint's nondeterminism rule
 // stays fully satisfied: no wall clocks, no global RNG state).
 //
-// The injector only *decides* fates; the delivery machinery that enacts
-// them lives in reliable.hpp (shared by the raw faulty path and the
-// reliable-transport path of Network::run_outcome). Injected faults
-// surface as dmc::obs FaultEvents and NetworkStats fault counters, so
-// traces show exactly what was injected. See docs/ROBUSTNESS.md.
+// The injector only *decides* fates; the reliable transport that enacts
+// them, and masks them from the protocols, lives in reliable.hpp. Injected
+// faults surface as dmc::obs FaultEvents and NetworkStats fault counters,
+// so traces show exactly what was injected. See docs/ROBUSTNESS.md.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +46,6 @@ struct FaultPlan {
   int reorder_max = 2;     // bound on the extra delay (>= 1 when reorder > 0)
   std::vector<CrashFault> crashes;
   std::uint64_t seed = 1;
-  /// Parsed from "transport=raw": run the protocols directly over the
-  /// faulty links instead of layering the reliable shim under them (for
-  /// degradation experiments; verdicts are then untrusted).
-  bool raw_transport = false;
   /// Hidden (never parsed from a CLI spec): `dmc-mc --self-check` plants a
   /// known ordering bug in the reliable transport's delivery handler — the
   /// piggybacked ack is processed and the frame accepted before the
@@ -70,24 +65,15 @@ struct FaultPlan {
 /// Parses the CLI fault spec, a comma-separated key=value list:
 ///
 ///   drop=0.1,dup=0.05,corrupt=0.01,reorder=0.1,reorder_max=3,
-///   crash=3@r20,seed=42,transport=raw
+///   crash=3@r20,seed=42
 ///
-/// `dup`/`duplicate` are synonyms; `crash=ID@rROUND` may repeat;
-/// `transport=` accepts `reliable` (default) or `raw`. Throws
-/// std::invalid_argument on malformed or out-of-range values.
+/// `dup`/`duplicate` are synonyms; `crash=ID@rROUND` may repeat. Throws
+/// std::invalid_argument on unknown keys and on malformed or out-of-range
+/// values.
 FaultPlan parse_fault_plan(std::string_view spec);
 
 /// Compact round-trippable rendering of a plan (diagnostics, traces).
 std::string format_fault_plan(const FaultPlan& plan);
-
-/// Marker delivered in place of a raw-transport payload whose frame was
-/// corruption-flagged: receivers' Payload::get_if<RealPayload> fails, so the
-/// message is effectively garbage-but-detectable, mirroring a checksum
-/// failure. (Registered with the wire-audit layer for completeness; it
-/// never crosses NodeCtx::send, only deliveries.)
-struct CorruptedPayload {
-  bool operator==(const CorruptedPayload&) const = default;
-};
 
 /// Per-delivery fate of one frame, decided by pure hashing.
 class FaultInjector {

@@ -4,8 +4,10 @@
 // Theta(k / log n) remark). The simulator transfers C++ values, so
 // fragmentation is modeled: the sender emits ceil(k / (B - header)) chunk
 // messages of which only the last carries the value; the receiver exposes
-// the value when the final chunk arrives. Chunks on one port are delivered
-// in order, one per round.
+// the value when the final chunk arrives. Both the perfect network and the
+// reliable transport deliver each port's chunks once and in order, and the
+// receiver checks that they did: a chunk out of sequence is a transport
+// bug, reported by a std::logic_error rather than absorbed.
 #pragma once
 
 #include <algorithm>
@@ -21,9 +23,7 @@ namespace dmc::congest {
 
 /// Chunk wire format. The sequencing fields ride inside the declared
 /// kHeaderBits chunk header (message sequence within a sliding window,
-/// chunk index, chunk count) — they are what makes reassembly robust to
-/// the duplicated and reordered deliveries a faulty transport can produce
-/// (faults.hpp).
+/// chunk index, chunk count); the receiver checks each chunk against them.
 struct Fragment {
   Payload value;  // engaged only on the final chunk
   /// Declared size of the whole logical payload (the `bits` passed to
@@ -112,32 +112,15 @@ class FragmentSender {
   std::vector<std::uint32_t> next_seq_;  // per port
 };
 
-/// Polls the message on `port` this round for a completed logical payload.
-/// Only sound on a perfect (in-order, exactly-once) network: a duplicated
-/// final chunk would surface the payload twice, a lost interior chunk goes
-/// unnoticed. Protocol code uses FragmentReassembler, which is robust to
-/// both; this helper remains for unit tests of the perfect path.
-inline std::optional<Payload> poll_fragment(NodeCtx& ctx, int port) {
-  const Message* msg = ctx.recv(port);
-  if (msg == nullptr) return std::nullopt;
-  const Fragment* frag = msg->value.get_if<Fragment>();
-  if (frag == nullptr || !frag->value.has_value()) return std::nullopt;
-  return frag->value;
-}
-
-/// Receiver-side reassembly hardened against faulty delivery: chunk
-/// insertion is idempotent (keyed by message sequence number and chunk
-/// index, so duplicates are absorbed), chunks may arrive in any order, and
-/// completed messages are surfaced exactly once, in sequence order — at
-/// most one per poll, matching the one-logical-message-per-round cadence
-/// of the perfect path. Messages whose chunks never all arrive (raw lossy
-/// transport) are simply never surfaced; under the reliable transport
-/// every message completes.
+/// Receiver side: reassembles each port's chunks in order and surfaces a
+/// logical payload when its final chunk arrives. Chunks must arrive
+/// exactly once and in sequence; a duplicated, skipped or reordered chunk
+/// throws std::logic_error naming the port and the sequence numbers.
 class FragmentReassembler {
  public:
-  /// Examines this round's message on `port`; returns a completed logical
-  /// payload when one is deliverable in order. Call once per round per
-  /// port (like poll_fragment).
+  /// Examines this round's message on `port`; returns the logical payload
+  /// its final chunk completes, if any. Call in every round that delivers
+  /// to `port`.
   std::optional<Payload> poll(NodeCtx& ctx, int port) {
     const Message* msg = ctx.recv(port);
     const Fragment* frag =
@@ -148,69 +131,30 @@ class FragmentReassembler {
       return std::nullopt;
     if (port >= static_cast<int>(ports_.size())) ports_.resize(port + 1);
     PortState& state = ports_[port];
-    if (frag != nullptr) absorb(state, *frag);
-    ctx.note_reassembly_depth(
-        static_cast<int>(state.partials.size() + state.ready.size()));
-    // Surface the next in-sequence completed message, if any.
-    for (std::size_t i = 0; i < state.ready.size(); ++i) {
-      if (state.ready[i].seq != state.next_deliver) continue;
-      Payload value = std::move(state.ready[i].value);
-      state.ready.erase(state.ready.begin() + i);
-      state.next_deliver += 1;
-      return value;
+    // The backlog is the one message being reassembled, if any.
+    ctx.note_reassembly_depth(frag != nullptr || state.next_chunk > 0 ? 1 : 0);
+    if (frag == nullptr) return std::nullopt;
+    if (frag->msg_seq != state.next_seq || frag->chunk != state.next_chunk)
+      throw std::logic_error(
+          "FragmentReassembler: port " + std::to_string(port) +
+          " expected msg_seq " + std::to_string(state.next_seq) + " chunk " +
+          std::to_string(state.next_chunk) + ", got msg_seq " +
+          std::to_string(frag->msg_seq) + " chunk " +
+          std::to_string(frag->chunk));
+    if (frag->chunk + 1 < frag->num_chunks) {
+      state.next_chunk += 1;
+      return std::nullopt;
     }
-    return std::nullopt;
+    state.next_seq += 1;
+    state.next_chunk = 0;
+    return frag->value;
   }
 
  private:
-  struct Partial {
-    std::uint32_t seq = 0;
-    std::vector<bool> have;  // chunk index -> received
-    int have_count = 0;
-    Payload value;
-  };
-  struct Ready {
-    std::uint32_t seq = 0;
-    Payload value;
-  };
   struct PortState {
-    std::uint32_t next_deliver = 0;  // next msg_seq to surface
-    std::vector<Partial> partials;
-    std::vector<Ready> ready;
+    std::uint32_t next_seq = 0;  // msg_seq of the message in progress
+    int next_chunk = 0;          // its next chunk index
   };
-
-  void absorb(PortState& state, const Fragment& frag) {
-    if (frag.msg_seq < state.next_deliver) return;  // stale duplicate
-    for (const Ready& r : state.ready)
-      if (r.seq == frag.msg_seq) return;  // completed, awaiting delivery
-    Partial* partial = nullptr;
-    for (Partial& p : state.partials)
-      if (p.seq == frag.msg_seq) partial = &p;
-    if (partial == nullptr) {
-      state.partials.push_back(Partial{});
-      partial = &state.partials.back();
-      partial->seq = frag.msg_seq;
-      partial->have.assign(std::max(frag.num_chunks, 1), false);
-    }
-    if (frag.chunk < 0 || frag.chunk >= static_cast<int>(partial->have.size()))
-      return;  // malformed header (e.g. forged under corruption): ignore
-    if (partial->have[frag.chunk]) return;  // duplicate chunk: idempotent
-    partial->have[frag.chunk] = true;
-    partial->have_count += 1;
-    if (frag.value.has_value() && !partial->value.has_value())
-      partial->value = frag.value;
-    if (partial->have_count == static_cast<int>(partial->have.size())) {
-      Ready done;
-      done.seq = partial->seq;
-      done.value = std::move(partial->value);
-      for (std::size_t i = 0; i < state.partials.size(); ++i)
-        if (state.partials[i].seq == done.seq) {
-          state.partials.erase(state.partials.begin() + i);
-          break;
-        }
-      state.ready.push_back(std::move(done));
-    }
-  }
 
   std::vector<PortState> ports_;
 };

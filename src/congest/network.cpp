@@ -104,7 +104,8 @@ namespace {
   }
   out = std::move(msg);
   // Perfect-path delivery clears exactly the slots written this round; the
-  // fault paths scan their channel tables instead and never drain the list.
+  // reliable transport scans its channel table instead and never drains
+  // the list.
   if (fault_rt_ == nullptr) sent_links_[sent_count_++] = slot;
 }
 
@@ -504,9 +505,8 @@ RunOutcome Network::run_outcome(std::span<NodeProgram* const> programs) {
   } publish_on_exit{*this};
   sched_reset();
   begin_run();
-  if (fault_rt_ == nullptr) return run_rounds<Delivery::kPerfect>(programs);
-  if (fault_rt_->raw()) return run_rounds<Delivery::kRaw>(programs);
-  return run_rounds<Delivery::kReliable>(programs);
+  if (fault_rt_ == nullptr) return run_rounds</*kFaulty=*/false>(programs);
+  return run_rounds</*kFaulty=*/true>(programs);
 }
 
 void Network::begin_run() {
@@ -627,29 +627,29 @@ detail::Carried Network::deliver_perfect(bool sparse, int done_count) {
   }
   close_round(done_count);
   const bool sent = inbox_count_ > 0;
-  return {.closed = true, .in_motion = sent, .progress = sent};
+  return {.closed = true, .in_motion = sent};
 }
 
-template <Network::Delivery kDelivery>
+template <bool kFaulty>
 RunOutcome Network::run_rounds(std::span<NodeProgram* const> programs) {
-  constexpr bool kFaulty = kDelivery != Delivery::kPerfect;
   detail::FaultRuntime* const rt = fault_rt_.get();
   const int n_ = n();
   const int first_round = round_;
-  // Raw transport steps every live node every round: its messages ride
-  // the faulty links directly, so a receiver cannot be told apart from a
-  // non-receiver until the in-flight queue drains. Without sparse
-  // stepping no vertex ever reports a step, so all stay restless and the
-  // active set is every vertex.
-  const bool sparse = kDelivery != Delivery::kRaw && cfg_.sparse_stepping;
+  const bool sparse = cfg_.sparse_stepping;
+  // A degraded ending (stall or round cap) reports the crash-stops, if any.
+  const auto degraded = [&] {
+    if constexpr (kFaulty) {
+      if (!rt->crashed_ids_.empty()) return RunStatus::kCrashed;
+    }
+    return RunStatus::kRoundLimit;
+  };
   // Bulk round skip (perfect path only): a stretch of rounds with an
   // empty active set is a pure clock advance — jump straight to the next
   // wake. A trace sink gets one coalesced QuiescentEvent, metrics the
   // equivalent bulk fold. The audit digest runs per-round logic, so it
   // still forces round-by-round execution; the reliable transport pays
   // marker frames for quiet rounds, so it steps them too.
-  const bool can_fast_forward =
-      kDelivery == Delivery::kPerfect && sparse && !cfg_.audit;
+  const bool can_fast_forward = !kFaulty && sparse && !cfg_.audit;
   int quiet = 0;  // consecutive protocol rounds without progress (faults)
   for (;;) {
     int live = n_;
@@ -711,12 +711,10 @@ RunOutcome Network::run_rounds(std::span<NodeProgram* const> programs) {
     }
     clear_inbox();  // the step consumed last round's deliveries
     detail::Carried carried;
-    if constexpr (kDelivery == Delivery::kPerfect)
-      carried = deliver_perfect(sparse, done_count);
-    else if constexpr (kDelivery == Delivery::kReliable)
+    if constexpr (kFaulty)
       carried = rt->carry_reliable(done_count, all_done);
     else
-      carried = rt->carry_raw(done_count);
+      carried = deliver_perfect(sparse, done_count);
     if (cfg_.audit) {  // one fold per protocol round, on every transport
       audit_digest_ = audit::mix64(audit_digest_, audit_round_acc_);
       audit_round_acc_ = 0;
@@ -730,15 +728,13 @@ RunOutcome Network::run_rounds(std::span<NodeProgram* const> programs) {
     // Fault-mode stall detector; the perfect path has none. A frame
     // barrier counts its own quiet physical rounds and reports `stalled`.
     if constexpr (kFaulty) {
-      if (carried.closed) quiet = carried.progress || all_done ? 0 : quiet + 1;
+      if (carried.closed) quiet = carried.in_motion || all_done ? 0 : quiet + 1;
       if (carried.stalled || quiet >= cfg_.stall_quiet_rounds)
-        return end_run(rt->crashed_ids_.empty() ? RunStatus::kRoundLimit
-                                                : RunStatus::kCrashed,
-                       round_ - first_round, true);
+        return end_run(degraded(), round_ - first_round, true);
     }
     if (over_round_cap()) break;
   }
-  return end_run(RunStatus::kRoundLimit, round_ - first_round, true);
+  return end_run(degraded(), round_ - first_round, true);
 }
 
 }  // namespace dmc::congest

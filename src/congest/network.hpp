@@ -58,10 +58,10 @@ struct Carried {
   /// The virtual round closed. False only when the round cap or a stall
   /// cut the reliable transport's frame barrier short.
   bool closed = true;
-  /// Messages are still on their way, so the run cannot complete yet.
+  /// Messages are still on their way, so the run cannot complete yet. In
+  /// a closed round this means traffic moved, which resets the fault
+  /// path's stall count.
   bool in_motion = false;
-  /// Traffic moved this round; resets the fault paths' stall count.
-  bool progress = false;
   /// The frame barrier completed no link for stall_quiet_rounds physical
   /// rounds in a row: the run ends degraded.
   bool stalled = false;
@@ -114,12 +114,11 @@ struct NetworkConfig {
   enum class StepOrder { kForward, kReverse };
   StepOrder step_order = StepOrder::kForward;
   /// Fault injection (faults.hpp). Engaging this makes run_outcome() hand
-  /// each round's messages to a fault transport instead of the perfect
-  /// mailbox swap: by default the reliable-transport shim (reliable.hpp)
-  /// carries every protocol step over the lossy links, so protocols run
-  /// unmodified; with FaultPlan::raw_transport the faults hit the protocol
-  /// messages directly. Disengaged (the default), delivery is the perfect
-  /// path's swap, byte for byte the pre-fault simulator.
+  /// each round's messages to the reliable-transport shim (reliable.hpp)
+  /// instead of the perfect mailbox swap: it carries every protocol step
+  /// over the lossy links, so protocols run unmodified. Disengaged (the
+  /// default), delivery is the perfect path's swap, byte for byte the
+  /// pre-fault simulator.
   std::optional<FaultPlan> faults = std::nullopt;
   /// Fault-mode stall detector: a run that makes no protocol progress (no
   /// payload traffic, nodes not done) for this many consecutive protocol
@@ -258,8 +257,7 @@ class NodeCtx {
   /// Queues a message on `port` for delivery next round. Throws if a
   /// message was already queued on this port this round or if `bits`
   /// exceeds the bandwidth. Under the reliable transport the delivery is
-  /// guaranteed (retransmitted until it lands); under raw faulty transport
-  /// it is subject to the fault plan.
+  /// guaranteed (retransmitted until it lands).
   void send(int port, Message msg);
   /// send() on every port in ascending order, with the same checks: a
   /// throw on port p leaves ports 0..p-1 sent and counted.
@@ -283,8 +281,8 @@ class NodeCtx {
   void sleep();
 
   /// Reports the current reassembly backlog of one FragmentReassembler
-  /// port (partially received + completed-but-undelivered messages) for
-  /// the congest.reassembly.max_depth gauge. No-op without metrics.
+  /// port (1 while a message is being reassembled, else 0) for the
+  /// congest.reassembly.max_depth gauge. No-op without metrics.
   void note_reassembly_depth(int depth);
 
  private:
@@ -417,12 +415,10 @@ class Network {
   // live nodes, count the done ones, hand the round's outbox to the
   // transport, fold the audit digest, advance round_, and test completion,
   // stall and the round cap. Only the delivery differs: the perfect path
-  // swaps the mailboxes and closes one round; the reliable transport runs
-  // its frame barrier, closing one or more physical rounds; the raw
-  // transport launches the messages onto the faulty links, closes one
-  // round and delivers the due copies (the last two in reliable.hpp).
-  enum class Delivery { kPerfect, kReliable, kRaw };
-  template <Delivery kDelivery>
+  // swaps the mailboxes and closes one round; under a fault plan
+  // (kFaulty) the reliable transport runs its frame barrier, closing one
+  // or more physical rounds (reliable.hpp).
+  template <bool kFaulty>
   RunOutcome run_rounds(std::span<NodeProgram* const> programs);
   /// Steps the vertices in active_ (ascending; kReverse iterates it
   /// backwards), skipping crashed ones when kSkipCrashed.

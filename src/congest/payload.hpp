@@ -12,10 +12,9 @@
 //
 // Each stored type T has exactly one constexpr descriptor,
 // kPayloadType<T>. A type check is a pointer compare against it, so a
-// failed cast (a wrong guess, or a fault-corrupted payload delivered as
-// CorruptedPayload) is as cheap as a successful one. The descriptor also
-// exposes std::type_info for the wire-codec registry (wire.hpp) and for
-// diagnostics.
+// failed cast (a wrong guess) is as cheap as a successful one. The
+// descriptor also exposes std::type_info for the wire-codec registry
+// (wire.hpp) and for diagnostics.
 #pragma once
 
 #include <cstddef>

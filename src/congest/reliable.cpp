@@ -222,18 +222,14 @@ FaultRuntime::InFlight FaultRuntime::take_due(int link, long now, int index) {
   return copy;
 }
 
-template <typename Handler>
-int FaultRuntime::deliver_due(long now, Handler&& handler) {
-  int delivered = 0;
+void FaultRuntime::deliver_due(long now) {
   for (int k = 0; k < static_cast<int>(flight_.size()); ++k) {
     if (flight_[k].empty()) continue;
     const int best = earliest_due(k, now);
     if (best < 0) continue;
     InFlight copy = take_due(k, now, best);
-    handler(k, copy);
-    ++delivered;
+    receive_frame(k, copy);
   }
-  return delivered;
 }
 
 void FaultRuntime::deliver_with_hook(long now) {
@@ -385,9 +381,7 @@ Carried FaultRuntime::carry_reliable(int done_count, bool all_done) {
     net_.close_round(done_count);
     if (net_.cfg_.scheduler == nullptr) {
       apply_scheduled_crashes();
-      deliver_due(net_.clock_, [this](int k, InFlight& copy) {
-        receive_frame(k, copy);
-      });
+      deliver_due(net_.clock_);
     } else {
       deliver_with_hook(net_.clock_);
       // Retire schedule entries the hook executed as kCrash choices (and
@@ -418,62 +412,7 @@ Carried FaultRuntime::carry_reliable(int done_count, bool all_done) {
             " vround " + std::to_string(ch.seq));
     }
   }
-  return {.closed = true, .in_motion = any_payload, .progress = any_payload};
-}
-
-Carried FaultRuntime::carry_raw(int done_count) {
-  bool any_send = false;
-  for (int k = 0; k < static_cast<int>(flight_.size()); ++k) {
-    const int rev = net_.peer_link_[k];
-    Message& slot = net_.outbox_[rev];
-    if (!Network::engaged(slot)) continue;
-    if (crashed_[net_.link_src_[k]]) {
-      slot = Message{};
-      continue;
-    }
-    any_send = true;
-    const FaultInjector::Fate fate =
-        injector_.fate(src_id(k), dst_id(k), net_.clock_, 0);
-    InFlight copy;
-    copy.with_payload = true;
-    copy.payload = std::move(slot);
-    if (fate.duplicate) {
-      InFlight dup = copy;
-      dup.order = order_counter_ + 1;  // behind the primary copy
-      queue_copy(k, std::move(dup), /*duplicate=*/true, fate.dup_delay,
-                 fate.dup_corrupt);
-    }
-    if (fate.drop) {
-      note_drop(k);
-    } else {
-      copy.order = order_counter_;
-      queue_copy(k, std::move(copy), /*duplicate=*/false, fate.delay,
-                 fate.corrupt);
-    }
-    order_counter_ += 2;
-    slot = Message{};
-  }
-  net_.close_round(done_count);
-  const int delivered =
-      deliver_due(net_.clock_, [this](int k, InFlight& copy) {
-        const int rev = net_.peer_link_[k];
-        if (crashed_[net_.link_src_[rev]]) return;
-        if (copy.corrupt)
-          // Detectably garbled: the payload arrives as a CorruptedPayload
-          // marker of the same declared size; a cast to the real type
-          // fails and robust receivers ignore it.
-          net_.deposit(rev, Message(CorruptedPayload{}, copy.payload.bits));
-        else
-          net_.deposit(rev, std::move(copy.payload));
-      });
-  const bool in_motion =
-      any_send || std::any_of(flight_.begin(), flight_.end(),
-                              [](const std::vector<InFlight>& fl) {
-                                return !fl.empty();
-                              });
-  return {.closed = true,
-          .in_motion = in_motion,
-          .progress = in_motion || delivered > 0};
+  return {.closed = true, .in_motion = any_payload};
 }
 
 }  // namespace dmc::congest::detail

@@ -2,44 +2,36 @@
 //
 // Network::run_rounds is the one run loop on every path; when
 // NetworkConfig::faults is engaged, the loop hands each virtual round's
-// outbox to one of the two fault transports declared here instead of
-// swapping the mailboxes:
+// outbox to the reliable transport declared here instead of swapping the
+// mailboxes.
 //
-//   - Reliable transport (the default): every protocol step becomes a
-//     *virtual round*. Stepping the programs fills the outboxes as usual;
-//     the transport then carries one sequence-numbered frame per directed
-//     link (the queued payload, or an empty marker when the port is
-//     silent) across the faulty physical links — retransmitting on a
-//     bounded-exponential-backoff timer, suppressing duplicates by
-//     sequence number, discarding corruption-flagged frames like checksum
-//     failures, and piggybacking acknowledgements on the reverse-direction
-//     frames — until every live link has delivered its frame. Only then
-//     does the next virtual round begin, so NodeCtx::round() advances
-//     exactly as on a perfect network and every protocol runs unmodified;
-//     the fault tax is paid purely in *physical* rounds
-//     (NetworkStats::rounds, RunOutcome::rounds). On a fault-free link the
-//     shim costs nothing: one physical round per virtual round.
+// Every protocol step becomes a *virtual round*. Stepping the programs
+// fills the outboxes as usual; the transport then carries one
+// sequence-numbered frame per directed link (the queued payload, or an
+// empty marker when the port is silent) across the faulty physical links —
+// retransmitting on a bounded-exponential-backoff timer, suppressing
+// duplicates by sequence number, discarding corruption-flagged frames like
+// checksum failures, and piggybacking acknowledgements on the
+// reverse-direction frames — until every live link has delivered its
+// frame. Only then does the next virtual round begin, so NodeCtx::round()
+// advances exactly as on a perfect network, every message arrives exactly
+// once and in order, and every protocol runs unmodified; the fault tax is
+// paid purely in *physical* rounds (NetworkStats::rounds,
+// RunOutcome::rounds). On a fault-free link the shim costs nothing: one
+// physical round per virtual round.
 //
-//     Modeling notes: the end-of-step barrier is the simulator acting as
-//     an omniscient synchronizer (it sees deliveries; real deployments
-//     would run a termination-detection layer), and the fixed
-//     kTransportHeaderBits frame header (sequence/ack/flags/checksum)
-//     rides alongside the payload rather than shrinking the protocol's
-//     bandwidth — headers are accounted in NetworkStats::frame_bits, not
-//     charged against the CONGEST budget, so declared protocol costs stay
-//     comparable with the perfect path.
+// Modeling notes: the end-of-step barrier is the simulator acting as an
+// omniscient synchronizer (it sees deliveries; real deployments would run
+// a termination-detection layer), and the fixed kTransportHeaderBits frame
+// header (sequence/ack/flags/checksum) rides alongside the payload rather
+// than shrinking the protocol's bandwidth — headers are accounted in
+// NetworkStats::frame_bits, not charged against the CONGEST budget, so
+// declared protocol costs stay comparable with the perfect path.
 //
-//   - Raw transport (FaultPlan::raw_transport): protocol messages travel
-//     the faulty links directly — dropped, duplicated, delayed (at most
-//     one delivery per directed link per round, earliest first, so
-//     reordering stays bounded), or delivered as a CorruptedPayload
-//     marker. For degradation experiments; verdicts are untrusted.
-//
-// Both implement crash-stop faults (crashed nodes are silenced and
-// excluded from completion); the run loop adds a quiet-stretch stall
-// detector on both and ends with a structured RunOutcome instead of an
-// exception. See docs/ROBUSTNESS.md for the protocol stack and the
-// overhead model.
+// The transport implements crash-stop faults (crashed nodes are silenced
+// and excluded from completion); the run loop adds a quiet-stretch stall
+// detector and ends with a structured RunOutcome instead of an exception.
+// See docs/ROBUSTNESS.md for the protocol stack and the overhead model.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +57,7 @@ inline constexpr int kMaxRto = 16;
 
 namespace detail {
 
-/// Fault-mode transports, owned by Network (one per network, persistent
+/// Fault-mode transport, owned by Network (one per network, persistent
 /// across run_outcome() calls so crash state carries over a protocol
 /// pipeline).
 /// Directed link k is Network's link k: it leaves link_src_[k] and lands
@@ -73,9 +65,7 @@ namespace detail {
 struct FaultRuntime {
   FaultRuntime(Network& net, const FaultPlan& plan);
 
-  bool raw() const { return injector_.plan().raw_transport; }
-
-  // Reliable-transport channel state, per directed link, per virtual round.
+  // Channel state, per directed link, per virtual round.
   struct Channel {
     long seq = -1;          // virtual round this frame belongs to
     bool active = false;    // participates in the current barrier
@@ -100,11 +90,10 @@ struct FaultRuntime {
   struct InFlight {
     long due = 0;           // physical round it becomes deliverable
     long order = 0;         // global send order; earliest delivers first
-    long seq = 0;           // reliable: channel seq at transmit time
-    long ack_seq = -1;      // reliable: piggybacked cumulative ack
+    long seq = 0;           // channel seq at transmit time
+    long ack_seq = -1;      // piggybacked cumulative ack
     bool corrupt = false;
-    bool with_payload = false;
-    Message payload;        // raw transport only (reliable reads the channel)
+    bool with_payload = false;  // the payload itself stays on the channel
   };
 
   /// Reliable delivery of one virtual round: loads every live link's frame
@@ -115,9 +104,6 @@ struct FaultRuntime {
   /// where every live node is done and nothing is queued settles in one
   /// round.
   Carried carry_reliable(int done_count, bool all_done);
-  /// Raw delivery of one round: launches the queued messages onto the
-  /// faulty links, closes the round, then delivers the due copies.
-  Carried carry_raw(int done_count);
 
   /// Crash-stops every plan entry scheduled at or before the current
   /// physical round (idempotent); deactivates channels touching the node.
@@ -127,8 +113,8 @@ struct FaultRuntime {
   void crash_node(VertexId id);
   void emit_fault(obs::FaultEvent::Kind kind, long round, VertexId src,
                   VertexId dst, int detail_value);
-  /// Applies the injector to one reliable-transport frame; queues the
-  /// surviving copies on flight_[link].
+  /// Applies the injector to one frame; queues the surviving copies on
+  /// flight_[link].
   void launch(int link, long seq, long ack_seq, bool with_payload,
               std::uint64_t salt);
   /// Puts one surviving copy of a transmission on `link`'s wire, `delay`
@@ -156,11 +142,10 @@ struct FaultRuntime {
   /// Takes copy `index` off `link`; the link's other due copies wait a
   /// round (one delivery per directed link per round).
   InFlight take_due(int link, long now, int index);
-  /// Delivers at most one due frame per link — the earliest-sent one;
+  /// Receives at most one due frame per link — the earliest-sent one;
   /// later due copies wait a round, which is what keeps reordering
-  /// bounded. Returns how many frames landed.
-  template <typename Handler>
-  int deliver_due(long now, Handler&& handler);
+  /// bounded.
+  void deliver_due(long now);
   /// Hook-mode replacement for the apply_scheduled_crashes + deliver_due
   /// pair (sched_hook.hpp): pending crashes, due-frame deliveries, per-link
   /// defers, and early retransmit-timer firings become choice points
@@ -171,7 +156,7 @@ struct FaultRuntime {
 
   Network& net_;
   FaultInjector injector_;
-  std::vector<Channel> channels_;           // reliable mode, per link
+  std::vector<Channel> channels_;           // per link
   std::vector<std::vector<InFlight>> flight_;  // per link
   std::vector<char> crashed_;               // per vertex, persistent
   std::vector<VertexId> crashed_ids_;

@@ -359,22 +359,32 @@ class FoldProgram final : public congest::NodeProgram {
   }
 
   /// Takes `value` as the parent's answer (slot -1) or child `slot`'s
-  /// table; false when it is neither (e.g. a fragment chunk). A repeated
-  /// table (a raw transport's duplicate) is ignored.
+  /// table; false when it is neither (e.g. a fragment chunk). Delivery is
+  /// exactly once, so a repeated answer or table is a transport bug: it
+  /// throws.
   bool receive(NodeCtx& ctx, int slot, const Payload& value) {
     if (slot < 0) {
       std::optional<Down> d = A::template from_wire<Down>(value);
-      if (d && !down_) answer(ctx, std::move(*d));
-      return d.has_value();
+      if (!d) return false;
+      if (down_) repeated("its parent's answer");
+      answer(ctx, std::move(*d));
+      return true;
     }
     const Up* t = value.get_if<Up>();
     if (t == nullptr) return false;
-    if (state_ != nullptr && !state_->have[slot]) {
+    if (state_ != nullptr) {
+      if (state_->have[slot])
+        repeated("child slot " + std::to_string(slot) + "'s table");
       state_->inputs[slot] = A::input(*t);
       state_->have[slot] = 1;
       --state_->missing;
     }
     return true;
+  }
+
+  [[noreturn]] void repeated(const std::string& what) const {
+    throw std::logic_error("fold: node " + std::to_string(self_) +
+                           " received " + what + " twice");
   }
 
   void answer(NodeCtx& ctx, Down d) {

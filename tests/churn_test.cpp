@@ -892,8 +892,6 @@ constexpr PinnedEngine kPinnedEngines[] = {
      true, 25},
     {"decide-crash", dist::Kind::kDecision, 33, 40, "crash=7@r30,seed=2",
      false, false, 25},
-    {"decide-raw", dist::Kind::kDecision, 34, 40,
-     "drop=0.02,seed=9,transport=raw", false, true, 25},
 };
 
 struct EngineTally {
@@ -962,8 +960,7 @@ constexpr std::pair<std::uint64_t, std::uint64_t> kPinnedEngineDigests[] = {
     {0xf1795ef5ba757345ull, 0xf23ee3de01b891c1ull},
     {0xb9ac9e439e89579full, 0x719fbc3830467788ull},
     {0x0186e158e0fdbaceull, 0xdab9ba862d65a959ull},
-    {0xdebe3c245f06436bull, 0x0d94731e40ff0452ull},
-    {0x14397b4dd8f6bee8ull, 0x3d36de3ee70078ddull}};
+    {0xdebe3c245f06436bull, 0x0d94731e40ff0452ull}};
 
 TEST(ChurnEngine, EpochsMatchRecordedFreshNetworkRuns) {
   for (std::size_t k = 0; k < std::size(kPinnedEngines); ++k) {

@@ -279,12 +279,15 @@ class FragReceiver : public NodeProgram {
   int arrival_round = -1;
   void on_round(NodeCtx& ctx) override {
     for (int p = 0; p < ctx.degree(); ++p)
-      if (auto payload = poll_fragment(ctx, p)) {
+      if (auto payload = reasm_.poll(ctx, p)) {
         received = payload->get<std::string>();
         arrival_round = ctx.round();
       }
   }
   bool done(const NodeCtx&) const override { return !received.empty(); }
+
+ private:
+  FragmentReassembler reasm_;
 };
 
 TEST(Congest, FragmentationPaysProportionalRounds) {
@@ -329,10 +332,13 @@ class MultiPayloadReceiver : public NodeProgram {
   std::vector<std::string> received;
   void on_round(NodeCtx& ctx) override {
     for (int p = 0; p < ctx.degree(); ++p)
-      if (auto payload = poll_fragment(ctx, p))
+      if (auto payload = reasm_.poll(ctx, p))
         received.push_back(payload->get<std::string>());
   }
   bool done(const NodeCtx&) const override { return received.size() == 3; }
+
+ private:
+  FragmentReassembler reasm_;
 };
 
 TEST(Congest, FragmentQueuesDeliverInOrder) {
@@ -370,7 +376,7 @@ TEST(Payload, SmallTriviallyCopyableValuesAreInline) {
   EXPECT_TRUE(Payload(VertexId{7}).descriptor()->stored_inline());
   EXPECT_TRUE(Payload(std::int64_t{-3}).descriptor()->stored_inline());
   EXPECT_TRUE(Payload(WordMsg{1, 2}).descriptor()->stored_inline());
-  EXPECT_TRUE(Payload(CorruptedPayload{}).descriptor()->stored_inline());
+  EXPECT_TRUE(Payload(Unregistered{}).descriptor()->stored_inline());
   EXPECT_FALSE(Payload(WideMsg{}).descriptor()->stored_inline());
   EXPECT_FALSE(Payload(std::string("x")).descriptor()->stored_inline());
   EXPECT_FALSE(Payload(Fragment{}).descriptor()->stored_inline());
@@ -422,8 +428,8 @@ TEST(Payload, WrongTypeCastFailsDirectlyAndInsideFragment) {
   EXPECT_EQ(id.get_if<WordMsg>(), nullptr);
   EXPECT_THROW(id.get<std::int64_t>(), BadPayloadCast);
   EXPECT_EQ(Payload().get_if<VertexId>(), nullptr);
-  // A fault-corrupted delivery fails the receiver's cast.
-  EXPECT_EQ(Payload(CorruptedPayload{}).get_if<VertexId>(), nullptr);
+  // An empty value of another type fails the cast too.
+  EXPECT_EQ(Payload(Unregistered{}).get_if<VertexId>(), nullptr);
 
   Fragment frag;
   frag.value = std::string("table");

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,7 +53,7 @@ NetworkConfig faulty_cfg(const std::string& spec, unsigned id_seed = 1) {
 TEST(FaultPlanParse, FullGrammar) {
   const FaultPlan plan = congest::parse_fault_plan(
       "drop=0.1,dup=0.05,corrupt=0.01,reorder=0.2,reorder_max=3,"
-      "crash=3@r20,crash=5@r7,seed=42,transport=raw");
+      "crash=3@r20,crash=5@r7,seed=42");
   EXPECT_DOUBLE_EQ(plan.drop, 0.1);
   EXPECT_DOUBLE_EQ(plan.duplicate, 0.05);
   EXPECT_DOUBLE_EQ(plan.corrupt, 0.01);
@@ -64,9 +65,12 @@ TEST(FaultPlanParse, FullGrammar) {
   EXPECT_EQ(plan.crashes[1].node, 5);
   EXPECT_EQ(plan.crashes[1].round, 7);
   EXPECT_EQ(plan.seed, 42u);
-  EXPECT_TRUE(plan.raw_transport);
   EXPECT_TRUE(plan.has_link_faults());
   EXPECT_FALSE(plan.empty());
+  // The reliable transport is the only fault path: no transport key.
+  for (const char* spec : {"transport=raw", "drop=0.1,transport=reliable"})
+    EXPECT_THROW(congest::parse_fault_plan(spec), std::invalid_argument)
+        << spec;
 }
 
 TEST(FaultPlanParse, FormatRoundTrips) {
@@ -88,8 +92,6 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
   EXPECT_THROW(congest::parse_fault_plan("drop=abc"), std::invalid_argument);
   EXPECT_THROW(congest::parse_fault_plan("crash=3"), std::invalid_argument);
   EXPECT_THROW(congest::parse_fault_plan("crash=3@20"), std::invalid_argument);
-  EXPECT_THROW(congest::parse_fault_plan("transport=tcp"),
-               std::invalid_argument);
   EXPECT_THROW(congest::parse_fault_plan("reorder_max=0"),
                std::invalid_argument);
 }
@@ -235,34 +237,25 @@ class TaggedExchange : public congest::NodeProgram {
 TEST(FaultMailboxes, DeliveredMessagesAreTheOnesPosted) {
   const Graph g = btd_graph(4, 14, 3, 0.4);
   const int rounds = 6;
-  for (const char* spec :
-       {"drop=0.2,dup=0.2,reorder=0.2", "drop=0.1,transport=raw"}) {
-    SCOPED_TRACE(spec);
-    congest::Network net(g, faulty_cfg(spec, 3));
-    std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-    std::vector<TaggedExchange*> nodes;
-    for (int v = 0; v < g.num_vertices(); ++v) {
-      auto p = std::make_unique<TaggedExchange>(rounds);
-      nodes.push_back(p.get());
-      programs.push_back(std::move(p));
-    }
-    const congest::RunOutcome outcome =
-        net.run_outcome(congest::program_ptrs(programs));
-    ASSERT_TRUE(outcome.ok());
-    int received = 0;
-    for (const TaggedExchange* node : nodes) {
-      EXPECT_EQ(node->mismatched, 0);
-      received += node->received;
-    }
-    const int posted = 2 * g.num_edges() * rounds;
-    EXPECT_EQ(net.stats().messages, posted);
-    if (!net.config().faults->raw_transport) {
-      EXPECT_EQ(received, posted);  // the reliable transport loses nothing
-    } else {
-      EXPECT_GT(received, 0);
-      EXPECT_LT(received, posted);
-    }
+  congest::Network net(g, faulty_cfg("drop=0.2,dup=0.2,reorder=0.2", 3));
+  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
+  std::vector<TaggedExchange*> nodes;
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    auto p = std::make_unique<TaggedExchange>(rounds);
+    nodes.push_back(p.get());
+    programs.push_back(std::move(p));
   }
+  const congest::RunOutcome outcome =
+      net.run_outcome(congest::program_ptrs(programs));
+  ASSERT_TRUE(outcome.ok());
+  int received = 0;
+  for (const TaggedExchange* node : nodes) {
+    EXPECT_EQ(node->mismatched, 0);
+    received += node->received;
+  }
+  const int posted = 2 * g.num_edges() * rounds;
+  EXPECT_EQ(net.stats().messages, posted);
+  EXPECT_EQ(received, posted);  // the reliable transport loses nothing
 }
 
 // --- reliable transport: oracle-correct under the fault sweep -----------------
@@ -431,18 +424,6 @@ TEST(ReliableTransport, AuditDigestMatchesThePerfectPath) {
       }
     }
   }
-  // Raw transport loses messages, so its digest is its own, but it is
-  // folded (nonzero) and a function of the fault seed.
-  const Graph g = gen::path(16);
-  auto raw_digest = [&] {
-    congest::Network net(
-        g, audited(congest::parse_fault_plan("drop=0.1,transport=raw,seed=3")));
-    dist::run_elim_tree(net, 4);
-    return net.audit_digest();
-  };
-  const std::uint64_t raw = raw_digest();
-  EXPECT_NE(raw, 0u);
-  EXPECT_EQ(raw_digest(), raw);
 }
 
 // --- crash-stop: structured degradation, never a wrong answer -----------------
@@ -570,10 +551,9 @@ TEST(RoundBudget, FrameBarrierThatCannotFinishStalls) {
 // --- fragment reassembly under duplication and reordering ---------------------
 
 TEST(FragmentReassembly, DupAndReorderDeliverEachMessageOnceInOrder) {
-  // Raw transport (no reliable shim) with heavy duplication + reordering
-  // but no loss: the FragmentReassembler must surface exactly the sent
-  // payload sequence, each message once, in order, despite duplicated and
-  // overtaking chunks.
+  // Heavy duplication + reordering under the reliable transport: the
+  // FragmentReassembler, which checks in-order exactly-once delivery,
+  // must surface exactly the sent payload sequence, each message once.
   struct Sender final : congest::NodeProgram {
     congest::FragmentSender sender;
     bool queued = false;
@@ -594,20 +574,17 @@ TEST(FragmentReassembly, DupAndReorderDeliverEachMessageOnceInOrder) {
   struct Receiver final : congest::NodeProgram {
     congest::FragmentReassembler reasm;
     std::vector<int> got;
-    int idle_rounds = 0;
     void on_round(congest::NodeCtx& ctx) override {
       if (auto payload = reasm.poll(ctx, 0))
         got.push_back(payload->get<int>());
-      idle_rounds = got.size() >= 3 ? idle_rounds + 1 : 0;
     }
     bool done(const congest::NodeCtx&) const override {
-      return idle_rounds >= 8;  // drain straggler duplicates
+      return got.size() >= 3;
     }
   };
   const Graph g = gen::path(2);
-  NetworkConfig cfg =
-      faulty_cfg("dup=0.6,reorder=0.6,reorder_max=3,transport=raw,seed=3");
-  congest::Network net(g, cfg);
+  congest::Network net(g,
+                       faulty_cfg("dup=0.6,reorder=0.6,reorder_max=3,seed=3"));
   std::vector<std::unique_ptr<congest::NodeProgram>> programs;
   auto sender = std::make_unique<Sender>();
   auto receiver = std::make_unique<Receiver>();
@@ -618,6 +595,95 @@ TEST(FragmentReassembly, DupAndReorderDeliverEachMessageOnceInOrder) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(handle->got, (std::vector<int>{10, 20, 30}));
   EXPECT_GT(net.stats().faults_duplicated, 0);
+}
+
+TEST(FragmentReassembly, OutOfSequenceChunkThrows) {
+  // A perfect network delivers each chunk once and in order, so a chunk
+  // that skips a message, skips a chunk or repeats one can only come from
+  // a broken transport or sender: the reassembler throws, naming the port
+  // and both sequence positions, and the exception leaves run_outcome.
+  struct Chunk {
+    std::uint32_t msg_seq;
+    int chunk, num_chunks;
+  };
+  struct Sender final : congest::NodeProgram {
+    std::vector<Chunk> chunks;  // one per round
+    void on_round(congest::NodeCtx& ctx) override {
+      if (ctx.round() >= static_cast<int>(chunks.size())) return;
+      const Chunk& c = chunks[ctx.round()];
+      congest::Fragment frag;
+      frag.msg_seq = c.msg_seq;
+      frag.chunk = c.chunk;
+      frag.num_chunks = c.num_chunks;
+      if (c.chunk + 1 == c.num_chunks) frag.value = 7;
+      ctx.send(0, congest::Message(std::move(frag), 16));
+    }
+    bool done(const congest::NodeCtx& ctx) const override {
+      return ctx.round() >= static_cast<int>(chunks.size());
+    }
+  };
+  struct Receiver final : congest::NodeProgram {
+    congest::FragmentReassembler reasm;
+    int got = 0;
+    void on_round(congest::NodeCtx& ctx) override {
+      if (reasm.poll(ctx, 0)) ++got;
+    }
+    bool done(const congest::NodeCtx& ctx) const override {
+      return ctx.round() > 4;
+    }
+  };
+  const struct {
+    const char* name;
+    std::vector<Chunk> chunks;
+    const char* what;
+  } cases[] = {
+      {"skipped message", {{0, 0, 1}, {2, 0, 1}},
+       "port 0 expected msg_seq 1 chunk 0, got msg_seq 2 chunk 0"},
+      {"skipped chunk", {{0, 0, 3}, {0, 2, 3}},
+       "port 0 expected msg_seq 0 chunk 1, got msg_seq 0 chunk 2"},
+      {"repeated chunk", {{0, 0, 2}, {0, 0, 2}},
+       "port 0 expected msg_seq 0 chunk 1, got msg_seq 0 chunk 0"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    congest::Network net(gen::path(2));
+    std::vector<std::unique_ptr<congest::NodeProgram>> programs;
+    auto sender = std::make_unique<Sender>();
+    sender->chunks = c.chunks;
+    programs.push_back(std::move(sender));
+    programs.push_back(std::make_unique<Receiver>());
+    try {
+      net.run_outcome(congest::program_ptrs(programs));
+      ADD_FAILURE() << "run_outcome did not throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.what), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// --- round cap: crashed nodes make it a crash ending --------------------------
+
+TEST(RoundBudget, RoundCapAfterACrashReportsTheCrash) {
+  // The live nodes send on every round and never finish, so neither stall
+  // detector fires and the run ends at the round cap. Node 1 crashed on
+  // the way there, so the ending is kCrashed, as a stall would report it.
+  struct Chatter final : congest::NodeProgram {
+    void on_round(congest::NodeCtx& ctx) override {
+      ctx.send_all(congest::Message(ctx.id(), 16));
+    }
+    bool done(const congest::NodeCtx&) const override { return false; }
+  };
+  NetworkConfig cfg = faulty_cfg("crash=1@r2");
+  cfg.max_rounds = 20;
+  congest::Network net(gen::cycle(3), cfg);
+  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
+  for (int v = 0; v < 3; ++v) programs.push_back(std::make_unique<Chatter>());
+  const congest::RunOutcome outcome =
+      net.run_outcome(congest::program_ptrs(programs));
+  EXPECT_EQ(outcome.status, RunStatus::kCrashed);
+  EXPECT_EQ(outcome.crashed, (std::vector<VertexId>{1}));
+  EXPECT_GT(outcome.rounds, cfg.max_rounds);
 }
 
 }  // namespace

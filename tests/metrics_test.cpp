@@ -421,11 +421,6 @@ const std::vector<PinSetting>& pin_settings() {
        [](NetworkConfig& c) {
          c.faults = congest::parse_fault_plan("drop=0.05,dup=0.05,seed=3");
        }},
-      {"raw",
-       [](NetworkConfig& c) {
-         c.faults =
-             congest::parse_fault_plan("drop=0.02,transport=raw,seed=3");
-       }},
       {"crash",
        [](NetworkConfig& c) {
          c.faults = congest::parse_fault_plan("crash=3@r20,seed=5");
@@ -491,7 +486,6 @@ TEST(MetricsPin, ElimTree) {
                {"dense", "a22e06c4cee97256"},
                {"audit", "a22e06c4cee97256"},
                {"drop+dup", "6dd41f7a771470af"},
-               {"raw", "fda356466bc4ab58"},
                {"crash", "d2c37815c2617e7d"}});
 }
 
@@ -507,7 +501,6 @@ TEST(MetricsPin, Bags) {
                {"dense", "11e3f78182db8c7a"},
                {"audit", "11e3f78182db8c7a"},
                {"drop+dup", "84ea598c7299e726"},
-               {"raw", "f142056bdd569934"},
                {"crash", "b44f861dcb7d3172"}});
 }
 
@@ -518,7 +511,6 @@ TEST(MetricsPin, Decide) {
                {"dense", "84b33d6e275e11c6"},
                {"audit", "84b33d6e275e11c6"},
                {"drop+dup", "522b1e3fc0a11f00"},
-               {"raw", "4ef7f7b6a020145f"},
                {"crash", "bc92ce1257fedde3"}});
 }
 
@@ -533,7 +525,6 @@ TEST(MetricsPin, CountFragmented) {
                {"dense", "e0febe0378ddba43"},
                {"audit", "e0febe0378ddba43"},
                {"drop+dup", "598fc71c1b65c0f4"},
-               {"raw", "f656635f3059e60a"},
                {"crash", "26475d991f2ff34d"}});
 }
 

@@ -10,7 +10,7 @@
 //     (oldest first) and its crash-run dump names the crashed node and
 //     round — the "exit 7 comes with a story" acceptance criterion;
 //   - every round and quiescent entry the ring retains equals the traced
-//     event of the same round, on the perfect and both fault paths;
+//     event of the same round, on the perfect and the fault path;
 //   - a traced sparse run coalesces quiescent stretches into
 //     QuiescentEvents whose expansion reproduces the dense per-phase
 //     totals exactly, across thread counts.
@@ -214,7 +214,7 @@ TEST(FlightRecorder, RoundEntriesEqualTheTracedEvents) {
   // Each round close builds one event for both the ring and the sink, so
   // every round or quiescent entry the ring retains must equal the traced
   // event of the same round, on the perfect path (sparse, with quiescent
-  // skips) and on both fault paths.
+  // skips) and on the fault path.
   struct Setting {
     const char* name;
     const char* faults;  // "" = perfect delivery
@@ -222,7 +222,6 @@ TEST(FlightRecorder, RoundEntriesEqualTheTracedEvents) {
   const Setting settings[] = {
       {"sparse", ""},
       {"drop+dup", "drop=0.1,dup=0.05,seed=42"},
-      {"raw", "drop=0.02,transport=raw,seed=3"},
       {"crash", "crash=3@r20,seed=5"},
   };
   for (const Setting& setting : settings) {

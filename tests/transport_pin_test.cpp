@@ -148,12 +148,6 @@ const std::vector<Setting>& settings() {
          c.faults = congest::parse_fault_plan("crash=3@r20,seed=5");
        },
        /*traced=*/true},
-      {"raw",
-       [](NetworkConfig& c) {
-         c.faults =
-             congest::parse_fault_plan("drop=0.02,transport=raw,seed=3");
-       },
-       /*traced=*/true},
   };
   return all;
 }
@@ -238,7 +232,6 @@ TEST(TransportPin, ElimTreeDenseFlood) {
        {"audit", "d63c8cf2898c2f32"},
        {"drop+dup", "58990bc0f9a6fb23"},
        {"crash", "2045b75d03579374"},
-       {"raw", "4a6f5087349b27e0"},
        {"dense", "be4fd4cd8427eca4"},
        {"dense+drop+dup", "58990bc0f9a6fb23"},
        {"audit+drop+dup", "b254f9e6cd0146a9"}});
@@ -253,7 +246,6 @@ TEST(TransportPin, ElimTreeSparseFlood) {
        {"audit", "53dfbdb70d0617b3"},
        {"drop+dup", "2350e2f0d07fde7d"},
        {"crash", "3936e0b191d56f33"},
-       {"raw", "32a49b1d344e993d"},
        {"dense", "f24d382caa466f49"},
        {"dense+drop+dup", "16ad7c56488cc910"},
        {"audit+drop+dup", "56919ad4a39411f5"}});
@@ -268,7 +260,6 @@ TEST(TransportPin, Bags) {
        {"audit", "28effcc871aea77a"},
        {"drop+dup", "a91e3f7f1a8d569c"},
        {"crash", "18962257ac1afe7c"},
-       {"raw", "8bc9063d4f1da9f5"},
        {"dense", "78cda6ac3398ee0f"},
        {"dense+drop+dup", "c64ce499f234ec44"},
        {"audit+drop+dup", "a01c2797f336365a"}});
@@ -284,7 +275,6 @@ TEST(TransportPin, Decide) {
        {"audit", "a70af81e34857abb"},
        {"drop+dup", "6c75577ecb48481e"},
        {"crash", "f97fa6531bb82f93"},
-       {"raw", "2dbea33691ea8b57"},
        {"dense", "9635deb5385fc328"},
        {"dense+drop+dup", "f77810132c97e514"},
        {"audit+drop+dup", "c94f5a8770d497cd"}});
@@ -304,7 +294,6 @@ TEST(TransportPin, CountFragmentedTables) {
        {"audit", "92bcd5bf5af552b3"},
        {"drop+dup", "5a9e3960997c58ed"},
        {"crash", "f5a3a6e7eda6817a"},
-       {"raw", "7682ed1259cad2cf"},
        {"dense", "ff0a58985d990568"},
        {"dense+drop+dup", "722f468ca502b239"},
        {"audit+drop+dup", "ca000c5855bcd4f5"}});
@@ -322,7 +311,6 @@ TEST(TransportPin, Maximize) {
        {"audit", "25a134ebb8bd070b"},
        {"drop+dup", "4d5f65d51b8433d1"},
        {"crash", "a973117386cd406c"},
-       {"raw", "d14c81a075524227"},
        {"dense", "bb390ec5a2dd7cbd"},
        {"dense+drop+dup", "10ed971b4b0d5353"},
        {"audit+drop+dup", "03955c44d0af8033"}});

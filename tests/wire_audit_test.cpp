@@ -367,11 +367,14 @@ class FragmentingSender : public congest::NodeProgram {
 class FragmentReceiver : public congest::NodeProgram {
  public:
   void on_round(NodeCtx& ctx) override {
-    if (auto payload = congest::poll_fragment(ctx, 0))
+    if (auto payload = reasm_.poll(ctx, 0))
       received_ = payload->get<std::int64_t>();
   }
   bool done(const NodeCtx&) const override { return received_ != 0; }
   std::int64_t received_ = 0;
+
+ private:
+  congest::FragmentReassembler reasm_;
 };
 
 long fragment_messages(long k_bits, int min_bandwidth, bool audit = true) {

@@ -28,10 +28,10 @@
 // docs/STATIC_ANALYSIS.md); exits 5 if any check diverges.
 // --faults SPEC (needs --dist) injects deterministic link/node faults, e.g.
 // "drop=0.1,dup=0.05,crash=3@r20,seed=42" (grammar in congest/faults.hpp),
-// and layers the reliable transport under the protocols unless the spec
-// says transport=raw. Degraded endings are structured, never silently
-// wrong: exit 6 = round budget exhausted (diagnostic names the stalled
-// phase), exit 7 = crash-stop faults occurred. See docs/ROBUSTNESS.md.
+// and layers the reliable transport under the protocols. Degraded endings
+// are structured, never silently wrong: exit 6 = round budget exhausted
+// (diagnostic names the stalled phase), exit 7 = crash-stop faults
+// occurred. See docs/ROBUSTNESS.md.
 // --universe-cache DIR (needs --dist) persists the type universe under
 // DIR ("auto" = $DMC_CACHE_DIR / $XDG_CACHE_HOME/dmc / ~/.cache/dmc) so
 // repeated runs of the same formula skip universe construction.
@@ -100,7 +100,7 @@ namespace {
                "           [--var NAME --sort vset|eset] [--vars N:S,...]\n"
                "           [--dist D] [--trace FILE[:jsonl|chrome]] [--audit]\n"
                "           [--faults drop=P,dup=P,corrupt=P,reorder=P,"
-               "crash=ID@rR,seed=N[,transport=raw]]\n"
+               "crash=ID@rR,seed=N]\n"
                "           [--universe-cache DIR|auto]\n"
                "           [--sparse-flood]\n"
                "           [--metrics FILE|-] [--metrics-interval R]\n"
