@@ -259,15 +259,14 @@ TypeId Engine::intern(TypeNode node) {
     throw std::runtime_error(
         "bpt::Engine: type universe limit exceeded (instance too large for "
         "this formula's rank/width; see set_type_limit)");
-  std::vector<TypeId>& bucket = index_[hash_type_node(node)];
-  for (TypeId t : bucket)
-    if (nodes_[t] == node) {
-      if (met_hashcons_hits_ != nullptr) met_hashcons_hits_->add(1);
-      return t;
-    }
+  const std::size_t h = hash_type_node(node);
+  if (const TypeId t = index_.find(h, node, nodes_); t != kInvalidType) {
+    if (met_hashcons_hits_ != nullptr) met_hashcons_hits_->add(1);
+    return t;
+  }
   const TypeId id = static_cast<TypeId>(nodes_.size());
   nodes_.push_back(std::move(node));
-  bucket.push_back(id);
+  index_.insert(h, id);
   if (met_hashcons_misses_ != nullptr) {
     met_hashcons_misses_->add(1);
     met_types_->max_of(static_cast<long long>(id) + 1);  // universe growth
@@ -463,6 +462,31 @@ int Engine::op_of(const GluingMatrix& f, int left_tau, int right_tau) {
   ops_.push_back(f);
   op_index_.emplace(f, id);
   return id;
+}
+
+void Engine::TypeIndex::insert(std::size_t h, TypeId id) {
+  if ((size_ + 1) * 4 > slots_.size() * 3) {
+    std::vector<Slot> old = std::move(slots_);
+    const std::size_t capacity = std::max<std::size_t>(64, old.size() * 2);
+    slots_.assign(capacity, Slot{});
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Slot& s : old)
+      if (s.id != kInvalidType) place(s);
+  }
+  place(Slot{tag_of(h), id});
+  ++size_;
+}
+
+void Engine::TypeIndex::place(Slot slot) {
+  std::size_t i = home(slot.tag);
+  while (slots_[i].id != kInvalidType) i = (i + 1) & mask();
+  slots_[i] = slot;
+}
+
+void Engine::TypeIndex::clear() {
+  std::vector<Slot>().swap(slots_);
+  size_ = 0;
+  shift_ = 64;
 }
 
 void Engine::ComposeMemo::insert(std::uint64_t key, TypeId value) {

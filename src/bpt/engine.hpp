@@ -298,6 +298,51 @@ class Engine {
     int shift_ = 64;  // 64 - log2(slots_.size())
   };
 
+  /// The hash-cons index: an open-addressing table of type ids with linear
+  /// probing, keyed by hash_type_node. Each 8-byte slot keeps 32 bits of
+  /// its node's hash beside the id, so a probe compares nodes only on a
+  /// tag match and a rehash reads no node. Like ComposeMemo it grows by
+  /// doubling at load 3/4 from 64 slots.
+  class TypeIndex {
+   public:
+    /// The id of the node of `nodes` equal to `node`, whose hash is `h`;
+    /// kInvalidType when none is.
+    TypeId find(std::size_t h, const TypeNode& node,
+                const std::deque<TypeNode>& nodes) const {
+      if (slots_.empty()) return kInvalidType;
+      const std::uint32_t tag = tag_of(h);
+      for (std::size_t i = home(tag);; i = (i + 1) & mask()) {
+        const Slot& s = slots_[i];
+        if (s.id == kInvalidType) return kInvalidType;
+        if (s.tag == tag && nodes[s.id] == node) return s.id;
+      }
+    }
+    /// Adds `id`, whose node hashes to `h` and is in no slot yet.
+    void insert(std::size_t h, TypeId id);
+    /// Empties the table and frees its slots.
+    void clear();
+
+   private:
+    struct Slot {
+      std::uint32_t tag = 0;
+      TypeId id = kInvalidType;  // kInvalidType: free
+    };
+    static std::uint32_t tag_of(std::size_t h) {
+      const auto wide = static_cast<std::uint64_t>(h);
+      return static_cast<std::uint32_t>(wide ^ (wide >> 32));
+    }
+    std::size_t mask() const { return slots_.size() - 1; }
+    std::size_t home(std::uint32_t tag) const {  // Fibonacci hashing
+      return static_cast<std::size_t>((tag * 0x9e3779b97f4a7c15ull) >>
+                                      shift_);
+    }
+    void place(Slot slot);
+
+    std::vector<Slot> slots_;  // power-of-two size, or empty
+    std::size_t size_ = 0;
+    int shift_ = 64;  // 64 - log2(slots_.size())
+  };
+
   /// Memo key of a primitive (K1 or K2) type, packed without allocation:
   /// `desc` is the label descriptor; `shape` holds is_k2 (bit 0), the slot
   /// count (bits 1-4), the rank (bits 5-20) and 4 bits per encoded slot
@@ -340,7 +385,7 @@ class Engine {
 
   EngineConfig cfg_;
   std::deque<TypeNode> nodes_;
-  std::unordered_map<std::size_t, std::vector<TypeId>> index_;  // hash-cons
+  TypeIndex index_;  // hash-cons
   std::deque<GluingMatrix> ops_;
   std::unordered_map<GluingMatrix, int, GluingMatrixHash> op_index_;
   ComposeMemo memo_;

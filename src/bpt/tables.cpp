@@ -127,7 +127,7 @@ class ClassAccumulator {
 template <typename R>
 std::vector<typename R::Table> fold_tables(
     Engine& engine, const Plan& plan, const Graph& g,
-    const std::vector<typename R::Table>& inputs, const R& rules) {
+    std::span<const typename R::Table> inputs, const R& rules) {
   using Item = typename R::Item;
   std::vector<typename R::Table> tables(plan.nodes.size());
   ClassAccumulator<Item> items;
@@ -357,7 +357,7 @@ struct OptSolver::Rules {
 };
 
 OptSolver::OptSolver(Engine& engine, const Plan& plan, const Graph& g,
-                     std::vector<OptTable> input_tables)
+                     std::span<const OptTable> input_tables)
     : engine_(engine), plan_(plan), g_(g) {
   if (engine_.config().free_sorts.size() != 1)
     throw std::invalid_argument("OptSolver: exactly one free slot required");
@@ -408,7 +408,7 @@ OptSolver::Solution OptSolver::reconstruct(TypeId root_choice) const {
 
 std::vector<CountTable> fold_count(
     Engine& engine, const Plan& plan, const Graph& g,
-    std::vector<CountTable> input_tables) {
+    std::span<const CountTable> input_tables) {
   return fold_tables(engine, plan, g, input_tables, CountRules{});
 }
 

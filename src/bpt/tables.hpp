@@ -56,7 +56,7 @@ class OptSolver {
   /// Engine must have exactly one free slot. Inputs are the tables of Input
   /// placeholders in `plan`, by ordinal.
   OptSolver(Engine& engine, const Plan& plan, const Graph& g,
-            std::vector<OptTable> input_tables = {});
+            std::span<const OptTable> input_tables = {});
 
   /// OPT table of a plan node (after construction, tables are final).
   const OptTable& table(int node) const { return tables_.at(node); }
@@ -97,7 +97,7 @@ using CountTable = FlatMap<TypeId, std::uint64_t>;
 /// that class (Section 6, counting). Throws on std::uint64_t overflow.
 std::vector<CountTable> fold_count(
     Engine& engine, const Plan& plan, const Graph& g,
-    std::vector<CountTable> input_tables = {});
+    std::span<const CountTable> input_tables = {});
 
 // --- Selected(c, W) (remark after Definition 4.1) ----------------------------
 

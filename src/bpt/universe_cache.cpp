@@ -320,7 +320,7 @@ bool Engine::load_universe(std::istream& in) {
   nodes_.clear();
   index_.clear();
   for (auto& node : nodes) {
-    index_[hash_type_node(node)].push_back(static_cast<TypeId>(nodes_.size()));
+    index_.insert(hash_type_node(node), static_cast<TypeId>(nodes_.size()));
     nodes_.push_back(std::move(node));
   }
   ops_.clear();

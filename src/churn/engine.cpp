@@ -199,10 +199,12 @@ void ChurnEngine::verify_step(StepOutcome& out) {
     try {
       congest::Network net(graph(), clean);
       oracle = dist::run(net, query_, budget);
-    } catch (const std::exception&) {
+    } catch (const std::runtime_error&) {
       // A larger budget can yield trees deeper than the packed atomic
-      // representation supports (bpt::kMaxTerminals); the oracle is
-      // infeasible there, not wrong.
+      // representation supports (dist::too_deep), or a class universe past
+      // the engine's type limit; the oracle is infeasible there, not
+      // wrong. Anything else (a std::logic_error of the fold's or the
+      // reassembler's delivery checks) is a bug and propagates.
       out.note = "oracle infeasible at budget " + std::to_string(budget) +
                  "; digest check skipped";
       return;

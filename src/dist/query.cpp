@@ -237,22 +237,40 @@ class Link {
 template <class A>
 using InputOf = decltype(A::input(std::declval<typename A::Up>()));
 
-/// What only a folding node holds: its bag graph and plan, its children's
-/// tables as fold inputs, and the algebra's per-node state. A replaying
-/// node (Lemma 4.3: its table depends only on its subtree) has none of it.
+/// The fold's run-wide bookkeeping. Child slot i of vertex v is entry
+/// children.off[v] + i of `inputs` and `have` (the TreeChildren CSR), so a
+/// vertex that has not folded yet holds only its input slots. A vertex
+/// builds its bag graph and plan (LocalContext) from `bags` when its last
+/// child table arrives, in fold order, and drops it once fold() returns
+/// unless the algebra reads it later (A::kKeepsContext): Lemma 4.3 needs
+/// a node's context only for the step that composes its children's
+/// classes.
 template <class A>
-struct FoldState {
-  FoldState(LocalContext lctx, std::size_t children)
-      : local(std::move(lctx)),
-        inputs(children),
-        have(children, 0),
-        missing(children) {}
-
-  LocalContext local;
+struct FoldRun {
+  A& algebra;
+  const congest::Network& net;
+  const TreeChildren& children;
+  const std::vector<LocalBag>& bags;
+  const std::vector<std::string>& vlabels;
+  const std::vector<std::string>& elabels;
+  PlanCache& plans;
   std::vector<InputOf<A>> inputs;  // by child slot
-  std::vector<char> have;
-  std::size_t missing;
-  typename A::Node node;
+  std::vector<char> have;          // by child slot: input arrived
+  std::vector<VertexId> child_ids;  // scratch of context(): children by id
+
+  /// Vertex v's context, localized for the algebra.
+  std::unique_ptr<LocalContext> context(VertexId v) {
+    child_ids.clear();
+    for (const int c : children[v]) child_ids.push_back(net.id_of_vertex(c));
+    auto local = std::make_unique<LocalContext>(
+        make_local_context(bags[v], child_ids, vlabels, elabels, plans));
+    algebra.localize(*local);
+    return local;
+  }
+  std::span<InputOf<A>> inputs_of(VertexId v) {
+    return {inputs.data() + children.off[v],
+            static_cast<std::size_t>(children.count(v))};
+  }
 };
 
 /// One node of the fold. The algebra A supplies the table type (Up), the
@@ -269,10 +287,12 @@ struct FoldState {
 ///   collect(Outcome&, programs, net)  the answer fields after the run
 ///   localize(LocalContext&)      per-kind edits of a node's bag graph
 /// plus kUpNote / kDownNote (trace annotations), kCached (FoldCache
-/// replay), kTableUp (the upward payload always streams in fragments) and
-/// to_wire / from_wire (an answer's message form). AlgebraBase supplies
-/// defaults for Node, localize (none), input (the table itself), to_child
-/// (forward the node's own answer) and the wire forms (the answer itself).
+/// replay), kTableUp (the upward payload always streams in fragments),
+/// kKeepsContext (local() stays readable after the fold) and to_wire /
+/// from_wire (an answer's message form). AlgebraBase supplies defaults
+/// for Node, localize (none), input (the table itself), to_child (forward
+/// the node's own answer), kKeepsContext (false) and the wire forms (the
+/// answer itself).
 ///
 /// Fold traffic runs on tree edges only, so a node reads just its parent
 /// port and its child ports (TreePorts, resolved once per run).
@@ -282,25 +302,32 @@ class FoldProgram final : public congest::NodeProgram {
   using Up = typename A::Up;
   using Down = typename A::Down;
 
-  /// Exactly one of `state` (a node that folds) and `replayed` (a node
-  /// that replays its cached table) is non-null. `send_up` is false when
-  /// the parent replays too (it never reads this node's table), saving
-  /// the upward message. `parent_port` is -1 at the root.
-  FoldProgram(A& algebra, FoldState<A>* state, const Up* replayed,
-              bool send_up, VertexId self, int parent_port,
-              std::span<const int> child_ports)
-      : algebra_(algebra),
-        state_(state),
+  /// Graph vertex `v` folds when `replayed` is null and otherwise replays
+  /// that cached table. `send_up` is false when the parent replays too (it
+  /// never reads this node's table), saving the upward message.
+  /// `parent_port` is -1 at the root.
+  FoldProgram(FoldRun<A>& run, VertexId v, const Up* replayed, bool send_up,
+              int parent_port, std::span<const int> child_ports)
+      : run_(run),
         replayed_(replayed),
         child_ports_(child_ports),
-        self_(self),
+        vertex_(v),
+        self_(run.net.id_of_vertex(v)),
         parent_port_(parent_port),
+        missing_(run.children.count(v)),
         send_up_(send_up) {}
 
-  const LocalContext& local() const { return folding().local; }
+  /// The bag graph and plan, while fold() runs (and after it when
+  /// A::kKeepsContext).
+  const LocalContext& local() const {
+    if (local_ == nullptr)
+      throw std::logic_error("fold: node " + std::to_string(self_) +
+                             " holds no local context");
+    return *local_;
+  }
   VertexId self() const { return self_; }
-  std::vector<InputOf<A>>& inputs() { return folding().inputs; }
-  typename A::Node& node() { return folding().node; }
+  std::span<InputOf<A>> inputs() { return run_.inputs_of(vertex_); }
+  typename A::Node& node() { return node_; }
   const Up& up() const { return replayed_ != nullptr ? *replayed_ : up_; }
   /// A folded node's table, moved out (call once, after the run).
   Up take_up() { return std::move(up_); }
@@ -315,17 +342,14 @@ class FoldProgram final : public congest::NodeProgram {
     if (parent_port_ >= 0) poll(ctx, parent_port_, -1);
     for (std::size_t i = 0; i < child_ports_.size(); ++i)
       poll(ctx, child_ports_[i], static_cast<int>(i));
-    if (!solved_ && (replayed_ != nullptr || state_->missing == 0)) {
+    if (!solved_ && (replayed_ != nullptr || missing_ == 0)) {
       solved_ = true;
-      if (replayed_ == nullptr) {
-        up_ = algebra_.fold(*this);
-        folded_ = true;
-      }
+      if (replayed_ == nullptr) fold();
       if (parent_port_ < 0) {
-        answer(ctx, algebra_.root(*this));
+        answer(ctx, run_.algebra.root(*this));
       } else if (send_up_) {
         Payload wire(up());  // the table stays: callers read it after
-        const long bits = algebra_.up_bits(wire, ctx);
+        const long bits = run_.algebra.up_bits(wire, ctx);
         link_.send(ctx, parent_port_, std::move(wire), bits, A::kTableUp);
       }
     }
@@ -340,10 +364,15 @@ class FoldProgram final : public congest::NodeProgram {
   }
 
  private:
-  FoldState<A>& folding() const {
-    if (state_ == nullptr)
-      throw std::logic_error("fold: replaying node has no local context");
-    return *state_;
+  /// Builds the context, folds, and frees what the fold consumed: the
+  /// input slots, and the context unless the algebra keeps it.
+  void fold() {
+    local_ = run_.context(vertex_);
+    up_ = run_.algebra.fold(*this);
+    folded_ = true;
+    if constexpr (!std::is_trivially_destructible_v<InputOf<A>>)
+      for (auto& in : inputs()) in = InputOf<A>{};
+    if constexpr (!A::kKeepsContext) local_.reset();
   }
 
   /// Reads this round's message on `port`, from the parent (slot -1) or
@@ -372,12 +401,13 @@ class FoldProgram final : public congest::NodeProgram {
     }
     const Up* t = value.get_if<Up>();
     if (t == nullptr) return false;
-    if (state_ != nullptr) {
-      if (state_->have[slot])
+    if (replayed_ == nullptr) {
+      const std::size_t at = run_.children.off[vertex_] + slot;
+      if (run_.have[at])
         repeated("child slot " + std::to_string(slot) + "'s table");
-      state_->inputs[slot] = A::input(*t);
-      state_->have[slot] = 1;
-      --state_->missing;
+      run_.inputs[at] = A::input(*t);
+      run_.have[at] = 1;
+      --missing_;
     }
     return true;
   }
@@ -391,23 +421,26 @@ class FoldProgram final : public congest::NodeProgram {
     ctx.annotate(A::kDownNote);
     down_ = std::move(d);
     for (std::size_t i = 0; i < child_ports_.size(); ++i) {
-      Down msg = algebra_.to_child(*this, *down_, i);
-      const long bits = algebra_.down_bits(msg);
+      Down msg = run_.algebra.to_child(*this, *down_, i);
+      const long bits = run_.algebra.down_bits(msg);
       link_.send(ctx, child_ports_[i], A::to_wire(std::move(msg)), bits,
                  false);
     }
   }
 
-  A& algebra_;
-  FoldState<A>* state_;
+  FoldRun<A>& run_;
   const Up* replayed_;
   std::span<const int> child_ports_;
+  std::unique_ptr<LocalContext> local_;
+  VertexId vertex_;
   VertexId self_;
   int parent_port_;
+  int missing_;  // child tables still to arrive
   bool send_up_;
   bool folded_ = false;
   bool first_round_ = true;
   bool solved_ = false;
+  [[no_unique_address]] typename A::Node node_;
   Up up_{};
   std::optional<Down> down_;
   Link link_;
@@ -422,6 +455,7 @@ struct AlgebraBase {
       : engine(e), evaluator(e, mso::lower(q.formula, q.frees), q.frees) {}
 
   struct Node {};  // per-node state
+  static constexpr bool kKeepsContext = false;
   void localize(LocalContext&) const {}
 
   template <class Up>
@@ -520,8 +554,8 @@ struct CountAlgebra : AlgebraBase {
 
   static bpt::CountTable input(Up up) { return std::move(up.table); }
   Up fold(FoldProgram<CountAlgebra>& p) {
-    auto tables = bpt::fold_count(engine, *p.local().plan, p.local().graph,
-                                  std::move(p.inputs()));
+    auto tables =
+        bpt::fold_count(engine, *p.local().plan, p.local().graph, p.inputs());
     return {std::move(tables[p.local().plan->root])};
   }
   long up_bits(const Payload& wire, const NodeCtx& ctx) {
@@ -562,6 +596,9 @@ struct OptimizeAlgebra : AlgebraBase {
   static constexpr const char* kDownNote = "assign";
   static constexpr bool kCached = false;
   static constexpr bool kTableUp = true;
+  // The solver reads the plan and bag graph when to_child reconstructs
+  // the ARGOPT choices, and collect() marks through the bag.
+  static constexpr bool kKeepsContext = true;
   Weight sign;
   bool vertex_sort;
   Weight best_weight = 0;
@@ -578,7 +615,7 @@ struct OptimizeAlgebra : AlgebraBase {
   static bpt::OptTable input(Up up) { return std::move(up.table); }
   Up fold(FoldProgram<OptimizeAlgebra>& p) {
     p.node().solver = std::make_unique<bpt::OptSolver>(
-        engine, *p.local().plan, p.local().graph, std::move(p.inputs()));
+        engine, *p.local().plan, p.local().graph, p.inputs());
     const bpt::OptTable& table = p.node().solver->root_table();
     max_table_entries =
         std::max(max_table_entries, static_cast<int>(table.size()));
@@ -688,7 +725,7 @@ struct OptMarkedAlgebra : AlgebraBase {
       class_inputs.push_back(c.marked_class);
       mine.marked_weight += c.marked_weight;
     }
-    mine.opt = bpt::OptSolver(engine, *lc.plan, lc.graph, std::move(opt_inputs))
+    mine.opt = bpt::OptSolver(engine, *lc.plan, lc.graph, opt_inputs)
                    .root_table();
     bpt::SlotMembership mark{std::vector<bool>(lc.graph.num_vertices()),
                              std::vector<bool>(lc.graph.num_edges())};
@@ -739,12 +776,12 @@ struct OptMarkedAlgebra : AlgebraBase {
 };
 
 /// Builds one FoldProgram per vertex, runs the fold, and collects the
-/// answer. Only a vertex that folds gets a bag graph, plan and fold state;
-/// a replaying vertex reads none of them, so an incremental epoch builds
-/// contexts for its refold closure alone and otherwise pays for receiving
-/// and forwarding the answer. Vertices whose bags have one shape share one
-/// plan, across epochs when the cache carries it. Programs and fold states
-/// each sit in one contiguous vector.
+/// answer. A vertex builds its bag graph and plan when it folds (FoldRun);
+/// a replaying vertex never does, so an incremental epoch builds contexts
+/// for its refold closure alone and otherwise pays for receiving and
+/// forwarding the answer. Vertices whose bags have one shape share one
+/// plan, across epochs when the cache carries it. Programs sit in one
+/// contiguous vector, fold inputs in FoldRun's arrays.
 template <class A>
 void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
               const std::vector<LocalBag>& bags,
@@ -761,38 +798,33 @@ void run_fold(congest::Network& net, A& algebra, const ElimTreeResult& tree,
     if (v < 0 || !incremental || cache->refold[v]) return nullptr;
     return cache->tables[v].template get_if<Up>();
   };
+  // A bag always holds its own vertex; an empty one was never built.
+  for (int v = 0; v < n; ++v)
+    if (bags[v].bag.empty() && cached(v) == nullptr)
+      throw std::logic_error("fold: vertex " + std::to_string(v) +
+                             " must fold but has no bag");
   const TreePorts ports(net.graph(), tree.parent, tree.children);
   PlanCache own_plans;
-  PlanCache& plans = cache != nullptr ? cache->plans : own_plans;
-  int folding = 0;
-  for (int v = 0; v < n; ++v) folding += cached(v) == nullptr;
-  std::vector<FoldState<A>> states;  // programs point into it: sized once
-  states.reserve(folding);
+  const std::size_t slots = tree.children.kids.size();
+  FoldRun<A> run{algebra,
+                 net,
+                 tree.children,
+                 bags,
+                 vlabels,
+                 elabels,
+                 cache != nullptr ? cache->plans : own_plans,
+                 std::vector<InputOf<A>>(slots),
+                 std::vector<char>(slots, 0),
+                 {}};
   std::vector<FoldProgram<A>> programs;
   programs.reserve(n);
-  std::vector<VertexId> children;  // a folding vertex's children, by id
   for (int v = 0; v < n; ++v) {
     const int parent = tree.parent[v];
     const Up* table = cached(v);
-    FoldState<A>* state = nullptr;
-    if (table == nullptr) {
-      // A bag always holds its own vertex; an empty one was never built.
-      if (bags[v].bag.empty())
-        throw std::logic_error("fold: vertex " + std::to_string(v) +
-                               " must fold but has no bag");
-      children.clear();
-      for (const int c : tree.children[v])
-        children.push_back(net.id_of_vertex(c));
-      state = &states.emplace_back(
-          make_local_context(bags[v], children, vlabels, elabels, plans),
-          children.size());
-      algebra.localize(state->local);
-    }
     programs.emplace_back(
-        algebra, state, table,
+        run, v, table,
         table == nullptr || (parent >= 0 && cached(parent) == nullptr),
-        net.id_of_vertex(v), ports.parent[v],
-        ports.children_of(tree.children, v));
+        ports.parent[v], ports.children_of(tree.children, v));
   }
   out.run = net.run_outcome(congest::program_ptrs(programs));
   out.rounds_solve = out.run.rounds;
