@@ -3,18 +3,20 @@
 #include <algorithm>
 #include <utility>
 
+#include "td/elimination_forest.hpp"
+
 namespace dmc::churn {
 
 namespace {
 
 /// Depths (1-based) for a candidate parent array that may contain
-/// unplaced vertices (parent == -2, depth stays 0).
+/// unplaced vertices (parent == kUnplaced, depth stays 0).
 std::vector<int> depths_of(const std::vector<VertexId>& parent) {
   const int n = static_cast<int>(parent.size());
   std::vector<int> depth(n, 0);
   std::vector<VertexId> chain;
   for (VertexId v = 0; v < n; ++v) {
-    if (parent[v] == -2 || depth[v] != 0) continue;
+    if (parent[v] == kUnplaced || depth[v] != 0) continue;
     chain.clear();
     VertexId x = v;
     while (x >= 0 && depth[x] == 0) {
@@ -44,99 +46,6 @@ VertexId lca(const std::vector<VertexId>& parent, const std::vector<int>& depth,
   }
   return a;
 }
-
-/// Re-eliminates a structural region. Region vertices are exactly the
-/// unplaced ones (parent == -2), so the components of a component minus a
-/// vertex are found by searching unplaced neighbors only, and one stamp
-/// array serves every search of the repair: a search costs its component,
-/// never n.
-class RegionBuilder {
- public:
-  RegionBuilder(const Graph& g, long budget, std::vector<VertexId>& parent,
-                std::vector<int>& depth)
-      : g_(g), budget_(budget), parent_(parent), depth_(depth),
-        stamp_(parent.size(), 0) {}
-
-  /// Components of the unplaced vertices among `from` (ascending), other
-  /// than `skip`: ordered by their least vertex, each sorted.
-  std::vector<std::vector<VertexId>> components(
-      const std::vector<VertexId>& from, VertexId skip) {
-    std::vector<std::vector<VertexId>> comps;
-    const int mark = ++stamp_id_;
-    if (skip >= 0) stamp_[skip] = mark;
-    for (VertexId s : from) {
-      if (stamp_[s] == mark) continue;
-      comps.emplace_back();
-      search(s, mark, &comps.back());
-      std::sort(comps.back().begin(), comps.back().end());
-    }
-    return comps;
-  }
-
-  /// Recursively eliminates g[comp] (one component of the unplaced
-  /// vertices, ascending) under `attach` (a vertex outside the region, or
-  /// -1 for a root-level rebuild), writing parent/depth. The root of every
-  /// built subtree must be adjacent to its attachment point so tree edges
-  /// stay graph edges; among the eligible roots the one minimizing the
-  /// largest remaining component (ties: smaller id) is chosen — the same
-  /// balanced-separator heuristic as td::balanced_elimination_forest.
-  /// Returns false iff the depth budget cannot be met.
-  bool build(const std::vector<VertexId>& comp, VertexId attach,
-             int attach_depth) {
-    if (comp.empty()) return true;
-    if (attach_depth + 1 > budget_) return false;
-    VertexId best = -1;
-    std::size_t best_score = 0;
-    for (VertexId r : comp) {
-      if (attach >= 0 && !g_.has_edge(r, attach)) continue;
-      const int mark = ++stamp_id_;
-      stamp_[r] = mark;
-      std::size_t largest = 0;
-      for (VertexId s : comp)
-        if (stamp_[s] != mark) largest = std::max(largest, search(s, mark));
-      if (best < 0 || largest < best_score) {
-        best = r;
-        best_score = largest;
-      }
-    }
-    if (best < 0) return false;  // no root adjacent to the attachment point
-    parent_[best] = attach;
-    depth_[best] = attach_depth + 1;
-    for (const auto& sub : components(comp, best))
-      if (!build(sub, best, attach_depth + 1)) return false;
-    return true;
-  }
-
- private:
-  /// Stamps the unplaced component of `s` with `mark`; returns its size
-  /// and, with `out`, lists it.
-  std::size_t search(VertexId s, int mark,
-                     std::vector<VertexId>* out = nullptr) {
-    stack_.assign(1, s);
-    stamp_[s] = mark;
-    std::size_t size = 0;
-    while (!stack_.empty()) {
-      const VertexId v = stack_.back();
-      stack_.pop_back();
-      ++size;
-      if (out != nullptr) out->push_back(v);
-      for (VertexId w : g_.neighbors(v)) {
-        if (parent_[w] != -2 || stamp_[w] == mark) continue;
-        stamp_[w] = mark;
-        stack_.push_back(w);
-      }
-    }
-    return size;
-  }
-
-  const Graph& g_;
-  long budget_;
-  std::vector<VertexId>& parent_;
-  std::vector<int>& depth_;
-  std::vector<int> stamp_;
-  int stamp_id_ = 0;
-  std::vector<VertexId> stack_;
-};
 
 /// Marks the old-tree subtree of `root` (old-graph vertices), mapped into
 /// the new graph, as dirty; deleted vertices are skipped.
@@ -192,9 +101,9 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
 
   // Candidate tree: the old tree with deleted vertices spliced out
   // (children adopt the nearest surviving ancestor); fresh vertices are
-  // unplaced (-2). Splicing keeps every surviving ancestor pair, so the
-  // old tree's validity carries over to every unchanged edge.
-  std::vector<VertexId> parent(n_new, -2);
+  // kUnplaced. Splicing keeps every surviving ancestor pair, so the old
+  // tree's validity carries over to every unchanged edge.
+  std::vector<VertexId> parent(n_new, kUnplaced);
   std::vector<VertexId> unplaced, spliced;
   int roots = 0;
   for (VertexId nv = 0; nv < n_new; ++nv) {
@@ -212,7 +121,7 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
     roots += parent[nv] == -1;
   }
   std::vector<int> depth = depths_of(parent);
-  auto placed = [&](VertexId v) { return parent[v] != -2; };
+  auto placed = [&](VertexId v) { return parent[v] != kUnplaced; };
 
   // Violations: tree edges no longer in the graph (a deleted pair, or a
   // spliced child and its adopted parent), inserted edges that are not
@@ -255,7 +164,7 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
         VertexId deepest = -1;
         bool chain = true, ready = true;
         for (VertexId nb : new_g.neighbors(w)) {
-          if (try_parent[nb] == -2) {
+          if (try_parent[nb] == kUnplaced) {
             ready = false;
             break;
           }
@@ -338,28 +247,30 @@ TreePatch repair_tree(const dist::ElimTreeResult& old_tree, const Graph& new_g,
       region.insert(region.end(), unplaced.begin(), unplaced.end());
       std::sort(region.begin(), region.end());
     }
-    for (VertexId v : region) parent[v] = -2;
+    for (VertexId v : region) parent[v] = kUnplaced;
     patch.region = static_cast<int>(region.size());
     // Ancestors of the anchor, deepest first, as re-attachment candidates.
     std::vector<VertexId> anchor_path;
     for (VertexId x = anchor; x >= 0; x = parent[x]) anchor_path.push_back(x);
-    RegionBuilder builder(new_g, budget, parent, depth);
-    for (const auto& comp : builder.components(region, -1)) {
-      VertexId attach = -1;
-      for (VertexId cand : anchor_path) {
-        bool adjacent = false;
-        for (VertexId v : comp) adjacent = adjacent || new_g.has_edge(v, cand);
-        if (adjacent) {
-          attach = cand;
-          break;
-        }
-      }
+    // The region's components, by least vertex, each rebuilt by the
+    // balanced builder in subgraph mode.
+    BalancedBuilder builder(new_g, parent, budget);
+    for (VertexId s : region) {
+      if (parent[s] != kUnplaced) continue;
+      const std::vector<VertexId>& comp = builder.component(s);
+      const auto near = std::find_if(
+          anchor_path.begin(), anchor_path.end(), [&](VertexId cand) {
+            return std::any_of(comp.begin(), comp.end(), [&](VertexId v) {
+              return new_g.has_edge(v, cand);
+            });
+          });
+      const VertexId attach = near == anchor_path.end() ? -1 : *near;
       if (attach < 0 && anchor >= 0) {
         patch.reason = "region component has no root-path anchor";
         return patch;
       }
       const int attach_depth = attach < 0 ? 0 : depth[attach];
-      if (!builder.build(comp, attach, attach_depth)) {
+      if (!builder.place(s, attach, attach_depth)) {
         patch.reason = "depth budget exceeded";
         return patch;
       }

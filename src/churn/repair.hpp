@@ -18,11 +18,13 @@
 // apply_batch reports it): the old tree is valid for every unchanged edge,
 // so only inserted edges, tree edges whose graph edge was deleted and the
 // children of deleted vertices are checked, and the dirty set's edge rule
-// marks subtrees from the delta. A structural rebuild costs its region
-// times its degree (region searches share one stamp array). What remains
-// O(n + m) is a handful of array passes: the spliced parent array, the
-// depths, and the final check that the result is a single tree of the new
-// graph within the budget.
+// marks subtrees from the delta. A structural rebuild is BalancedBuilder
+// (td/elimination_forest.hpp) in subgraph mode: one low-link DFS per
+// region component and tree level, so O(depth * (region + the degrees of
+// its vertices)). What remains O(n + m) is a handful of array passes: the
+// spliced parent array, the builder's vertex-indexed scratch, the depths,
+// and the final check that the result is a single tree of the new graph
+// within the budget.
 //
 // The patch also reports exactly which vertices' *fold contexts* changed —
 // bag (root path) membership, bag-induced edges, or children arity — so

@@ -184,71 +184,94 @@ std::pair<int, EliminationForest> exact_treedepth_forest(const Graph& g) {
   return {td, EliminationForest(std::move(parent))};
 }
 
-namespace {
+BalancedBuilder::BalancedBuilder(const Graph& g, std::vector<VertexId>& parent,
+                                 std::optional<long> subgraph_budget)
+    : g_(g), parent_(parent), budget_(subgraph_budget),
+      pos_(parent.size(), 0) {}
 
-/// Components of the induced subgraph on `alive` vertices.
-std::vector<std::vector<VertexId>> live_components(
-    const Graph& g, const std::vector<VertexId>& alive) {
-  std::vector<bool> in(g.num_vertices(), false), seen(g.num_vertices(), false);
-  for (VertexId v : alive) in[v] = true;
-  std::vector<std::vector<VertexId>> comps;
-  for (VertexId s : alive) {
-    if (seen[s]) continue;
-    comps.emplace_back();
-    std::vector<VertexId> stack{s};
-    seen[s] = true;
-    while (!stack.empty()) {
-      const VertexId v = stack.back();
-      stack.pop_back();
-      comps.back().push_back(v);
-      for (auto [w, e] : g.incident(v))
-        if (in[w] && !seen[w]) {
-          seen[w] = true;
-          stack.push_back(w);
-        }
+void BalancedBuilder::scan(VertexId s, VertexId attach) {
+  order_.clear();
+  nodes_.clear();
+  auto discover = [&](VertexId v, int up) {
+    const int i = static_cast<int>(order_.size());
+    pos_[v] = i + 1;
+    order_.push_back(v);
+    nodes_.push_back(Node{up, i, 1, 0, 0, false});
+    stack_.emplace_back(i, 0);
+  };
+  discover(s, -1);
+  while (!stack_.empty()) {
+    const int i = stack_.back().first;
+    const auto nbrs = g_.neighbors(order_[i]);
+    VertexId next = -1;
+    for (int& k = stack_.back().second;
+         next < 0 && k < static_cast<int>(nbrs.size()); ++k) {
+      const VertexId w = nbrs[k];
+      if (w == attach) nodes_[i].adjacent = true;
+      if (parent_[w] != kUnplaced) continue;
+      if (pos_[w] == 0) next = w;
+      else nodes_[i].low = std::min(nodes_[i].low, pos_[w] - 1);
+    }
+    if (next >= 0) {
+      discover(next, i);
+      continue;
+    }
+    stack_.pop_back();
+    const Node& c = nodes_[i];
+    if (c.up < 0) continue;
+    Node& p = nodes_[c.up];
+    p.low = std::min(p.low, c.low);
+    p.size += c.size;
+    if (c.low >= c.up) {
+      p.split += c.size;
+      p.split_max = std::max(p.split_max, c.size);
     }
   }
-  return comps;
+  for (VertexId v : order_) pos_[v] = 0;
 }
 
-void balanced_rec(const Graph& g, const std::vector<VertexId>& comp,
-                  VertexId root, std::vector<VertexId>& parent) {
-  if (comp.size() == 1) {
-    parent[comp[0]] = root;
-    return;
-  }
-  // Pick the vertex minimizing the largest remaining component.
-  VertexId best = -1;
-  std::size_t best_size = comp.size() + 1;
-  for (VertexId v : comp) {
-    std::vector<VertexId> rest;
-    rest.reserve(comp.size() - 1);
-    for (VertexId u : comp)
-      if (u != v) rest.push_back(u);
-    std::size_t largest = 0;
-    for (const auto& c : live_components(g, rest))
-      largest = std::max(largest, c.size());
-    if (largest < best_size) {
-      best_size = largest;
-      best = v;
+const std::vector<VertexId>& BalancedBuilder::component(VertexId s) {
+  scan(s, -1);
+  return order_;
+}
+
+bool BalancedBuilder::place(VertexId s, VertexId attach, int attach_depth) {
+  tasks_.assign(1, Task{s, attach, attach_depth});
+  while (!tasks_.empty()) {
+    const Task t = tasks_.back();
+    tasks_.pop_back();
+    if (budget_ && t.attach_depth + 1 > *budget_) return false;
+    scan(t.s, t.attach);
+    const bool any_root = !budget_ || t.attach < 0;
+    const int n = static_cast<int>(order_.size());
+    int best = -1, best_score = 0;
+    for (int i = 0; i < n; ++i) {
+      if (!any_root && !nodes_[i].adjacent) continue;
+      const int score = std::max(nodes_[i].split_max, n - 1 - nodes_[i].split);
+      if (best < 0 || score < best_score ||
+          (score == best_score && order_[i] < order_[best])) {
+        best = i;
+        best_score = score;
+      }
     }
+    if (best < 0) return false;  // no root adjacent to the attachment point
+    const VertexId root = order_[best];
+    parent_[root] = t.attach;
+    // The components left: the split-off child subtrees, and the rest,
+    // which holds the DFS root unless the DFS root was removed.
+    for (int i = best + 1; i < best + nodes_[best].size; ++i)
+      if (nodes_[i].up == best && nodes_[i].low >= best)
+        tasks_.push_back(Task{order_[i], root, t.attach_depth + 1});
+    if (best > 0) tasks_.push_back(Task{order_[0], root, t.attach_depth + 1});
   }
-  parent[best] = root;
-  std::vector<VertexId> rest;
-  for (VertexId u : comp)
-    if (u != best) rest.push_back(u);
-  for (const auto& c : live_components(g, rest))
-    balanced_rec(g, c, best, parent);
+  return true;
 }
-
-}  // namespace
 
 EliminationForest balanced_elimination_forest(const Graph& g) {
-  std::vector<VertexId> parent(g.num_vertices(), -1);
-  std::vector<VertexId> all(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) all[v] = v;
-  for (const auto& comp : live_components(g, all))
-    balanced_rec(g, comp, -1, parent);
+  std::vector<VertexId> parent(g.num_vertices(), kUnplaced);
+  BalancedBuilder builder(g, parent);
+  for (VertexId s = 0; s < g.num_vertices(); ++s)
+    if (parent[s] == kUnplaced) builder.place(s, -1, 0);
   return EliminationForest(std::move(parent));
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -61,11 +62,63 @@ int exact_treedepth(const Graph& g);
 /// Exact treedepth together with an optimal elimination forest.
 std::pair<int, EliminationForest> exact_treedepth_forest(const Graph& g);
 
-/// Balanced-separator heuristic elimination forest: recursively removes, in
-/// each component, the vertex minimizing the largest remaining component
-/// (ties broken by smaller id). Gives depth O(log n) on paths and trees
-/// (centroid decomposition) and near-optimal depth on the bounded-treedepth
-/// families used in the experiments. Works on disconnected graphs.
+/// The parent entry of a vertex BalancedBuilder has still to place.
+inline constexpr VertexId kUnplaced = -2;
+
+/// The balanced elimination builder. In each component of the unplaced
+/// vertices it places the vertex minimizing the largest remaining
+/// component (ties: smaller id) and recurses into what removing it leaves.
+/// Free mode serves balanced_elimination_forest: depth O(log n) on paths
+/// and trees (centroid decomposition). Subgraph mode serves churn repair:
+/// a subtree root must be adjacent to its attachment point (tree edges are
+/// CONGEST links) and no vertex may sit deeper than the depth budget; free
+/// mode cannot take that constraint, it makes a path's tree linear-depth.
+/// One iterative low-link DFS scores a whole component: removing r leaves
+/// the DFS subtrees of r's children c with low[c] >= disc[r], plus the
+/// rest. So a tree level costs O(n + m), a build O(depth * (n + m)).
+class BalancedBuilder {
+ public:
+  /// Places the kUnplaced entries of `parent`; a `subgraph_budget`
+  /// selects subgraph mode.
+  BalancedBuilder(const Graph& g, std::vector<VertexId>& parent,
+                  std::optional<long> subgraph_budget = std::nullopt);
+
+  /// The unplaced component of the unplaced vertex `s`, in DFS order,
+  /// valid until the next call.
+  const std::vector<VertexId>& component(VertexId s);
+
+  /// Places the unplaced component of `s` below `attach` (-1: as a root)
+  /// at depth `attach_depth`. False iff subgraph mode finds no root
+  /// adjacent to an attachment point or exceeds the budget.
+  bool place(VertexId s, VertexId attach, int attach_depth);
+
+ private:
+  struct Node {     // one DFS vertex, by preorder index
+    int up, low;    // DFS parent (-1 at the root), low-link
+    int size;       // subtree size
+    int split;      // vertices of the child subtrees its removal cuts off
+    int split_max;  // the largest of those subtrees
+    bool adjacent;  // a neighbor of the attachment point
+  };
+  struct Task {
+    VertexId s, attach;
+    int attach_depth;
+  };
+
+  /// Low-link DFS over the unplaced component of `s` into order_/nodes_.
+  void scan(VertexId s, VertexId attach);
+
+  const Graph& g_;
+  std::vector<VertexId>& parent_;
+  std::optional<long> budget_;
+  std::vector<int> pos_;  // per vertex: preorder index + 1 during a scan
+  std::vector<VertexId> order_;
+  std::vector<Node> nodes_;
+  std::vector<std::pair<int, int>> stack_;  // (preorder index, next port)
+  std::vector<Task> tasks_;
+};
+
+/// BalancedBuilder in free mode over every component.
 EliminationForest balanced_elimination_forest(const Graph& g);
 
 /// Sequential mirror of the distributed Algorithm 2: greedily grows an

@@ -32,7 +32,8 @@ std::vector<int> TreeDecomposition::topological_order() const {
 }
 
 bool TreeDecomposition::valid_for(const Graph& g) const {
-  if (static_cast<int>(parent.size()) != num_nodes()) return false;
+  const int nodes = num_nodes();
+  if (static_cast<int>(parent.size()) != nodes) return false;
   const int n = g.num_vertices();
   // Bags sorted, in range.
   for (const auto& bag : bags) {
@@ -41,39 +42,40 @@ bool TreeDecomposition::valid_for(const Graph& g) const {
       if (v < 0 || v >= n) return false;
     if (std::adjacent_find(bag.begin(), bag.end()) != bag.end()) return false;
   }
-  // (1) every vertex in some bag.
-  std::vector<bool> seen(n, false);
-  for (const auto& bag : bags)
-    for (VertexId v : bag) seen[v] = true;
-  for (int v = 0; v < n; ++v)
-    if (!seen[v]) return false;
-  // (2) every edge inside some bag.
-  for (const Edge& e : g.edges()) {
-    bool found = false;
-    for (const auto& bag : bags) {
-      if (std::binary_search(bag.begin(), bag.end(), e.u) &&
-          std::binary_search(bag.begin(), bag.end(), e.v)) {
-        found = true;
-        break;
-      }
+  // Node depths, root first; -1 marks the chain being walked, so meeting it
+  // again is a parent cycle.
+  std::vector<int> depth(nodes, 0), chain;
+  for (int i = 0; i < nodes; ++i) {
+    int x = i;
+    for (; x >= 0 && depth[x] == 0; x = parent[x]) {
+      if (parent[x] < -1 || parent[x] >= nodes) return false;
+      depth[x] = -1;
+      chain.push_back(x);
     }
-    if (!found) return false;
+    if (x >= 0 && depth[x] < 0) return false;
+    for (int d = x < 0 ? 0 : depth[x]; !chain.empty(); chain.pop_back())
+      depth[chain.back()] = ++d;
   }
-  // (3) bags containing any vertex form a connected subtree: check by
-  // counting, for each vertex, the nodes containing it and the tree edges
-  // between two such nodes; connectivity <=> #edges == #nodes - 1.
-  for (int v = 0; v < n; ++v) {
-    int nodes = 0, links = 0;
-    for (int i = 0; i < num_nodes(); ++i) {
-      const bool in_i =
-          std::binary_search(bags[i].begin(), bags[i].end(), v);
-      if (!in_i) continue;
-      ++nodes;
-      if (parent[i] >= 0 &&
-          std::binary_search(bags[parent[i]].begin(), bags[parent[i]].end(), v))
-        ++links;
+  // (1) and (3): the nodes holding a vertex form a subtree iff exactly one
+  // of them, its top, has no parent holding it too (nodes minus links).
+  auto holds = [&](int i, VertexId v) {
+    return std::binary_search(bags[i].begin(), bags[i].end(), v);
+  };
+  std::vector<int> top(n, -1);
+  for (int i = 0; i < nodes; ++i)
+    for (VertexId v : bags[i]) {
+      if (parent[i] >= 0 && holds(parent[i], v)) continue;
+      if (top[v] >= 0) return false;
+      top[v] = i;
     }
-    if (nodes == 0 || links != nodes - 1) return false;
+  for (int v = 0; v < n; ++v)
+    if (top[v] < 0) return false;
+  // (2) every edge inside some bag: two subtrees meet iff the deeper top
+  // lies in the other subtree.
+  for (const Edge& e : g.edges()) {
+    const bool u_deeper = depth[top[e.u]] >= depth[top[e.v]];
+    if (!(u_deeper ? holds(top[e.u], e.v) : holds(top[e.v], e.u)))
+      return false;
   }
   return true;
 }

@@ -28,7 +28,8 @@ struct TreeDecomposition {
   std::vector<int> topological_order() const;
 
   /// Validates the three conditions of Definition 2.3 against g, plus
-  /// structural sanity (single root per component, sorted bags).
+  /// structural sanity (parents in range and acyclic, sorted bags). One
+  /// pass over the bags and one over the edges, with a binary search each.
   bool valid_for(const Graph& g) const;
 };
 
