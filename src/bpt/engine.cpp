@@ -534,12 +534,6 @@ void Engine::memo_store(std::uint64_t key, TypeId value) {
   memo_.insert(key, value);
 }
 
-TypeId Engine::compose(const GluingMatrix& f, TypeId left, TypeId right) {
-  const TypeNode& l = node(left);
-  const TypeNode& r = node(right);
-  return compose(op_of(f, l.atoms.tau, r.atoms.tau), left, right);
-}
-
 TypeId Engine::compose(int op, TypeId left, TypeId right) {
   if (static_cast<std::size_t>(left) >= nodes_.size() ||
       static_cast<std::size_t>(right) >= nodes_.size() ||

@@ -180,21 +180,16 @@ class Engine {
   TypeId k2(std::uint32_t label_bits_a, std::uint32_t label_bits_b,
             std::uint32_t edge_label_bits, const SlotBits& slots);
 
-  /// Update function ⊙_f of Definition 4.1: type of the glued graph, or
-  /// kInvalidType if the child assignments are inconsistent on identified
-  /// terminals / shared edges. Equivalent to
-  /// compose(op_of(f, tau(left), tau(right)), left, right).
-  TypeId compose(const GluingMatrix& f, TypeId left, TypeId right);
-
   /// The engine's number for gluing matrix f, registered (and validated
   /// against the child terminal counts) on first sight. Ops are numbered
   /// in first-use order; the numbers are part of the universe cache.
   int op_of(const GluingMatrix& f, int left_tau, int right_tau);
 
-  /// ⊙_f for an op already resolved by op_of. A fold resolves a glue
-  /// node's op once, at its first consistent pair, and composes every
-  /// pair through this overload: one memo probe per pair, no matrix
-  /// lookup.
+  /// Update function ⊙_f of Definition 4.1 for the op f resolved by op_of:
+  /// type of the glued graph, or kInvalidType if the child assignments are
+  /// inconsistent on identified terminals / shared edges. A fold resolves
+  /// each of its plan's ops once, at first use, and composes every pair
+  /// through it: one memo probe per pair, no matrix lookup.
   TypeId compose(int op, TypeId left, TypeId right);
 
   /// Number of distinct gluing matrices seen so far (for statistics).

@@ -60,9 +60,10 @@ void for_each_assignment(const EngineConfig& cfg, bool is_k2, Fn&& fn) {
   rec(rec, 0);
 }
 
-/// ⊙ of one consistent pair of a glue node with matrix f. The node's op is
-/// resolved at its first such pair (op < 0 until then), so ops keep their
-/// first-use numbering.
+/// ⊙ of one pair of a glue node with matrix f, through the engine op
+/// `op`. A fold resolves each plan op once, at its first use (op < 0 until
+/// then), into its own per-op array: ops keep their first-use numbering,
+/// and no later use hashes the matrix.
 TypeId compose_pair(Engine& engine, const GluingMatrix& f, int& op, TypeId l,
                     TypeId r) {
   if (op < 0)
@@ -130,6 +131,7 @@ std::vector<typename R::Table> fold_tables(
     std::span<const typename R::Table> inputs, const R& rules) {
   using Item = typename R::Item;
   std::vector<typename R::Table> tables(plan.nodes.size());
+  std::vector<int> ops(plan.ops.size(), -1);  // engine op per plan op
   ClassAccumulator<Item> items;
   TracePairing pairing;
   for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
@@ -153,11 +155,12 @@ std::vector<typename R::Table> fold_tables(
         break;
       }
       case PlanNode::Kind::Glue: {
-        int op = -1;
-        pairing.for_each(engine, pn.op, tables[pn.left], tables[pn.right],
+        const GluingMatrix& f = plan.ops[pn.op];
+        int& op = ops[pn.op];
+        pairing.for_each(engine, f, tables[pn.left], tables[pn.right],
                          [&](const auto& l, const auto& r) {
-                           const TypeId t = compose_pair(engine, pn.op, op,
-                                                         l.first, r.first);
+                           const TypeId t =
+                               compose_pair(engine, f, op, l.first, r.first);
                            if (t != kInvalidType)
                              items.add(rules.pair(pn, l, r, t));
                          });
@@ -242,6 +245,7 @@ TypeId fold_type(Engine& engine, const Plan& plan, const Graph& g,
   };
   SlotBits bits(sorts.size(), 0);  // no slots, or the fixed one's bits
   std::vector<TypeId> value(plan.nodes.size(), kInvalidType);
+  std::vector<int> ops(plan.ops.size(), -1);  // engine op per plan op
   for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
     const PlanNode& pn = plan.nodes[i];
     switch (pn.kind) {
@@ -259,7 +263,8 @@ TypeId fold_type(Engine& engine, const Plan& plan, const Graph& g,
                              edge_label_bits(engine, g, pn.e), bits);
         break;
       case PlanNode::Kind::Glue:
-        value[i] = engine.compose(pn.op, value[pn.left], value[pn.right]);
+        value[i] = compose_pair(engine, plan.ops[pn.op], ops[pn.op],
+                                value[pn.left], value[pn.right]);
         if (value[i] == kInvalidType)
           throw std::logic_error("fold_type: inconsistent composition");
         break;
@@ -292,6 +297,7 @@ struct OptSolver::Rules {
   };
 
   const Engine& engine;
+  const Plan& plan;
   const Graph& g;
   bool vertex_sort;
   std::vector<FlatMap<TypeId, Back>>& backs;
@@ -324,28 +330,30 @@ struct OptSolver::Rules {
   Weight overlap(const PlanNode& pn, TypeId left, TypeId right) const {
     const TypeNode& L = engine.node(left);
     const TypeNode& R = engine.node(right);
-    const int tau_p = pn.op.parent_tau();
+    const auto& rows = plan.ops[pn.op].rows;
+    const auto terminals = plan.terminals(pn);
+    const int tau_p = static_cast<int>(rows.size());
     Weight sum = 0;
     if (vertex_sort) {
       for (int r = 0; r < tau_p; ++r) {
-        const int cl = pn.op.rows[r][0], cr = pn.op.rows[r][1];
+        const int cl = rows[r][0], cr = rows[r][1];
         if (cl < 0 || cr < 0) continue;
         if ((L.atoms.vars[0].mask >> cl) & 1)  // == right bit by consistency
-          sum += g.vertex_weight(pn.terminals[r]);
+          sum += g.vertex_weight(terminals[r]);
       }
       return sum;
     }
     const int tau_l = L.atoms.tau, tau_r = R.atoms.tau;
     for (int i = 0; i < tau_p; ++i) {
       for (int j = i + 1; j < tau_p; ++j) {
-        const int li = pn.op.rows[i][0], lj = pn.op.rows[j][0];
-        const int ri = pn.op.rows[i][1], rj = pn.op.rows[j][1];
+        const int li = rows[i][0], lj = rows[j][0];
+        const int ri = rows[i][1], rj = rows[j][1];
         if (li < 0 || lj < 0 || ri < 0 || rj < 0) continue;
         const bool el = (L.atoms.term_adj >> pair_index(li, lj, tau_l)) & 1;
         const bool er = (R.atoms.term_adj >> pair_index(ri, rj, tau_r)) & 1;
         if (!el || !er) continue;  // edge must exist on both sides
         if ((L.atoms.vars[0].pair_mask >> pair_index(li, lj, tau_l)) & 1) {
-          const EdgeId e = g.edge_id(pn.terminals[i], pn.terminals[j]);
+          const EdgeId e = g.edge_id(terminals[i], terminals[j]);
           if (e < 0)
             throw std::logic_error("OptSolver: shared edge not in host graph");
           sum += g.edge_weight(e);
@@ -365,7 +373,7 @@ OptSolver::OptSolver(Engine& engine, const Plan& plan, const Graph& g,
   const bool vertex_sort =
       engine_.config().free_sorts[0] == mso::Sort::VertexSet;
   tables_ = fold_tables(engine_, plan_, g_, input_tables,
-                        Rules{engine_, g_, vertex_sort, backs_});
+                        Rules{engine_, plan_, g_, vertex_sort, backs_});
 }
 
 OptSolver::Solution OptSolver::reconstruct(TypeId root_choice) const {

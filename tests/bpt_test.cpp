@@ -45,20 +45,23 @@ TEST(Gluing, ValidateRejectsBadMatrices) {
 }
 
 TEST(Plan, MatrixForMapsSharedIds) {
-  const auto m = matrix_for({2, 5, 9}, {2, 9}, {5, 9});
+  using Ids = std::vector<VertexId>;
+  const auto m = matrix_for(Ids{2, 5, 9}, Ids{2, 9}, Ids{5, 9});
   ASSERT_EQ(m.rows.size(), 3u);
   EXPECT_EQ(m.rows[0], (std::array<int, 2>{0, -1}));
   EXPECT_EQ(m.rows[1], (std::array<int, 2>{-1, 0}));
   EXPECT_EQ(m.rows[2], (std::array<int, 2>{1, 1}));
-  EXPECT_THROW(matrix_for({7}, {2}, {3}), std::invalid_argument);
+  EXPECT_THROW(matrix_for(Ids{7}, Ids{2}, Ids{3}), std::invalid_argument);
 }
 
 TEST(Plan, BaseBagStructure) {
   // Bag {0,1,2} of a triangle: 3 K1 nodes, 2 vertex glues, 3 K2 + glues.
   const Graph g = gen::clique(3);
-  Plan plan;
-  const int root = append_base_bag(plan, g, {0, 1, 2});
-  EXPECT_EQ(plan.at(root).terminals, (std::vector<VertexId>{0, 1, 2}));
+  const Plan plan = build_node_plan(g, {0, 1, 2}, {});
+  const int root = plan.root;
+  const auto terminals = plan.terminals(root);
+  EXPECT_EQ(std::vector<VertexId>(terminals.begin(), terminals.end()),
+            (std::vector<VertexId>{0, 1, 2}));
   int k1 = 0, k2 = 0, glue = 0;
   for (const auto& n : plan.nodes) {
     k1 += n.kind == PlanNode::Kind::K1;
@@ -68,8 +71,8 @@ TEST(Plan, BaseBagStructure) {
   EXPECT_EQ(k1, 3);
   EXPECT_EQ(k2, 3);
   EXPECT_EQ(glue, 2 + 3);
-  EXPECT_THROW(append_base_bag(plan, g, {2, 1}), std::invalid_argument);
-  EXPECT_THROW(append_base_bag(plan, g, {}), std::invalid_argument);
+  EXPECT_THROW(build_node_plan(g, {2, 1}, {}), std::invalid_argument);
+  EXPECT_THROW(build_node_plan(g, {}, {}), std::invalid_argument);
 }
 
 TEST(Plan, NodePlanHasInputsInOrder) {
@@ -111,8 +114,8 @@ TEST(Engine, ComposeIsDeterministicAndMemoized) {
   const TypeId k2a = engine.k2(0, 0, 0, {});
   GluingMatrix m;
   m.rows = {{0, 0}, {-1, 1}};  // identify k1's terminal with k2's first
-  const TypeId c1 = engine.compose(m, k1a, k2a);
-  const TypeId c2 = engine.compose(m, k1a, k2a);
+  const TypeId c1 = engine.compose(engine.op_of(m, 1, 2), k1a, k2a);
+  const TypeId c2 = engine.compose(engine.op_of(m, 1, 2), k1a, k2a);
   EXPECT_EQ(c1, c2);
   EXPECT_NE(c1, kInvalidType);
 }
@@ -177,10 +180,12 @@ TEST(Tables, SelectedVerticesAndEdgesMatchAssignment) {
   const auto td = seq::decomposition_for(g);
   const auto plan = build_global_plan(g, td);
   OptSolver solver(engine, plan, g);
+  const auto root_terminals = plan.terminals(plan.root);
+  const std::vector<VertexId> terminals(root_terminals.begin(),
+                                        root_terminals.end());
   for (const auto& [c, w] : solver.root_table()) {
     const auto sol = solver.reconstruct(c);
-    const auto selected = selected_vertices(
-        engine, c, plan.at(plan.root).terminals, 0);
+    const auto selected = selected_vertices(engine, c, terminals, 0);
     // Every selected terminal must be marked in the reconstruction.
     for (VertexId v : selected) EXPECT_TRUE(sol.vertices[v]);
   }

@@ -7,6 +7,10 @@
 // The elimination tree and the bags run outside the measured region; the
 // region is one solve over them, from its call to its return.
 //
+// A hub's plan grows with its child count, so a plan node must cost a few
+// words and no allocation of its own: building a node plan allocates per
+// pool, not per node.
+//
 // This file replaces the global operator new / delete with a byte counter
 // (malloc_usable_size), so it must be the only translation unit of its
 // test binary that does.
@@ -18,8 +22,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <string>
+#include <vector>
 
+#include "bpt/plan.hpp"
 #include "congest/network.hpp"
 #include "dist/bags.hpp"
 #include "dist/elim_tree.hpp"
@@ -31,9 +38,11 @@ namespace {
 
 std::atomic<long> g_live{0};  // bytes malloc holds for operator new
 std::atomic<long> g_peak{0};  // high-water mark of g_live since reset_peak
+std::atomic<long> g_allocs{0};  // operator new calls
 
 void* counted(void* p) {
   if (p == nullptr) return nullptr;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   const long live = g_live.fetch_add(static_cast<long>(malloc_usable_size(p)),
                                      std::memory_order_relaxed) +
                     static_cast<long>(malloc_usable_size(p));
@@ -124,11 +133,13 @@ double solve_peak_per_vertex(const Query& query, const std::string& expect) {
 // Measured on deeppath:20000:4 (cold engine): a fold that builds every
 // vertex's context before round 0 and holds it to the end peaks at 1,937 B
 // per vertex (decide) and 2,189 B (count); one that builds each context
-// when its vertex folds, and drops it after, peaks at 1,072 B and 1,138 B.
-// What is left is mostly the seven spine hubs' plans (each hub has ~n/7
-// leaf children, so its plan grows with n) and the programs.
-constexpr double kDecideBound = 1400;
-constexpr double kCountBound = 1500;
+// when its vertex folds, and drops it after, peaks at 1,072 B and 1,138 B
+// while each plan node owns its terminal and matrix vectors (~620 B of the
+// decide's are the seven spine hubs' plans: each hub has ~n/7 leaf
+// children, so its plan grows with n). Flat plans (one node array and
+// plan-wide pools) peak at 564 B and 737 B.
+constexpr double kDecideBound = 700;
+constexpr double kCountBound = 900;
 
 TEST(FoldMemory, TriangleFreeDecidePeakHeapPerVertex) {
   const Query q{Kind::kDecision,
@@ -141,6 +152,48 @@ TEST(FoldMemory, CountPeakHeapPerVertex) {
   const Query q = parse_query(Kind::kCount, "sing(S)", "", "", "S:vset");
   EXPECT_LT(solve_peak_per_vertex(q, "count=" + std::to_string(kN)),
             kCountBound);
+}
+
+struct PlanBuild {
+  long allocations = 0;  // operator new calls during the build
+  long live_bytes = 0;   // heap the returned plan holds
+  std::size_t nodes = 0;
+};
+
+/// One bpt::build_node_plan for the bag {0, ..., 7} of a path with
+/// `children` children, child i's bag being the path plus vertex 8 + i.
+/// The graph and the child bags are built outside the measured region.
+PlanBuild measure_plan_build(int children) {
+  Graph g(8 + children);
+  for (VertexId v = 0; v + 1 < 8; ++v) g.add_edge(v, v + 1);
+  std::vector<VertexId> bag(8);
+  std::iota(bag.begin(), bag.end(), 0);
+  std::vector<std::vector<VertexId>> child_bags(children, bag);
+  for (int i = 0; i < children; ++i) child_bags[i].push_back(8 + i);
+  const long allocs = g_allocs.load(std::memory_order_relaxed);
+  const long live = g_live.load(std::memory_order_relaxed);
+  const bpt::Plan plan = bpt::build_node_plan(g, bag, child_bags);
+  PlanBuild out;
+  out.allocations = g_allocs.load(std::memory_order_relaxed) - allocs;
+  out.live_bytes = g_live.load(std::memory_order_relaxed) - live;
+  out.nodes = plan.nodes.size();
+  std::printf("node plan, %d children: %zu nodes, %ld allocations, "
+              "%.0f B per node\n",
+              children, out.nodes, out.allocations,
+              static_cast<double>(out.live_bytes) / out.nodes);
+  return out;
+}
+
+// Measured with per-node terminal and matrix vectors: 4,000 children make
+// 15,004 more allocations than 1,000 (20,069 against 5,065), and the plan
+// holds 196-197 B per node. Flat plans allocate per pool and per distinct
+// matrix: 59 allocations at either size, 52 B per node.
+TEST(FoldMemory, PlanBuildAllocatesPerPoolNotPerNode) {
+  const PlanBuild small = measure_plan_build(1000);
+  const PlanBuild large = measure_plan_build(4000);
+  EXPECT_LE(large.allocations - small.allocations, 40);
+  EXPECT_LE(static_cast<double>(small.live_bytes) / small.nodes, 96.0);
+  EXPECT_LE(static_cast<double>(large.live_bytes) / large.nodes, 96.0);
 }
 
 }  // namespace
